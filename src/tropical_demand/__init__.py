@@ -63,7 +63,9 @@ from .polyhedra import (
     LinearProgram,
     LPResult,
     Polygon2,
+    PolygonEdge,
     convex_hull_halfspaces,
+    halfplane_intersection,
     polygon_from_halfspaces,
     reduce,
     simplex_solve,

@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .errors import (
     DegenerateInput,
+    InstanceTooLarge,
     NonConservative,
     UnsupportedDimension,
 )
@@ -30,6 +31,7 @@ from .exactmath import (
     IVec,
     Vec,
     ZERO,
+    ccw_compare,
     cross2,
     dot,
     independent_directions,
@@ -42,11 +44,12 @@ from .exactmath import (
 from .polyhedra import (
     HPolyhedron,
     HalfSpace,
+    MAX_HULL_POINTS,
     Polygon2,
+    PolygonEdge,
     convex_hull_halfspaces,
     dedupe_halfspaces,
-    interior_point,
-    polygon_from_halfspaces,
+    halfplane_intersection,
 )
 from .valuation import Valuation, dualize, indirect_utility
 
@@ -139,26 +142,8 @@ def edge_direction(cell: Cell) -> Vec:
     return ivec_to_vec(cell.rays[0])
 
 
-def _angle_class(v: Sequence[Fraction | int]) -> int:
-    if v[1] > 0 or (v[1] == 0 and v[0] > 0):
-        return 0
-    return 1
-
-
-def _ccw_cmp(a: Vec, b: Vec) -> int:
-    ca, cb = _angle_class(a), _angle_class(b)
-    if ca != cb:
-        return -1 if ca < cb else 1
-    cr = cross2(a, b)
-    if cr > 0:
-        return -1
-    if cr < 0:
-        return 1
-    return 0
-
-
 def _sort_ccw(items: list, key) -> list:
-    return sorted(items, key=functools.cmp_to_key(lambda x, y: _ccw_cmp(key(x), key(y))))
+    return sorted(items, key=functools.cmp_to_key(lambda x, y: ccw_compare(key(x), key(y))))
 
 
 def _hull_chain_ccw(points: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -180,14 +165,21 @@ def _hull_chain_ccw(points: Sequence[Vec]) -> tuple[Vec, ...]:
     return tuple(lower[:-1] + upper[:-1])
 
 
-def _canonical_line(p0: Vec, d: Vec) -> tuple[Vec, tuple[IVec, IVec]]:
-    n = rot90ccw(d)
-    c = dot(n, p0)
-    nn = dot(n, n)
-    anchor = tuple(c / nn * x for x in n)
-    prim, _ = rational_direction(d)
-    neg = tuple(-x for x in prim)
-    return anchor, tuple(sorted((prim, neg)))  # type: ignore[return-value]
+def _edge_geometry(edge: PolygonEdge) -> tuple[tuple[Vec, ...], tuple[IVec, ...]]:
+    """Cell points and rays of a region edge: a segment's sorted endpoints, a
+    ray's endpoint and direction, or a line's point nearest the origin and
+    both directions."""
+    n = edge.line.normal
+    d = (-int(n[1]), int(n[0]))
+    back = (-d[0], -d[1])
+    if edge.start is not None and edge.end is not None:
+        return tuple(sorted((edge.start, edge.end))), ()
+    if edge.start is not None:
+        return (edge.start,), (d,)
+    if edge.end is not None:
+        return (edge.end,), (back,)
+    anchor = tuple(edge.line.offset / dot(n, n) * x for x in n)
+    return (anchor,), tuple(sorted((d, back)))
 
 
 def _region_representative(cell: Cell) -> Vec | None:
@@ -212,8 +204,11 @@ def _region_representative(cell: Cell) -> Vec | None:
 
 def _active_region_halfspaces(
     pieces, k: int, convention: str, domain: HPolyhedron
-) -> list[HalfSpace]:
+) -> tuple[list[HalfSpace], list[int]]:
+    """Rows where piece k is active, and the piece tied with k along each of
+    the leading rows; the domain rows follow them."""
     out: list[HalfSpace] = []
+    tied: list[int] = []
     for j, other in enumerate(pieces):
         if j == k:
             continue
@@ -226,32 +221,9 @@ def _active_region_halfspaces(
         if all(c == 0 for c in normal):
             continue
         out.append(HalfSpace(normal=normal, offset=offset))
+        tied.append(j)
     out.extend(domain.halfspaces)
-    return out
-
-
-def _clamp_line(
-    halfspaces: Sequence[HalfSpace], p0: Vec, d: Vec
-) -> tuple[Fraction | None, Fraction | None] | None:
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for h in halfspaces:
-        k = dot(h.normal, d)
-        c = h.offset - dot(h.normal, p0)
-        if k == 0:
-            if c < 0:
-                return None
-        elif k > 0:
-            bound = c / k
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            bound = c / k
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
+    return out, tied
 
 
 @dataclass
@@ -267,103 +239,42 @@ class _EdgeDraft:
         return (len(self.points), self.points, self.rays)
 
 
-def _edge_draft_from_interval(
-    p0: Vec, d: Vec, lo: Fraction | None, hi: Fraction | None
-) -> tuple[tuple[Vec, ...], tuple[IVec, ...]] | None:
-    if lo is not None and hi is not None:
-        if lo == hi:
-            return None
-        a = tuple(x + lo * y for x, y in zip(p0, d))
-        b = tuple(x + hi * y for x, y in zip(p0, d))
-        return tuple(sorted((a, b))), ()
-    if lo is None and hi is None:
-        anchor, dirs = _canonical_line(p0, d)
-        return (anchor,), dirs
-    if hi is None:
-        start = tuple(x + lo * y for x, y in zip(p0, d))
-        prim, _ = rational_direction(d)
-        return (start,), (prim,)
-    end = tuple(x + hi * y for x, y in zip(p0, d))
-    prim, _ = rational_direction(tuple(-y for y in d))
-    return (end,), (prim,)
-
-
 def _subdivision_from_pieces(
     pieces, labels: Sequence[Vec], convention: str, domain: HPolyhedron
 ) -> LabeledSubdivision:
+    """One half-plane intersection per piece gives its region and edges.
+
+    An edge of region k lies on the tie line of every piece its supporting
+    rows come from.  Two pieces tied with k along one line differ by a
+    multiple of that line's equation, so one of them wins everywhere beyond
+    it: at most one kept piece l lies across, and the edge is the facet
+    (k, l), read off the region that comes first in piece order.  An edge
+    with no kept piece across lies on the domain boundary and belongs to k.
+    """
     domain = HPolyhedron(2, dedupe_halfspaces(domain.halfspaces))
-    keep: list[int] = []
-    region_hs: dict[int, list[HalfSpace]] = {}
+    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], list[int]]] = {}
     for k in range(len(pieces)):
-        hs = _active_region_halfspaces(pieces, k, convention, domain)
-        if interior_point(HPolyhedron(2, tuple(hs))) is not None:
-            keep.append(k)
-            region_hs[k] = hs
+        hs, tied = _active_region_halfspaces(pieces, k, convention, domain)
+        region = halfplane_intersection(hs)
+        if region is not None:
+            regions[k] = (*region, tied)
 
     edges: list[_EdgeDraft] = []
-    for idx, k in enumerate(keep):
-        for l in keep[idx + 1 :]:
-            normal = vsub(pieces[k].slope, pieces[l].slope)
-            if all(c == 0 for c in normal):
+    for k, (_, region_edges, tied) in regions.items():
+        for edge in region_edges:
+            across = [tied[i] for i in edge.sources if i < len(tied) and tied[i] in regions]
+            if across and across[0] < k:
                 continue
-            offset = pieces[l].intercept - pieces[k].intercept
-            line = HalfSpace(normal=normal, offset=offset)
-            p0 = _point_on_line(line)
-            d = rot90ccw(normal)
-            interval = _clamp_line(region_hs[k], p0, d)
-            if interval is None:
-                continue
-            geom = _edge_draft_from_interval(p0, d, *interval)
-            if geom is None:
-                continue
-            diff = vsub(labels[k], labels[l])
-            prim, weight = rational_direction(diff)
-            edges.append(
-                _EdgeDraft(
-                    points=geom[0],
-                    rays=geom[1],
-                    facet=(k, l),
-                    weight=weight,
-                    normal=prim,
-                    owner=None,
-                )
-            )
+            points, rays = _edge_geometry(edge)
+            if across:
+                l = across[0]
+                prim, weight = rational_direction(vsub(labels[k], labels[l]))
+                edges.append(_EdgeDraft(points, rays, (k, l), weight, prim, None))
+            else:
+                edges.append(_EdgeDraft(points, rays, None, None, None, k))
 
-    for h in domain.halfspaces:
-        p0 = _point_on_line(h)
-        d = rot90ccw(h.normal)
-        for k in keep:
-            others = [x for x in region_hs[k] if x != h]
-            interval = _clamp_line(others, p0, d)
-            if interval is None:
-                continue
-            geom = _edge_draft_from_interval(p0, d, *interval)
-            if geom is None:
-                continue
-            edges.append(
-                _EdgeDraft(
-                    points=geom[0],
-                    rays=geom[1],
-                    facet=None,
-                    weight=None,
-                    normal=None,
-                    owner=k,
-                )
-            )
-
-    regions = []
-    for k in keep:
-        poly = polygon_from_halfspaces(HPolyhedron(2, tuple(region_hs[k])))
-        regions.append((k, labels[k], poly))
-
-    return _assemble(edges, regions, convention, domain)
-
-
-def _point_on_line(h: HalfSpace) -> Vec:
-    j = next(i for i, c in enumerate(h.normal) if c != 0)
-    p = [ZERO, ZERO]
-    p[j] = h.offset / h.normal[j]
-    return tuple(p)
+    polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
+    return _assemble(edges, polygons, convention, domain)
 
 
 def _assemble(
@@ -422,13 +333,9 @@ def _assemble(
     region_labels: dict[int, Vec] = {}
     for key, label, poly in regions_sorted:
         region_id = rid[key]
-        chain = poly.vertices
-        if poly.kind == "bounded" and chain:
-            start = chain.index(min(chain))
-            chain = chain[start:] + chain[:start]
         cells[region_id] = Cell(
             dim=2,
-            points=chain,
+            points=poly.vertices,
             rays=poly.rays,
             incident=tuple(sorted(region_edge_ids[key])),
         )
@@ -453,10 +360,15 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of price space into regions of constant demand.
 
     Regions are labeled by the demanded bundle; facets carry the weight and
-    primitive normal factored from the label difference.
+    primitive normal factored from the label difference.  Capped, like the
+    hull, at MAX_HULL_POINTS bundles.
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
+    if len(v.entries) > MAX_HULL_POINTS:
+        raise InstanceTooLarge(
+            f"price complex: {len(v.entries)} bundles exceed the cap of {MAX_HULL_POINTS}"
+        )
     f = indirect_utility(v)
     labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
     return _subdivision_from_pieces(f.pieces, labels, "max", f.domain)

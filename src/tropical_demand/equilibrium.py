@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, InstanceTooLarge, ValidationError
+from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
 from .exactmath import IVec, Vec, ZERO, dot
 from .polyhedra import HalfSpace, LinearProgram, simplex_solve
 from .valuation import DemandSet, Valuation, demand
@@ -152,7 +152,8 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
         nonneg=nonneg,
     )
     res = simplex_solve(lp, probe_unique=False)
-    assert res.status == "optimal", "epigraph LP is always feasible and bounded"
+    if res.status != "optimal":
+        raise DegenerateInput(f"epigraph LP is {res.status}; it should be feasible and bounded")
     value = res.value
     prices = res.point[n:]
 
@@ -204,7 +205,8 @@ def max_aggregate_utility(
             best, argmax = total, [Allocation(bundles=combo)]
         elif total == best:
             argmax.append(Allocation(bundles=combo))
-    assert best is not None, "the all-zero allocation is always feasible"
+    if best is None:
+        raise DomainError("no feasible allocation, although the all-zero one always is")
     return best, tuple(argmax)
 
 

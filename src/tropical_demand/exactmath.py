@@ -158,6 +158,18 @@ def cross2(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction
     return Fraction(u[0]) * v[1] - Fraction(u[1]) * v[0]
 
 
+def ccw_compare(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> int:
+    """Compare nonzero 2-vectors by angle in [0, 2pi) from the positive
+    x-axis, exactly: by half-plane first, then by the sign of the cross
+    product."""
+    hu = 0 if u[1] > 0 or (u[1] == 0 and u[0] > 0) else 1
+    hv = 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+    if hu != hv:
+        return -1 if hu < hv else 1
+    cr = u[0] * v[1] - u[1] * v[0]
+    return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+
 def solve_linear_system(
     rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
 ) -> list[Fraction] | None:

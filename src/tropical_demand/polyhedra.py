@@ -1,14 +1,23 @@
 """Exact polyhedral primitives.
 
 Half-space representations, an exact-rational two-phase simplex solver with
-Bland's anti-cycling rule, irredundancy reduction, 2-D polygon extraction
-(vertex chains plus recession rays), and upper concave hulls of lifted
-lattice points.  Everything is a pure function on immutable inputs.
+Bland's anti-cycling rule, irredundancy reduction, an LP-free 2-D half-plane
+intersection, and upper concave hulls of lifted lattice points.  Everything
+is a pure function on immutable inputs.
+
+``halfplane_intersection`` sorts the half-planes by the angle of their
+normals with exact cross products and walks them once with a deque.  In one
+pass it decides whether the intersection has interior and, if so, returns
+its polygon (vertex chain plus recession rays, no bounding box) together with
+the half-planes that support each edge.  The 2-D complexes build every
+region with it; the simplex remains for the market and for n-good regions.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -18,6 +27,7 @@ from .exactmath import (
     IVec,
     Vec,
     ZERO,
+    ccw_compare,
     dot,
     independent_directions,
     rational_direction,
@@ -104,14 +114,30 @@ class LPResult:
 class Polygon2:
     """2-D polyhedron geometry: ccw vertex chain plus recession rays.
 
-    kind is one of "bounded", "unbounded" (pointed, rays at the chain ends),
-    "plane" (no constraints), "unpointed" (contains a line: rays hold the
-    lineality directions), or "degenerate" (a single point or segment).
+    kind is one of "bounded" (the chain starts at its lex-min vertex),
+    "unbounded" (pointed, rays at the chain ends), "plane" (no constraints),
+    "unpointed" (contains a line: rays hold the lineality directions), or
+    "degenerate" (no interior: one point of the set).
     """
 
     vertices: tuple[Vec, ...]
     rays: tuple[IVec, ...]
     kind: str
+
+
+@dataclass(frozen=True)
+class PolygonEdge:
+    """One boundary edge of a 2-D region, run with the region on its left.
+
+    start and end are None where the edge runs to infinity.  line is the
+    supporting half-plane scaled to a primitive integer normal, and sources
+    indexes every input half-plane that equals it after scaling.
+    """
+
+    start: Vec | None
+    end: Vec | None
+    line: HalfSpace
+    sources: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -336,23 +362,26 @@ def is_full_dimensional(poly: HPolyhedron) -> bool:
     return interior_point(poly) is not None
 
 
-def _normalized(h: HalfSpace) -> HalfSpace:
-    n, w = rational_direction(h.normal)
-    return HalfSpace(tuple(Fraction(c) for c in n), h.offset / w)
+def _tightest_rows(halfspaces: Sequence[HalfSpace]) -> dict[IVec, tuple[Fraction, list[int]]]:
+    """Rows scaled to primitive integer normals: per normal, in order of first
+    appearance, the least offset and the indices of the rows attaining it."""
+    best: dict[IVec, tuple[Fraction, list[int]]] = {}
+    for i, h in enumerate(halfspaces):
+        n, w = rational_direction(h.normal)
+        c = h.offset / w
+        if n not in best or c < best[n][0]:
+            best[n] = (c, [i])
+        elif c == best[n][0]:
+            best[n][1].append(i)
+    return best
 
 
 def dedupe_halfspaces(halfspaces: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
     """Scale-normalize and drop repeated or dominated copies of the same row."""
-    best: dict[Vec, Fraction] = {}
-    order: list[Vec] = []
-    for h in halfspaces:
-        nh = _normalized(h)
-        if nh.normal not in best:
-            best[nh.normal] = nh.offset
-            order.append(nh.normal)
-        elif nh.offset < best[nh.normal]:
-            best[nh.normal] = nh.offset
-    return tuple(HalfSpace(normal, best[normal]) for normal in order)
+    return tuple(
+        HalfSpace(tuple(Fraction(x) for x in n), c)
+        for n, (c, _) in _tightest_rows(halfspaces).items()
+    )
 
 
 def reduce(poly: HPolyhedron) -> HPolyhedron:
@@ -385,123 +414,120 @@ def reduce(poly: HPolyhedron) -> HPolyhedron:
 
 
 # ---------------------------------------------------------------------------
-# 2-D polygon extraction
+# 2-D half-plane intersection
 # ---------------------------------------------------------------------------
 
 
-def _edge_interval(
-    halfspaces: Sequence[HalfSpace], p0: Vec, d: Vec, skip: int
-) -> tuple[Fraction | None, Fraction | None] | None:
-    """Clamp the line p0 + t d against every half-space except ``skip``.
+def _cross(p, q):
+    return p[0] * q[1] - p[1] * q[0]
 
-    Returns (lo, hi) with None meaning unbounded on that side, or None when
-    the intersection is empty.
+
+def _meet(p, q) -> Vec:
+    """Intersection point of the boundary lines of two non-parallel rows."""
+    det = _cross(p, q)
+    return ((p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det)
+
+
+def _excess(row, x: Vec) -> Fraction:
+    """Positive outside the row's half-plane, zero on its line."""
+    return row[0] * x[0] + row[1] * x[1] - row[2]
+
+
+def _line(row) -> HalfSpace:
+    return HalfSpace((Fraction(row[0]), Fraction(row[1])), row[2])
+
+
+_BY_ANGLE = functools.cmp_to_key(lambda p, q: ccw_compare(p[:2], q[:2]))
+
+
+def halfplane_intersection(
+    halfspaces: Sequence[HalfSpace],
+) -> tuple[Polygon2, tuple[PolygonEdge, ...]] | None:
+    """Exact intersection of 2-D half-planes, or None when it has no interior
+    (empty, a point, a segment, a ray or a line).
+
+    Rows are scaled to primitive integer normals, and of the rows sharing a
+    normal only the tightest are kept.  The rest are sorted by the angle of
+    their normals, with exact cross products, and walked once with a deque.
+    The walk starts after a gap of at least pi between consecutive normals
+    when there is one, which makes the region unbounded.  While the walked
+    normals span at most pi, the deque is a chain whose two ends run to
+    infinity.  The first row turning more than pi from the front closes it
+    into a bounded polygon; after that, a row that contains the closing
+    vertex is redundant.  Each new row pops the end vertices it does not
+    strictly contain.  When one line is left and the new row turns by pi or
+    more from it, no interior remains.
+
+    Returns the polygon and its edges in chain order, each edge with the
+    input rows that support it.
     """
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    for j, h in enumerate(halfspaces):
-        if j == skip:
+    if any(len(h.normal) != 2 for h in halfspaces):
+        raise UnsupportedDimension("half-plane intersection is 2-D only")
+    tightest = _tightest_rows(halfspaces)
+    rows = sorted(((n[0], n[1], c, src) for n, (c, src) in tightest.items()), key=_BY_ANGLE)
+    m = len(rows)
+    if m == 0:
+        return Polygon2((), (), "plane"), ()
+
+    if all(_cross(rows[0], row) == 0 for row in rows):
+        # One direction or two opposite ones: a half-plane or a strip.
+        if m == 2 and rows[0][2] + rows[1][2] <= 0:
+            return None
+        n = next(iter(tightest))  # the first row's direction
+        d = (-n[1], n[0])
+        edges = tuple(PolygonEdge(None, None, _line(row), tuple(row[3])) for row in rows)
+        return Polygon2((), (d, (-d[0], -d[1])), "unpointed"), edges
+
+    gap = next((i for i in range(m) if _cross(rows[i], rows[(i + 1) % m]) <= 0), m - 1)
+    dq: deque = deque()
+    closed = False
+    for row in rows[gap + 1 :] + rows[: gap + 1]:
+        if closed and _excess(row, _meet(dq[-1], dq[0])) <= 0:
             continue
-        k = dot(h.normal, d)
-        c = h.offset - dot(h.normal, p0)
-        if k == 0:
-            if c < 0:
+        while len(dq) >= 2 and _excess(row, _meet(dq[-2], dq[-1])) >= 0:
+            dq.pop()
+        while len(dq) >= 2 and _excess(row, _meet(dq[0], dq[1])) >= 0:
+            dq.popleft()
+        if dq:
+            turn = _cross(dq[0], row)
+            if len(dq) == 1 and turn <= 0:
                 return None
-        elif k > 0:
-            bound = c / k
-            if hi is None or bound < hi:
-                hi = bound
-        else:
-            bound = c / k
-            if lo is None or bound > lo:
-                lo = bound
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
+            closed = closed or turn < 0
+        dq.append(row)
 
-
-def _point_on_boundary(h: HalfSpace) -> Vec:
-    j = next(i for i, c in enumerate(h.normal) if c != 0)
-    p = [ZERO, ZERO]
-    p[j] = h.offset / h.normal[j]
-    return tuple(p)
+    lines = list(dq)
+    if closed:
+        starts = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]
+        s = starts.index(min(starts))
+        lines, starts = lines[s:] + lines[:s], starts[s:] + starts[:s]
+        ends = starts[1:] + starts[:1]
+        polygon = Polygon2(tuple(starts), (), "bounded")
+    else:
+        starts = [None] + [_meet(lines[i - 1], lines[i]) for i in range(1, len(lines))]
+        ends = starts[1:] + [None]
+        first, last = lines[0], lines[-1]
+        rays = ((first[1], -first[0]), (-last[1], last[0]))
+        polygon = Polygon2(tuple(starts[1:]), rays, "unbounded")
+    edges = tuple(
+        PolygonEdge(a, b, _line(row), tuple(row[3])) for row, a, b in zip(lines, starts, ends)
+    )
+    return polygon, edges
 
 
 def polygon_from_halfspaces(poly: HPolyhedron) -> Polygon2:
-    """Extract exact 2-D geometry: ccw vertex chain plus recession rays."""
+    """Extract exact 2-D geometry: ccw vertex chain plus recession rays.
+
+    A set with no interior comes back "degenerate", as one of its points.
+    """
     if poly.dim != 2:
         raise UnsupportedDimension("polygon extraction is 2-D only")
-    halfspaces = dedupe_halfspaces(poly.halfspaces)
-    if not halfspaces:
-        return Polygon2((), (), "plane")
-
-    # One candidate edge per constraint, oriented ccw (interior on the left).
-    edges = []  # (index, start|None, end|None, direction)
-    lines = []
-    for i, h in enumerate(halfspaces):
-        p0 = _point_on_boundary(h)
-        d = tuple(Fraction(c) for c in rot90ccw(h.normal))
-        interval = _edge_interval(halfspaces, p0, d, i)
-        if interval is None:
-            continue
-        lo, hi = interval
-        if lo is not None and hi is not None and lo == hi:
-            continue  # constraint touches the region in a single point
-        start = None if lo is None else tuple(a + lo * b for a, b in zip(p0, d))
-        end = None if hi is None else tuple(a + hi * b for a, b in zip(p0, d))
-        if lo is None and hi is None:
-            lines.append((i, p0, d))
-        else:
-            edges.append((i, start, end, d))
-
-    if lines:
-        dirs = []
-        for _, _, d in lines:
-            n, _ = rational_direction(d)
-            dirs.append(n)
-            dirs.append(tuple(-c for c in n))
-        seen = []
-        for v in dirs:
-            if v not in seen:
-                seen.append(v)
-        return Polygon2((), tuple(seen), "unpointed")
-
-    if not edges:
-        pt = feasible_point(poly)
-        if pt is None:
-            raise EmptyCell("empty polyhedron")
-        return Polygon2((pt,), (), "degenerate")
-
-    unbounded_start = [e for e in edges if e[1] is None]
-    unbounded_end = [e for e in edges if e[2] is None]
-
-    if unbounded_start:
-        chain = [unbounded_start[0]]
-    else:
-        chain = [min(edges, key=lambda e: e[1])]
-    used = {chain[0][0]}
-    while True:
-        tail = chain[-1]
-        if tail[2] is None:
-            break
-        nxt = next(
-            (e for e in edges if e[0] not in used and e[1] == tail[2]),
-            None,
-        )
-        if nxt is None:
-            break
-        chain.append(nxt)
-        used.add(nxt[0])
-
-    if unbounded_start or unbounded_end:
-        # A pointed unbounded convex region has exactly one edge reaching
-        # infinity backward and one forward; the ccw walk runs between them.
-        vertices = [e[1] for e in chain if e[1] is not None]
-        first_dir, _ = rational_direction(tuple(-c for c in chain[0][3]))
-        last_dir, _ = rational_direction(chain[-1][3])
-        return Polygon2(tuple(vertices), (first_dir, last_dir), "unbounded")
-    vertices = tuple(e[1] for e in chain)
-    return Polygon2(vertices, (), "bounded")
+    region = halfplane_intersection(poly.halfspaces)
+    if region is not None:
+        return region[0]
+    pt = feasible_point(poly)
+    if pt is None:
+        raise EmptyCell("empty polyhedron")
+    return Polygon2((pt,), (), "degenerate")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from .complexes import LabeledSubdivision, edge_direction
-from .errors import DegenerateInput, DomainError, NonConservative
+from .errors import DegenerateInput, DomainError, NonConservative, ValidationError
 from .exactmath import Vec, ZERO, dot, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
@@ -229,7 +229,8 @@ def _active_piece(f: PolyhedralFunction, x: Vec) -> AffinePiece:
             or (f.convention == "min" and value < best_value)
         ):
             best, best_value = piece, value
-    assert best is not None
+    if best is None:
+        raise ValidationError("polyhedral function has no pieces")
     return best
 
 

@@ -115,7 +115,8 @@ def demand(v: Valuation, p: Sequence[Fraction | int]) -> DemandSet:
             best, bundles = surplus, [q]
         elif surplus == best:
             bundles.append(q)
-    assert best is not None
+    if best is None:
+        raise ValidationError("valuation has no bundles")
     return DemandSet(bundles=frozenset(bundles), value=best)
 
 

@@ -280,6 +280,19 @@ def test_equilibrium_oversized(tmp_path, capsys):
     assert cli.main(["equilibrium", "--in", infile, "--cap", "3"]) == cli.EXIT_CAP
 
 
+def test_complex_price_over_bundle_cap(tmp_path, capsys):
+    # 65 of the 81 lattice points of [0,8]^2: one past the 64-bundle cap.
+    bundles = [(i, j) for i in range(9) for j in range(9)][:65]
+    payload = {
+        "goods": 2,
+        "entries": [{"bundle": list(q), "value": str(i)} for i, q in enumerate(bundles)],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    assert cli.main(["complex", "--in", infile, "--which", "price"]) == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert "price complex" in err and "64" in err
+
+
 def test_cyclemono_golden(tmp_path):
     from tropical_demand import demand
     from tropical_demand.valuation import Valuation

@@ -2,9 +2,10 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from tropical_demand import (
+    DegenerateInput,
     NonConservative,
     UnsupportedDimension,
     canonical_form,
@@ -309,10 +310,6 @@ def test_random_price_complexes_are_balanced(v):
 @settings(max_examples=20, deadline=None)
 @given(valuations(max_bundles=8))
 def test_random_demand_complexes_are_balanced(v):
-    from hypothesis import assume
-
-    from tropical_demand import DegenerateInput
-
     try:
         s = demand_complex(v)
     except DegenerateInput:
@@ -321,3 +318,16 @@ def test_random_demand_complexes_are_balanced(v):
     ok, violations = check_normal_labeling(s)
     assert ok, violations
     assert check_balancing(s).overall
+
+
+@settings(max_examples=20, deadline=None)
+@given(valuations(max_bundles=8))
+def test_random_price_and_demand_complexes_are_dual(v):
+    try:
+        dc = demand_complex(v)
+    except DegenerateInput:
+        assume(False)  # collinear bundle sets have no 2-D dual
+        return
+    pc = price_complex(v)
+    assert canonical_form(dualize_complex(pc)) == canonical_form(dc)
+    assert canonical_form(dualize_complex(dc)) == canonical_form(pc)

@@ -13,11 +13,19 @@ from tropical_demand import (
     HalfSpace,
     LinearProgram,
     polygon_from_halfspaces,
+    price_complex,
     reduce,
     simplex_solve,
     upper_concave_hull,
 )
 from tropical_demand.exactmath import dot, solve_linear_system
+from tropical_demand.polyhedra import (
+    dedupe_halfspaces,
+    halfplane_intersection,
+    interior_point,
+)
+
+from conftest import make_valuation
 
 F = Fraction
 
@@ -305,6 +313,108 @@ def test_polygon_vertices_satisfy_constraints():
         tight = sum(1 for h in poly.halfspaces if dot(h.normal, vertex) == h.offset)
         assert tight >= 2
         assert all(dot(h.normal, vertex) <= h.offset for h in poly.halfspaces)
+
+
+def test_polygon_of_segment_is_degenerate():
+    poly = HPolyhedron(2, (hs((0, 1), 0), hs((0, -1), 0), hs((1, 0), 1), hs((-1, 0), 0)))
+    out = polygon_from_halfspaces(poly)
+    assert out.kind == "degenerate" and len(out.vertices) == 1
+    assert poly.contains(out.vertices[0])
+
+
+# ---------------------------------------------------------------------------
+# half-plane intersection, checked against the simplex route
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def halfplane_sets(draw):
+    """Random rational half-planes, each followed by no copy, a scaled
+    duplicate, a parallel row, an anti-parallel row or its own reverse."""
+    offsets = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    shifts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    base = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), offsets).filter(
+                lambda r: r[:2] != (0, 0)
+            ),
+            max_size=6,
+        )
+    )
+    rows = []
+    for a, b, c in base:
+        rows.append(hs((a, b), c))
+        k = draw(st.integers(1, 3))
+        kind = draw(st.sampled_from(("none", "duplicate", "parallel", "anti", "reverse")))
+        if kind == "duplicate":
+            rows.append(hs((k * a, k * b), k * c))
+        elif kind == "parallel":
+            rows.append(hs((a, b), c + draw(shifts)))
+        elif kind == "anti":
+            rows.append(hs((-a, -b), -c + draw(shifts)))
+        elif kind == "reverse":
+            rows.append(hs((-k * a, -k * b), -k * c))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(halfplane_sets())
+def test_halfplane_intersection_agrees_with_lp(rows):
+    region = halfplane_intersection(rows)
+    inner = interior_point(HPolyhedron(2, tuple(rows)))
+    assert (region is None) == (inner is None)
+    if region is None:
+        return
+    polygon, edges = region
+    for vertex in polygon.vertices:
+        assert all(h.contains(vertex) for h in rows)
+        assert sum(1 for h in rows if h.tight_at(vertex)) >= 2
+    for ray in polygon.rays:
+        assert all(dot(h.normal, ray) <= 0 for h in rows)
+    for edge in edges:
+        assert dot(edge.line.normal, inner) < edge.line.offset
+        assert all(dedupe_halfspaces([rows[i]]) == (edge.line,) for i in edge.sources)
+        for end in (edge.start, edge.end):
+            assert end is None or edge.line.tight_at(end)
+
+
+def test_halfplane_intersection_without_interior():
+    segment = [hs((0, 1), 0), hs((0, -2), 0), hs((1, 0), 1), hs((-1, 0), 0)]
+    point = [hs((1, 0), 0), hs((-1, 0), 0), hs((0, 1), 0), hs((0, -1), 0)]
+    empty = [hs((1, 0), 0), hs((-1, 0), -1)]
+    for rows in (segment, point, empty):
+        assert halfplane_intersection(rows) is None
+
+
+def test_halfplane_intersection_strip():
+    polygon, edges = halfplane_intersection([hs((1, 0), 1), hs((-2, 0), 0)])
+    assert polygon.kind == "unpointed" and polygon.rays == ((0, 1), (0, -1))
+    assert {edge.line for edge in edges} == {hs((1, 0), 1), hs((-1, 0), 0)}
+    assert all(edge.start is None and edge.end is None for edge in edges)
+
+
+def test_halfplane_intersection_half_plane_keeps_tightest_row():
+    polygon, edges = halfplane_intersection([hs((2, 2), 6), hs((1, 1), 2)])
+    assert polygon.kind == "unpointed" and polygon.rays == ((-1, 1), (1, -1))
+    assert len(edges) == 1 and edges[0].line == hs((1, 1), 2) and edges[0].sources == (1,)
+
+
+def test_collinear_middle_bundle_facet_has_weight_two():
+    # (1,0) lies on the chord from (0,0) to (2,0), so it is never uniquely
+    # demanded; in the region of (0,0) its row and that of (2,0) coincide.
+    rows = [hs((-1, 0), -10), hs((-2, 0), -20), hs((0, -1), -10)]
+    polygon, edges = halfplane_intersection(rows)
+    assert polygon.kind == "unbounded" and polygon.vertices == ((F(10), F(10)),)
+    assert polygon.rays == ((0, 1), (1, 0))
+    assert [edge.sources for edge in edges] == [(0, 1), (2,)]
+
+    s = price_complex(make_valuation({(0, 0): 0, (1, 0): 10, (2, 0): 20, (0, 1): 10}))
+    assert (F(1), F(0)) not in s.region_labels.values()
+    weights = {
+        frozenset((s.region_labels[fd.from_region], s.region_labels[fd.to_region])): fd.weight
+        for fd in s.facet_data.values()
+    }
+    assert weights[frozenset(((F(0), F(0)), (F(2), F(0))))] == 2
 
 
 # ---------------------------------------------------------------------------
