@@ -17,7 +17,7 @@ what makes the subdivision integrable back to a potential.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -43,7 +43,6 @@ from .exactmath import (
 )
 from .polyhedra import (
     HPolyhedron,
-    HalfSpace,
     MAX_HULL_POINTS,
     Polygon2,
     PolygonEdge,
@@ -51,7 +50,7 @@ from .polyhedra import (
     dedupe_halfspaces,
     halfplane_intersection,
 )
-from .valuation import Valuation, dualize, indirect_utility
+from .valuation import PolyhedralFunction, Valuation, dualize, indirect_utility
 
 
 @dataclass(frozen=True)
@@ -202,30 +201,6 @@ def _region_representative(cell: Cell) -> Vec | None:
 # ---------------------------------------------------------------------------
 
 
-def _active_region_halfspaces(
-    pieces, k: int, convention: str, domain: HPolyhedron
-) -> tuple[list[HalfSpace], list[int]]:
-    """Rows where piece k is active, and the piece tied with k along each of
-    the leading rows; the domain rows follow them."""
-    out: list[HalfSpace] = []
-    tied: list[int] = []
-    for j, other in enumerate(pieces):
-        if j == k:
-            continue
-        if convention == "max":
-            normal = vsub(other.slope, pieces[k].slope)
-            offset = pieces[k].intercept - other.intercept
-        else:
-            normal = vsub(pieces[k].slope, other.slope)
-            offset = other.intercept - pieces[k].intercept
-        if all(c == 0 for c in normal):
-            continue
-        out.append(HalfSpace(normal=normal, offset=offset))
-        tied.append(j)
-    out.extend(domain.halfspaces)
-    return out, tied
-
-
 @dataclass
 class _EdgeDraft:
     points: tuple[Vec, ...]
@@ -239,10 +214,9 @@ class _EdgeDraft:
         return (len(self.points), self.points, self.rays)
 
 
-def _subdivision_from_pieces(
-    pieces, labels: Sequence[Vec], convention: str, domain: HPolyhedron
-) -> LabeledSubdivision:
-    """One half-plane intersection per piece gives its region and edges.
+def _subdivision_from_pieces(f: PolyhedralFunction, labels: Sequence[Vec]) -> LabeledSubdivision:
+    """One half-plane intersection of each piece's ``f.active_region`` gives
+    its region and edges.
 
     An edge of region k lies on the tie line of every piece its supporting
     rows come from.  Two pieces tied with k along one line differ by a
@@ -251,13 +225,13 @@ def _subdivision_from_pieces(
     (k, l), read off the region that comes first in piece order.  An edge
     with no kept piece across lies on the domain boundary and belongs to k.
     """
-    domain = HPolyhedron(2, dedupe_halfspaces(domain.halfspaces))
-    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], list[int]]] = {}
-    for k in range(len(pieces)):
-        hs, tied = _active_region_halfspaces(pieces, k, convention, domain)
-        region = halfplane_intersection(hs)
+    f = replace(f, domain=HPolyhedron(2, dedupe_halfspaces(f.domain.halfspaces)))
+    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]] = {}
+    for k in range(len(f.pieces)):
+        active = f.active_region(k)
+        region = halfplane_intersection(active[0]) if active is not None else None
         if region is not None:
-            regions[k] = (*region, tied)
+            regions[k] = (*region, active[1])
 
     edges: list[_EdgeDraft] = []
     for k, (_, region_edges, tied) in regions.items():
@@ -274,7 +248,7 @@ def _subdivision_from_pieces(
                 edges.append(_EdgeDraft(points, rays, None, None, None, k))
 
     polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
-    return _assemble(edges, polygons, convention, domain)
+    return _assemble(edges, polygons, f.convention, f.domain)
 
 
 def _assemble(
@@ -371,7 +345,7 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
         )
     f = indirect_utility(v)
     labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
-    return _subdivision_from_pieces(f.pieces, labels, "max", f.domain)
+    return _subdivision_from_pieces(f, labels)
 
 
 def demand_complex(v: Valuation) -> LabeledSubdivision:
@@ -394,7 +368,7 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     dual = dualize(v)
     labels = [piece.slope for piece in dual.pieces]
-    return _subdivision_from_pieces(dual.pieces, labels, "min", dual.domain)
+    return _subdivision_from_pieces(dual, labels)
 
 
 # ---------------------------------------------------------------------------

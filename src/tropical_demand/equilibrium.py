@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
 from .exactmath import IVec, Vec, ZERO, dot
-from .polyhedra import HalfSpace, LinearProgram, simplex_solve
+from .polyhedra import HalfSpace, LinearProgram, _optimum_is_unique, simplex_solve
 from .valuation import DemandSet, Valuation, demand
 
 
@@ -113,14 +113,10 @@ def _check_allocation(e: Economy, a: Allocation) -> None:
             raise DomainError("allocation exceeds the endowment")
 
 
-def best_surplus(v: Valuation, p: Sequence[Fraction | int]) -> Fraction:
-    return max(u - dot(p, q) for q, u in v.entries.items())
-
-
 def aggregate_indirect(e: Economy, p: Sequence[Fraction | int]) -> Fraction:
     """Sum of consumer surplus maxima plus the endowment value, exactly."""
     prices = _check_prices(e, p)
-    return sum((best_surplus(v, prices) for v in e.consumers), ZERO) + dot(
+    return sum((demand(v, prices).value for v in e.consumers), ZERO) + dot(
         prices, e.endowment
     )
 
@@ -154,30 +150,8 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
     res = simplex_solve(lp, probe_unique=False)
     if res.status != "optimal":
         raise DegenerateInput(f"epigraph LP is {res.status}; it should be feasible and bounded")
-    value = res.value
-    prices = res.point[n:]
-
-    unique = True
-    face = lp.equalities + ((objective, value),)
-    for l in range(L):
-        unit = tuple(
-            Fraction(1 if k == n + l else 0) for k in range(nvars)
-        )
-        for sense in ("min", "max"):
-            probe = LinearProgram(
-                objective=unit,
-                sense=sense,
-                constraints=lp.constraints,
-                equalities=face,
-                nonneg=nonneg,
-            )
-            probe_res = simplex_solve(probe, probe_unique=False)
-            if probe_res.status != "optimal" or probe_res.value != prices[l]:
-                unique = False
-                break
-        if not unique:
-            break
-    return value, prices, unique
+    unique = _optimum_is_unique(lp, res.value, res.point, range(n, nvars))
+    return res.value, res.point[n:], unique
 
 
 def max_aggregate_utility(
@@ -223,7 +197,7 @@ def walrasian_check(
             ConsumerReceipt(
                 consumer=i,
                 surplus=v.entries[q] - dot(prices, q),
-                best_surplus=best_surplus(v, prices),
+                best_surplus=demand(v, prices).value,
             )
         )
     return all(r.optimal for r in receipts), tuple(receipts)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInput
 
@@ -20,7 +20,6 @@ Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -60,19 +59,6 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def as_vec(coords: Iterable[int | str | Fraction]) -> Vec:
-    return tuple(rational(c) for c in coords)
-
-
-def as_ivec(coords: Iterable[int]) -> IVec:
-    out = []
-    for c in coords:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise DegenerateInput(f"not an integer coordinate: {c!r}")
-        out.append(c)
-    return tuple(out)
-
-
 def ivec_to_vec(v: IVec) -> Vec:
     return tuple(Fraction(c) for c in v)
 
@@ -83,22 +69,10 @@ def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
     return sum((Fraction(a) * b for a, b in zip(u, v)), ZERO)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vsub(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Vec:
     if len(u) != len(v):
         raise DegenerateInput(f"dimension mismatch: {len(u)} vs {len(v)}")
     return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vscale(c: Fraction | int, v: Sequence[Fraction | int]) -> Vec:
-    return tuple(Fraction(c) * Fraction(x) for x in v)
-
-
-def is_zero_vec(v: Sequence[Fraction | int]) -> bool:
-    return all(x == 0 for x in v)
 
 
 def is_primitive(v: IVec) -> bool:

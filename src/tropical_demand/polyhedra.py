@@ -20,7 +20,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, EmptyCell, InstanceTooLarge, UnsupportedDimension
 from .exactmath import (
@@ -297,15 +297,18 @@ def simplex_solve(lp: LinearProgram, probe_unique: bool = True) -> LPResult:
 
     unique = None
     if probe_unique:
-        unique = _optimum_is_unique(lp, value, point)
+        unique = _optimum_is_unique(lp, value, point, range(nvars))
     return LPResult(status="optimal", value=value, point=point, unique=unique)
 
 
-def _optimum_is_unique(lp: LinearProgram, value: Fraction, point: Vec) -> bool:
-    """Probe the optimal face: unique iff every coordinate is pinned on it."""
+def _optimum_is_unique(
+    lp: LinearProgram, value: Fraction, point: Vec, coords: Iterable[int]
+) -> bool:
+    """Probe the optimal face: the optimum is unique in ``coords`` iff each of
+    them is pinned on it, by a min and a max LP per coordinate."""
     nvars = len(lp.objective)
     face_eq = lp.equalities + ((lp.objective, value),)
-    for j in range(nvars):
+    for j in coords:
         unit = tuple(Fraction(1 if k == j else 0) for k in range(nvars))
         for sense in ("min", "max"):
             probe = LinearProgram(
@@ -356,10 +359,6 @@ def interior_point(poly: HPolyhedron) -> Vec | None:
     if res.status != "optimal" or res.value is None or res.value <= 0:
         return None
     return res.point[:n]
-
-
-def is_full_dimensional(poly: HPolyhedron) -> bool:
-    return interior_point(poly) is not None
 
 
 def _tightest_rows(halfspaces: Sequence[HalfSpace]) -> dict[IVec, tuple[Fraction, list[int]]]:

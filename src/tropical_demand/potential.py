@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from .complexes import LabeledSubdivision, edge_direction
-from .errors import DegenerateInput, DomainError, NonConservative, ValidationError
+from .errors import DegenerateInput, DomainError, NonConservative
 from .exactmath import Vec, ZERO, dot, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
@@ -207,7 +207,7 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
         for t0, t1 in zip(ordered, ordered[1:]):
             mid = (t0 + t1) / 2
             x = tuple(pa + mid * d for pa, d in zip(a, step))
-            active = _active_piece(f, x)
+            active = f.active_pieces(x)[0]
             selection = (
                 tuple(-c for c in active.slope)
                 if f.convention == "max"
@@ -216,22 +216,6 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
             delta = tuple((t1 - t0) * d for d in step)
             total += dot(selection, delta)
     return total
-
-
-def _active_piece(f: PolyhedralFunction, x: Vec) -> AffinePiece:
-    best = None
-    best_value = None
-    for piece in f.pieces:
-        value = piece.evaluate(x)
-        if (
-            best_value is None
-            or (f.convention == "max" and value > best_value)
-            or (f.convention == "min" and value < best_value)
-        ):
-            best, best_value = piece, value
-    if best is None:
-        raise ValidationError("polyhedral function has no pieces")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ above the lifted points, restricted to the convex hull of the bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -80,6 +80,33 @@ class PolyhedralFunction:
         target = self.evaluate(x)
         return [p for p in self.pieces if p.evaluate(x) == target]
 
+    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
+        """Rows of the set where piece k attains the function, one per other
+        non-parallel piece in piece order, and the piece tied with k along
+        each of them; the domain rows follow them.
+
+        None when a parallel piece beats k everywhere.
+        """
+        piece = self.pieces[k]
+        rows: list[HalfSpace] = []
+        tied: list[int] = []
+        for j, other in enumerate(self.pieces):
+            if j == k:
+                continue
+            if self.convention == "max":
+                normal = vsub(other.slope, piece.slope)
+                offset = piece.intercept - other.intercept
+            else:
+                normal = vsub(piece.slope, other.slope)
+                offset = other.intercept - piece.intercept
+            if all(c == 0 for c in normal):
+                if offset < 0:
+                    return None
+                continue
+            rows.append(HalfSpace(normal=normal, offset=offset))
+            tied.append(j)
+        return (*rows, *self.domain.halfspaces), tuple(tied)
+
 
 @dataclass(frozen=True)
 class DemandSet:
@@ -131,14 +158,17 @@ def dualize(v: Valuation) -> PolyhedralFunction:
     return PolyhedralFunction("min", tuple(pieces), domain)
 
 
+def _below_hull(v: Valuation, hull: Sequence[AffinePiece]) -> frozenset[IVec]:
+    """Bundles strictly below the min of the upper-hull pieces: never demanded."""
+    return frozenset(q for q, u in v.entries.items() if min(p.evaluate(q) for p in hull) > u)
+
+
 def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:
     """Split bundles into those on the concave hull and those strictly below
     (never demanded at any price)."""
-    items = sorted(v.entries.items())
-    _, hull_idx = upper_concave_hull(items)
-    on_hull = frozenset(items[i][0] for i in hull_idx)
-    below = frozenset(q for q, _ in items) - on_hull
-    return on_hull, below
+    hull, _ = upper_concave_hull(sorted(v.entries.items()))
+    below = _below_hull(v, hull)
+    return frozenset(v.entries) - below, below
 
 
 def inverse_demand_region(
@@ -151,19 +181,12 @@ def inverse_demand_region(
     """
     if q not in v.entries:
         raise UnknownBundle(f"bundle {q} not in valuation")
-    uq = v.entries[q]
-    halfspaces: list[HalfSpace] = []
-    for other, u_other in sorted(v.entries.items()):
-        if other == q:
-            continue
-        # u(q) - p.q >= u(q') - p.q'  <=>  (q - q').p <= u(q) - u(q')
-        normal = vsub(q, other)
-        if all(c == 0 for c in normal):
-            continue
-        halfspaces.append(HalfSpace(normal=normal, offset=uq - u_other))
+    f = indirect_utility(v)
     if price_domain is not None:
-        halfspaces.extend(price_domain.halfspaces)
-    region = HPolyhedron(v.goods, tuple(halfspaces))
+        f = replace(f, domain=price_domain)
+    k = [piece.slope for piece in f.pieces].index(tuple(-c for c in q))
+    halfspaces, _ = f.active_region(k)
+    region = HPolyhedron(v.goods, halfspaces)
     if halfspaces and feasible_point(region) is None:
         raise EmptyCell(f"bundle {q} is never demanded")
     return reduce(region)
@@ -194,27 +217,8 @@ def essential_pieces(f: PolyhedralFunction) -> frozenset[AffinePiece]:
     different routes.
     """
     keep = []
-    for piece in f.pieces:
-        halfspaces = list(f.domain.halfspaces)
-        dominated = False
-        for other in f.pieces:
-            if other == piece:
-                continue
-            if f.convention == "max":
-                normal = vsub(other.slope, piece.slope)
-                offset = piece.intercept - other.intercept
-            else:
-                normal = vsub(piece.slope, other.slope)
-                offset = other.intercept - piece.intercept
-            if all(c == 0 for c in normal):
-                if offset < 0:  # parallel piece beats this one everywhere
-                    dominated = True
-                    break
-                continue
-            halfspaces.append(HalfSpace(normal=normal, offset=offset))
-        if dominated:
-            continue
-        region = HPolyhedron(f.domain.dim, tuple(halfspaces))
-        if interior_point(region) is not None:
+    for k, piece in enumerate(f.pieces):
+        active = f.active_region(k)
+        if active is not None and interior_point(HPolyhedron(f.domain.dim, active[0])) is not None:
             keep.append(piece)
     return frozenset(keep)

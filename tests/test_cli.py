@@ -108,6 +108,31 @@ def test_dualize_single_bundle(tmp_path):
     assert len(doc["pieces"]) == 1
 
 
+def test_dualize_builds_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
+    from tropical_demand import valuation
+
+    calls = []
+    hull = valuation.upper_concave_hull
+
+    def counting_hull(points):
+        calls.append(len(points))
+        return hull(points)
+
+    monkeypatch.setattr(valuation, "upper_concave_hull", counting_hull)
+    payload = {
+        "goods": 2,
+        "entries": [
+            {"bundle": list(q), "value": str(u)}
+            for q, u in {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}.items()
+        ],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    out = tmp_path / "dual.json"
+    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["never_demanded"] == [[1, 1]]
+    assert calls == [5]
+
+
 def test_dualize_duplicate_bundle_is_validation_error(tmp_path, capsys):
     payload = {
         "goods": 2,

@@ -5,7 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropical_demand import (
+    AffinePiece,
     EmptyCell,
+    HalfSpace,
+    HPolyhedron,
+    PolyhedralFunction,
     UnknownBundle,
     ValidationError,
     Valuation,
@@ -113,6 +117,37 @@ def test_inverse_demand_region_dominated_bundle():
 def test_inverse_demand_region_unknown_bundle(five_bundle_valuation):
     with pytest.raises(UnknownBundle):
         inverse_demand_region(five_bundle_valuation, (7, 7))
+
+
+def test_inverse_demand_region_on_nonnegative_prices(five_bundle_valuation):
+    nonneg = HPolyhedron(2, (HalfSpace((F(-1), F(0)), F(0)), HalfSpace((F(0), F(-1)), F(0))))
+    region = inverse_demand_region(five_bundle_valuation, (2, 2), price_domain=nonneg)
+    out = polygon_from_halfspaces(region)
+    assert out.kind == "bounded"
+    assert set(out.vertices) == {
+        (F(0), F(0)),
+        (F(3), F(0)),
+        (F(3), F(7)),
+        (F(1), F(9)),
+        (F(0), F(9)),
+    }
+
+
+def test_parallel_piece_that_loses_everywhere_has_no_active_region():
+    # Two pieces share slope (1, 0); the one with the lower intercept never
+    # attains the max, so the shared builder drops it before any geometry.
+    low = AffinePiece(slope=(F(1), F(0)), intercept=F(0))
+    high = AffinePiece(slope=(F(1), F(0)), intercept=F(2))
+    other = AffinePiece(slope=(F(0), F(1)), intercept=F(0))
+    f = PolyhedralFunction("max", (low, high, other), HPolyhedron(2, ()))
+    assert f.active_region(0) is None
+    rows, tied = f.active_region(1)
+    assert tied == (2,)
+    assert rows == (HalfSpace(normal=(F(-1), F(1)), offset=F(2)),)
+    assert essential_pieces(f) == {high, other}
+    g = PolyhedralFunction("min", (low, high, other), HPolyhedron(2, ()))
+    assert g.active_region(1) is None
+    assert essential_pieces(g) == {low, other}
 
 
 def test_hull_support(five_bundle_valuation):
