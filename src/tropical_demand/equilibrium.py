@@ -77,7 +77,7 @@ class Certificate:
     prices: Vec
     allocation: Allocation
     receipts: tuple[ConsumerReceipt, ...]
-    status: str  # "found" | "indeterminate"
+    status: str  # always "found"
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,7 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
         constraints=tuple(constraints),
         nonneg=nonneg,
     )
-    res = simplex_solve(lp, probe_unique=False)
+    res = simplex_solve(lp)
     if res.status != "optimal":
         raise DegenerateInput(f"epigraph LP is {res.status}; it should be feasible and bounded")
     unique = _optimum_is_unique(lp, res.value, res.point, range(n, nvars))
@@ -225,12 +225,13 @@ def _market_clears(e: Economy, p: Vec, a: Allocation) -> bool:
 def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
     """Compare min aggregate indirect utility with max aggregate utility.
 
-    ``exists`` is decided by the gap alone.  When the gap is zero, a
-    certificate is assembled from a maximizing allocation (whose consumers
-    are then all optimal at the minimizing prices, with no priced leftover
-    supply); a capped fallback searches the product of demand sets.  When
-    no equilibrium exists, the per-consumer demand sets at the minimizing
-    prices document why the market cannot clear.
+    ``exists`` is decided by the gap alone.  The gap is the sum over consumers
+    of f_i(p) - (u_i(a_i) - p.a_i) plus p.(w - sum a_i), every term >= 0, so
+    when it is zero every maximizing allocation is Walrasian at the
+    minimizing prices: the first one is the certificate, and a failed check
+    raises DegenerateInput.  When no equilibrium exists, the per-consumer
+    demand sets at the minimizing prices document why the market cannot
+    clear.
     """
     min_value, prices, unique = min_aggregate_indirect(e)
     max_value, argmax = max_aggregate_utility(e, cap=cap)
@@ -240,7 +241,7 @@ def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
 
     certificate = None
     if exists:
-        certificate = _build_certificate(e, prices, argmax, demand_sets, cap)
+        certificate = _build_certificate(e, prices, argmax[0])
     return EquilibriumReport(
         min_value=min_value,
         argmin_prices=prices,
@@ -254,41 +255,8 @@ def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
     )
 
 
-def _build_certificate(
-    e: Economy,
-    prices: Vec,
-    argmax: tuple[Allocation, ...],
-    demand_sets: tuple[DemandSet, ...],
-    cap: int,
-) -> Certificate:
-    for allocation in argmax:
-        ok, receipts = walrasian_check(e, prices, allocation)
-        if ok and _market_clears(e, prices, allocation):
-            return Certificate(
-                prices=prices, allocation=allocation, receipts=receipts, status="found"
-            )
-    # Fallback: search selections from the demand sets directly.
-    size = 1
-    for ds in demand_sets:
-        size *= len(ds.bundles)
-    if size <= cap:
-        for combo in itertools.product(*(sorted(ds.bundles) for ds in demand_sets)):
-            allocation = Allocation(bundles=combo)
-            feasible = all(
-                sum(b[l] for b in combo) <= e.endowment[l] for l in range(e.goods)
-            )
-            if not feasible:
-                continue
-            if _market_clears(e, prices, allocation):
-                ok, receipts = walrasian_check(e, prices, allocation)
-                if ok:
-                    return Certificate(
-                        prices=prices,
-                        allocation=allocation,
-                        receipts=receipts,
-                        status="found",
-                    )
-    _, receipts = walrasian_check(e, prices, argmax[0])
-    return Certificate(
-        prices=prices, allocation=argmax[0], receipts=receipts, status="indeterminate"
-    )
+def _build_certificate(e: Economy, prices: Vec, allocation: Allocation) -> Certificate:
+    ok, receipts = walrasian_check(e, prices, allocation)
+    if not (ok and _market_clears(e, prices, allocation)):
+        raise DegenerateInput("zero duality gap, but a maximizing allocation is not Walrasian")
+    return Certificate(prices=prices, allocation=allocation, receipts=receipts, status="found")

@@ -11,6 +11,13 @@ pass it decides whether the intersection has interior and, if so, returns
 its polygon (vertex chain plus recession rays, no bounding box) together with
 the half-planes that support each edge.  The 2-D complexes build every
 region with it; the simplex remains for the market and for n-good regions.
+
+The upper concave hull of lifted points and the convex hull of the bundles
+share one facet walk, ``_facets``: every m-subset of lattice points in R^m
+spans a candidate hyperplane whose normal is the vector of integer cofactors
+of its difference vectors, kept when all points lie on one side.  Rational
+values and points are first scaled by the lcm of their denominators, so
+every test is an integer determinant.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, EmptyCell, InstanceTooLarge, UnsupportedDimension
@@ -32,7 +40,6 @@ from .exactmath import (
     independent_directions,
     rational_direction,
     rot90ccw,
-    solve_linear_system,
     vsub,
 )
 
@@ -107,7 +114,6 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     point: Vec | None = None
-    unique: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -178,12 +184,11 @@ def _bland(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
         cost = tableau[m]
 
 
-def simplex_solve(lp: LinearProgram, probe_unique: bool = True) -> LPResult:
+def simplex_solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.
 
-    Returns the optimum and one optimal basic solution; the ``unique`` flag
-    reports whether the optimal solution point is unique, established by
-    minimizing and maximizing every coordinate over the optimal face.
+    Returns the optimum and one optimal basic solution; ``_optimum_is_unique``
+    probes whether that solution is the only one.
     """
     nvars = len(lp.objective)
     nonneg = lp.nonneg if lp.nonneg else tuple(False for _ in range(nvars))
@@ -293,12 +298,7 @@ def simplex_solve(lp: LinearProgram, probe_unique: bool = True) -> LPResult:
             x += s * values[col]
         point.append(x)
     point = tuple(point)
-    value = dot(lp.objective, point)
-
-    unique = None
-    if probe_unique:
-        unique = _optimum_is_unique(lp, value, point, range(nvars))
-    return LPResult(status="optimal", value=value, point=point, unique=unique)
+    return LPResult(status="optimal", value=dot(lp.objective, point), point=point)
 
 
 def _optimum_is_unique(
@@ -318,7 +318,7 @@ def _optimum_is_unique(
                 equalities=face_eq,
                 nonneg=lp.nonneg,
             )
-            res = simplex_solve(probe, probe_unique=False)
+            res = simplex_solve(probe)
             if res.status != "optimal" or res.value != point[j]:
                 return False
     return True
@@ -335,7 +335,7 @@ def feasible_point(poly: HPolyhedron) -> Vec | None:
         sense="min",
         constraints=poly.halfspaces,
     )
-    res = simplex_solve(lp, probe_unique=False)
+    res = simplex_solve(lp)
     return res.point if res.status == "optimal" else None
 
 
@@ -355,7 +355,7 @@ def interior_point(poly: HPolyhedron) -> Vec | None:
         sense="max",
         constraints=tuple(constraints),
     )
-    res = simplex_solve(lp, probe_unique=False)
+    res = simplex_solve(lp)
     if res.status != "optimal" or res.value is None or res.value <= 0:
         return None
     return res.point[:n]
@@ -403,7 +403,7 @@ def reduce(poly: HPolyhedron) -> HPolyhedron:
             sense="max",
             constraints=tuple(others),
         )
-        res = simplex_solve(lp, probe_unique=False)
+        res = simplex_solve(lp)
         redundant = res.status == "optimal" and res.value <= kept[i].offset
         if redundant:
             kept.pop(i)
@@ -536,29 +536,33 @@ def polygon_from_halfspaces(poly: HPolyhedron) -> Polygon2:
 MAX_HULL_POINTS = 64
 
 
-def _interpolating_piece(
-    bundles: Sequence[IVec], values: Sequence[Fraction], n: int
-) -> AffinePiece | None:
-    rows = [[Fraction(c) for c in q] + [Fraction(1)] for q in bundles]
-    sol = solve_linear_system(rows, list(values))
-    if sol is None:
-        return None
-    return AffinePiece(slope=tuple(sol[:n]), intercept=sol[n])
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Laplace expansion along the first row; the matrices here are at most 3x3."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+    )
 
 
-def _hull_full_dim(
-    bundles: Sequence[IVec], values: Sequence[Fraction], n: int
-) -> list[AffinePiece]:
-    pieces: set[AffinePiece] = set()
-    for subset in itertools.combinations(range(len(bundles)), n + 1):
-        piece = _interpolating_piece(
-            [bundles[i] for i in subset], [values[i] for i in subset], n
-        )
-        if piece is None:
+def _facets(points: Sequence[IVec]):
+    """Hyperplanes through m of the lattice points in R^m with every point on
+    one side: ``(normal, offset)`` with ``normal . p <= offset`` for all p,
+    both orientations when all points lie on the hyperplane, in subset order.
+    The normal is the vector of signed cofactors of the m-1 difference
+    vectors."""
+    m = len(points[0])
+    for p0, *rest in itertools.combinations(points, m):
+        diffs = [[x - y for x, y in zip(p, p0)] for p in rest]
+        normal = tuple((-1) ** j * _det([r[:j] + r[j + 1 :] for r in diffs]) for j in range(m))
+        if not any(normal):
             continue
-        if all(piece.evaluate(q) >= u for q, u in zip(bundles, values)):
-            pieces.add(piece)
-    return sorted(pieces, key=lambda p: (p.slope, p.intercept))
+        offset = sum(a * x for a, x in zip(normal, p0))
+        if all(sum(a * x for a, x in zip(normal, p)) <= offset for p in points):
+            yield normal, offset
+        if all(sum(a * x for a, x in zip(normal, p)) >= offset for p in points):
+            yield tuple(-a for a in normal), -offset
 
 
 def upper_concave_hull(
@@ -566,10 +570,13 @@ def upper_concave_hull(
 ) -> tuple[list[AffinePiece], set[int]]:
     """Minimal affine pieces whose pointwise min majorizes the lifted points.
 
-    Facet enumeration over (d+1)-subsets with an above-all filter, where d is
-    the affine dimension of the bundle set; cost is O(K^(n+2)) and the input
-    is capped at 64 points and 3 goods.  Hull indices are exactly the points
-    the majorant touches.
+    The bundles get integer coordinates y on their affine hull, of dimension
+    d, and each upper facet a.y + c*L*u <= b (c > 0, L the lcm of the value
+    denominators) of the lifted points (y, L*u) is the piece
+    u = (b - a.y) / (c*L), read back in bundle coordinates.  The facet walk
+    tests every (d+1)-subset: O(K^(n+2)), so the input is capped at 64
+    points and 3 goods.  Hull indices are exactly the points the majorant
+    touches.
     """
     if not points:
         raise DegenerateInput("hull of no points")
@@ -587,26 +594,23 @@ def upper_concave_hull(
         piece = AffinePiece(slope=tuple(ZERO for _ in range(n)), intercept=values[0])
         return [piece], {0}
 
+    base = bundles[0]
     directions = independent_directions([tuple(Fraction(c) for c in q) for q in bundles])
-    d = len(directions)
-    if d == n:
-        pieces = _hull_full_dim(bundles, values, n)
-    else:
-        # Project onto the affine hull, take the hull there, and lift slopes
-        # back into the span of the basis directions.
-        base = bundles[0]
-        proj = [
-            tuple(int(dot(b, vsub(q, base))) for b in directions) for q in bundles
-        ]
-        sub_pieces = _hull_full_dim(proj, values, d)
-        pieces = []
-        for sp in sub_pieces:
+    scale = lcm(*(u.denominator for u in values))
+    lifted = [
+        (*(int(dot(b, vsub(q, base))) for b in directions), int(u * scale))
+        for q, u in zip(bundles, values)
+    ]
+    pieces = set()
+    for normal, offset in _facets(lifted):
+        c = normal[-1] * scale
+        if c > 0:
             slope = tuple(
-                sum((w * b[i] for w, b in zip(sp.slope, directions)), ZERO)
+                sum((Fraction(-a, c) * b[i] for a, b in zip(normal[:-1], directions)), ZERO)
                 for i in range(n)
             )
-            pieces.append(AffinePiece(slope=slope, intercept=sp.intercept - dot(slope, base)))
-        pieces = sorted(set(pieces), key=lambda p: (p.slope, p.intercept))
+            pieces.add(AffinePiece(slope=slope, intercept=Fraction(offset, c) - dot(slope, base)))
+    pieces = sorted(pieces, key=lambda p: (p.slope, p.intercept))
 
     hull = {
         i
@@ -619,8 +623,10 @@ def upper_concave_hull(
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
-    Supports dim <= 3; in dimension 2 degenerate (collinear) inputs produce
-    the line/segment as an intersection of half-planes.
+    Supports dim <= 3.  Full-dimensional sets take their facets from the
+    integer facet walk, in order of first appearance over the sorted points;
+    in dimension 2 degenerate (collinear) inputs produce the line/segment as
+    an intersection of half-planes.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
@@ -634,16 +640,10 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
                 HalfSpace((Fraction(-1),), -min(xs)),
             ),
         )
-    if dim == 2:
-        return _hull_halfspaces_2d(pts)
-    if dim == 3:
-        return _hull_halfspaces_3d(pts)
-    raise UnsupportedDimension("convex hulls supported up to dimension 3")
-
-
-def _hull_halfspaces_2d(pts: list[Vec]) -> HPolyhedron:
+    if dim not in (2, 3):
+        raise UnsupportedDimension("convex hulls supported up to dimension 3")
     uniq = sorted(set(pts))
-    if len(uniq) == 1:
+    if dim == 2 and len(uniq) == 1:
         p = uniq[0]
         hs = []
         for j in range(2):
@@ -652,7 +652,7 @@ def _hull_halfspaces_2d(pts: list[Vec]) -> HPolyhedron:
             hs.append(HalfSpace(tuple(-c for c in e), -p[j]))
         return HPolyhedron(2, tuple(hs))
     dirs = independent_directions(uniq)
-    if len(dirs) == 1:
+    if dim == 2 and len(dirs) == 1:
         d = dirs[0]
         normal = rot90ccw(d)
         c = dot(normal, uniq[0])
@@ -664,37 +664,11 @@ def _hull_halfspaces_2d(pts: list[Vec]) -> HPolyhedron:
             HalfSpace(tuple(-x for x in d), -min(ts)),
         )
         return HPolyhedron(2, dedupe_halfspaces(hs))
-    hs: list[HalfSpace] = []
-    for a, b in itertools.combinations(uniq, 2):
-        normal = rot90ccw(vsub(b, a))
-        c = dot(normal, a)
-        sides = [dot(normal, p) - c for p in uniq]
-        if all(s <= 0 for s in sides):
-            hs.append(HalfSpace(tuple(normal), c))
-        elif all(s >= 0 for s in sides):
-            hs.append(HalfSpace(tuple(-x for x in normal), -c))
-    return HPolyhedron(2, dedupe_halfspaces(hs))
-
-
-def _hull_halfspaces_3d(pts: list[Vec]) -> HPolyhedron:
-    uniq = sorted(set(pts))
-    dirs = independent_directions(uniq)
-    if len(dirs) < 3:
+    if len(dirs) < dim:
         raise DegenerateInput("degenerate point set in dimension 3")
-    hs: list[HalfSpace] = []
-    for a, b, c in itertools.combinations(uniq, 3):
-        u, v = vsub(b, a), vsub(c, a)
-        normal = (
-            u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0],
-        )
-        if all(x == 0 for x in normal):
-            continue
-        off = dot(normal, a)
-        sides = [dot(normal, p) - off for p in uniq]
-        if all(s <= 0 for s in sides):
-            hs.append(HalfSpace(tuple(Fraction(x) for x in normal), off))
-        elif all(s >= 0 for s in sides):
-            hs.append(HalfSpace(tuple(Fraction(-x) for x in normal), -off))
-    return HPolyhedron(3, dedupe_halfspaces(hs))
+    scale = lcm(*(c.denominator for p in uniq for c in p))
+    hs = [
+        HalfSpace(tuple(Fraction(a) for a in normal), Fraction(offset, scale))
+        for normal, offset in _facets([tuple(int(c * scale) for c in p) for p in uniq])
+    ]
+    return HPolyhedron(dim, dedupe_halfspaces(hs))

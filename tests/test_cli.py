@@ -98,6 +98,47 @@ def test_dualize_golden(tmp_path):
     serialize.function_from_dict(doc)
 
 
+def test_dualize_three_goods_golden(tmp_path):
+    # (1,0,0) lies below the chord from (0,0,0) to (2,0,0); the value 15/2
+    # makes the lifted points rational.
+    values = {
+        (0, 0, 0): "0",
+        (1, 0, 0): "1",
+        (2, 0, 0): "9",
+        (0, 1, 0): "4",
+        (0, 0, 1): "3",
+        (1, 1, 0): "8",
+        (1, 0, 1): "15/2",
+        (0, 1, 1): "6",
+        (1, 1, 1): "10",
+    }
+    payload = {"goods": 3, "entries": [{"bundle": list(q), "value": u} for q, u in values.items()]}
+    infile = write(tmp_path, "v.json", payload)
+    out = tmp_path / "dual.json"
+    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    validate(doc, "polyhedral_function.schema.json")
+    rows = [(h["normal"], h["offset"]) for h in doc["domain"]["halfspaces"]]
+    assert rows == [
+        (["-1", "0", "0"], "0"),
+        (["0", "-1", "0"], "0"),
+        (["0", "0", "-1"], "0"),
+        (["0", "0", "1"], "1"),
+        (["0", "1", "0"], "1"),
+        (["1", "0", "1"], "2"),
+        (["1", "1", "0"], "2"),
+    ]
+    pieces = [(p["slope"], p["intercept"]) for p in doc["pieces"]]
+    assert pieces == [
+        (["7/2", "5/2", "2"], "2"),
+        (["4", "5/2", "2"], "3/2"),
+        (["4", "3", "5/2"], "1"),
+        (["9/2", "3", "2"], "1"),
+        (["9/2", "4", "3"], "0"),
+    ]
+    assert doc["never_demanded"] == [[1, 0, 0]]
+
+
 def test_dualize_single_bundle(tmp_path):
     infile = write(
         tmp_path, "v.json", {"goods": 2, "entries": [{"bundle": [0, 0], "value": "0"}]}

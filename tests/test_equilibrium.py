@@ -6,6 +6,7 @@ from hypothesis import given, settings
 
 from tropical_demand import (
     Allocation,
+    DegenerateInput,
     DomainError,
     Economy,
     InstanceTooLarge,
@@ -18,6 +19,7 @@ from tropical_demand import (
     min_aggregate_indirect,
     walrasian_check,
 )
+from tropical_demand.equilibrium import _build_certificate
 from tropical_demand.exactmath import dot
 
 from conftest import economies, make_valuation
@@ -176,6 +178,15 @@ def test_walrasian_check_rejects_efficient_allocation_at_candidate_prices(
     assert receipts[1].optimal
 
 
+def test_certificate_guard_rejects_non_walrasian_allocations(no_equilibrium_economy):
+    # A zero gap rules both cases out; reaching them means a broken invariant.
+    not_optimal = (vec(25, 45), Allocation(((0, 0), (1, 1))))
+    priced_leftover = (vec(1000, 1000), Allocation(((0, 0), (0, 0))))
+    for prices, allocation in (not_optimal, priced_leftover):
+        with pytest.raises(DegenerateInput):
+            _build_certificate(no_equilibrium_economy, prices, allocation)
+
+
 def test_walrasian_check_single_consumer(five_bundle_valuation):
     e = Economy(goods=2, consumers=(five_bundle_valuation,), endowment=(2, 2))
     ok, receipts = walrasian_check(e, vec(0, 0), Allocation(((2, 2),)))
@@ -274,6 +285,10 @@ def test_weak_duality_and_test_equivalence(e):
     if report.exists:
         ok, _ = walrasian_check(e, report.certificate.prices, report.certificate.allocation)
         assert ok
+        # a zero gap makes every maximizing allocation Walrasian
+        for allocation in report.argmax_allocations:
+            ok, _ = walrasian_check(e, report.argmin_prices, allocation)
+            assert ok
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropical_demand import (
@@ -12,14 +12,16 @@ from tropical_demand import (
     HPolyhedron,
     HalfSpace,
     LinearProgram,
+    convex_hull_halfspaces,
     polygon_from_halfspaces,
     price_complex,
     reduce,
     simplex_solve,
     upper_concave_hull,
 )
-from tropical_demand.exactmath import dot, solve_linear_system
+from tropical_demand.exactmath import dot, independent_directions, solve_linear_system
 from tropical_demand.polyhedra import (
+    _optimum_is_unique,
     dedupe_halfspaces,
     halfplane_intersection,
     interior_point,
@@ -83,22 +85,86 @@ def test_hull_collinear_bundles_in_two_goods():
         assert min(p.evaluate(q) for p in pieces) == u
 
 
-@settings(max_examples=60)
-@given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 4), st.integers(0, 4)),
-        st.integers(0, 50),
-        min_size=1,
-        max_size=8,
+@st.composite
+def lifted_points(draw, full_dimensional=False):
+    """Bundles of 1-3 goods with rational values, sorted by bundle."""
+    n = draw(st.integers(1, 3))
+    coord = st.integers(0, 4 if n < 3 else 2)
+    entries = draw(
+        st.dictionaries(
+            st.tuples(*[coord] * n),
+            st.fractions(min_value=0, max_value=50, max_denominator=12),
+            min_size=n + 1 if full_dimensional else 1,
+            max_size=8,
+        )
     )
-)
-def test_hull_majorizes_with_equality_exactly_on_hull(entries):
-    points = sorted((q, F(u)) for q, u in entries.items())
+    points = sorted(entries.items())
+    if full_dimensional:
+        assume(len(independent_directions([q for q, _ in points])) == n)
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_points())
+def test_hull_majorizes_with_equality_exactly_on_hull(points):
     pieces, hull = upper_concave_hull(points)
     for i, (q, u) in enumerate(points):
         envelope = min(p.evaluate(q) for p in pieces)
         assert envelope >= u
         assert (envelope == u) == (i in hull)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_points(full_dimensional=True))
+def test_hull_pieces_match_subset_interpolation(points):
+    # Reference: interpolate every (n+1)-subset of the lifted points exactly
+    # and keep the affine functions that lie above all of them.
+    n = len(points[0][0])
+    expected = set()
+    for subset in itertools.combinations(points, n + 1):
+        sol = solve_linear_system([[*q, 1] for q, _ in subset], [u for _, u in subset])
+        if sol is None:
+            continue
+        slope, intercept = tuple(sol[:n]), sol[n]
+        if all(dot(slope, q) + intercept >= u for q, u in points):
+            expected.add((slope, intercept))
+    pieces, _ = upper_concave_hull(points)
+    assert [(p.slope, p.intercept) for p in pieces] == sorted(expected)
+
+
+def _rows(poly):
+    return [(tuple(str(c) for c in h.normal), str(h.offset)) for h in poly.halfspaces]
+
+
+def test_convex_hull_halfspaces_row_order():
+    # Recorded from the pair/triple loops that the facet walk replaced: rows
+    # in order of first appearance over the sorted points.
+    square_ish = [(4, 0), (0, 0), (2, 0), (1, 1), (0, 3), (3, 3)]
+    assert _rows(convex_hull_halfspaces(square_ish, 2)) == [
+        (("-1", "0"), "0"),
+        (("0", "-1"), "0"),
+        (("0", "1"), "3"),
+        (("3", "1"), "12"),
+    ]
+    rational = [(F(1, 2), 0), (0, F(1, 3)), (F(3, 2), F(2, 3)), (1, F(5, 4))]
+    assert _rows(convex_hull_halfspaces(rational, 2)) == [
+        (("-2", "-3"), "-1"),
+        (("-11", "12"), "4"),
+        (("2", "-3"), "1"),
+        (("7", "6"), "29/2"),
+    ]
+    pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 1, 2)]
+    assert _rows(convex_hull_halfspaces(pyramid, 3)) == [
+        (("0", "0", "-1"), "0"),
+        (("-2", "0", "1"), "0"),
+        (("0", "-2", "1"), "0"),
+        (("0", "2", "1"), "4"),
+        (("2", "0", "1"), "4"),
+    ]
+    assert _rows(convex_hull_halfspaces([(3,), (F(1, 2),), (2,)], 1)) == [
+        (("1",), "3"),
+        (("-1",), "-1/2"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +181,7 @@ def test_simplex_box_lp():
     res = simplex_solve(lp)
     assert res.status == "optimal"
     assert res.value == 70 and res.point == (F(25), F(45))
-    assert res.unique is True
+    assert _optimum_is_unique(lp, res.value, res.point, range(2)) is True
 
 
 def test_simplex_two_consumer_epigraph_lp():
@@ -145,7 +211,7 @@ def test_simplex_two_consumer_epigraph_lp():
     assert res.status == "optimal"
     assert res.value == 75
     assert res.point[2:] == (F(25), F(45))
-    assert res.unique is True
+    assert _optimum_is_unique(lp, res.value, res.point, range(4)) is True
 
 
 def test_simplex_max_direction():
@@ -183,7 +249,7 @@ def test_simplex_reports_non_unique_optimum():
     )
     res = simplex_solve(lp)
     assert res.status == "optimal" and res.value == 1
-    assert res.unique is False
+    assert _optimum_is_unique(lp, res.value, res.point, range(2)) is False
 
 
 def _brute_force_lp(lp: LinearProgram):
@@ -239,7 +305,7 @@ def test_simplex_matches_brute_force(raw_rows, objective, sense):
         sense=sense,
         constraints=constraints,
     )
-    res = simplex_solve(lp, probe_unique=False)
+    res = simplex_solve(lp)
     expected = _brute_force_lp(lp)
     if expected is None:
         assert res.status == "infeasible"
