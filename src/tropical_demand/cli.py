@@ -112,6 +112,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    if args.cap < 1:
+        raise ValidationError(f"allocation enumeration: the cap must be at least 1, got {args.cap}")
     economy = serialize.economy_from_dict(_read_json(args.infile))
     report = duality_test(economy, cap=args.cap)
     _emit(serialize.dumps(serialize.equilibrium_report_to_dict(report)), args.out)

@@ -121,37 +121,40 @@ def aggregate_indirect(e: Economy, p: Sequence[Fraction | int]) -> Fraction:
     )
 
 
-def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
-    """Epigraph LP: minimize sum_i t_i + p.w with t_i above every surplus piece.
-
-    Returns the exact optimum, one optimal price vector, and whether the
-    optimal prices are unique (established by bounding each price coordinate
-    over the optimal face).
-    """
+def _epigraph_lp(e: Economy) -> LinearProgram:
+    """Variables (t_1..t_n, p): minimize sum_i t_i + p.w subject to
+    t_i + p.q >= u_i(q) for every bundle q of consumer i, and p >= 0."""
     n = len(e.consumers)
     L = e.goods
-    nvars = n + L
     constraints = []
     for i, v in enumerate(e.consumers):
         for q, u in sorted(v.entries.items()):
-            normal = [ZERO] * nvars
+            normal = [ZERO] * (n + L)
             normal[i] = Fraction(-1)
             for l in range(L):
                 normal[n + l] = Fraction(-q[l])
             constraints.append(HalfSpace(normal=tuple(normal), offset=-u))
-    objective = tuple([Fraction(1)] * n + [Fraction(c) for c in e.endowment])
-    nonneg = tuple([False] * n + [True] * L)
-    lp = LinearProgram(
-        objective=objective,
+    return LinearProgram(
+        objective=tuple([Fraction(1)] * n + [Fraction(c) for c in e.endowment]),
         sense="min",
         constraints=tuple(constraints),
-        nonneg=nonneg,
+        nonneg=tuple([False] * n + [True] * L),
     )
-    res = simplex_solve(lp)
+
+
+def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
+    """Epigraph LP: minimize sum_i t_i + p.w with t_i above every surplus piece.
+
+    Returns the exact optimum, one optimal price vector, and whether the
+    optimal prices are unique.  The LP is solved once; uniqueness is read off
+    its optimal tableau by bounding each price coordinate over the optimal
+    face, with no further LP.
+    """
+    n = len(e.consumers)
+    res = simplex_solve(_epigraph_lp(e))
     if res.status != "optimal":
         raise DegenerateInput(f"epigraph LP is {res.status}; it should be feasible and bounded")
-    unique = _optimum_is_unique(lp, res.value, res.point, range(n, nvars))
-    return res.value, res.point[n:], unique
+    return res.value, res.point[n:], _optimum_is_unique(res, range(n, n + e.goods))
 
 
 def max_aggregate_utility(
@@ -165,7 +168,7 @@ def max_aggregate_utility(
         size *= len(s)
     if size > cap:
         raise InstanceTooLarge(
-            f"allocation space has {size} points (cap {cap}); prune supports"
+            f"allocation enumeration: {size} allocations exceed the cap of {cap}; prune supports"
         )
     best: Fraction | None = None
     argmax: list[Allocation] = []

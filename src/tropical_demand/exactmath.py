@@ -144,33 +144,6 @@ def ccw_compare(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> int
     return -1 if cr > 0 else (1 if cr < 0 else 0)
 
 
-def solve_linear_system(
-    rows: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
-) -> list[Fraction] | None:
-    """Solve a square exact linear system by Gaussian elimination.
-
-    Returns None when the matrix is singular.
-    """
-    n = len(rows)
-    if n == 0:
-        return []
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise DegenerateInput("solve_linear_system needs a square system")
-    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
     """A maximal set of linearly independent difference vectors ``p_i - p_0``.
 

@@ -11,6 +11,9 @@ pass it decides whether the intersection has interior and, if so, returns
 its polygon (vertex chain plus recession rays, no bounding box) together with
 the half-planes that support each edge.  The 2-D complexes build every
 region with it; the simplex remains for the market and for n-good regions.
+The market solves its epigraph LP once: ``simplex_solve`` keeps the final
+phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
+face off it with warm-started Bland pivots instead of solving new LPs.
 
 The upper concave hull of lifted points and the convex hull of the bundles
 share one facet walk, ``_facets``: every m-subset of lattice points in R^m
@@ -25,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -114,6 +117,9 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     point: Vec | None = None
+    # Optimal solves only: the final phase-2 tableau (reduced-cost row last),
+    # its basis and the columns of each variable, for _optimum_is_unique.
+    _tableau: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -184,11 +190,24 @@ def _bland(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
         cost = tableau[m]
 
 
+def _price_out(
+    cost: list[Fraction], rows: list[list[Fraction]], basis: list[int]
+) -> list[Fraction]:
+    """Eliminate the basic columns from a cost row that ends in 0; it then
+    holds the reduced costs and ends in minus the basic solution's value."""
+    for line, var in zip(rows, basis):
+        f = cost[var]
+        if f != 0:
+            cost = [c - f * a for c, a in zip(cost, line)]
+    return cost
+
+
 def simplex_solve(lp: LinearProgram) -> LPResult:
     """Exact two-phase simplex.
 
-    Returns the optimum and one optimal basic solution; ``_optimum_is_unique``
-    probes whether that solution is the only one.
+    Returns the optimum and one optimal basic solution.  An optimal result
+    also carries its final tableau, from which ``_optimum_is_unique`` decides
+    whether that solution is the only one without solving another LP.
     """
     nvars = len(lp.objective)
     nonneg = lp.nonneg if lp.nonneg else tuple(False for _ in range(nvars))
@@ -249,12 +268,7 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
     for i in range(m):
         tableau[i][ncols + i] = Fraction(1)
     basis = [ncols + i for i in range(m)]
-    cost = [ZERO] * (total + 1)
-    for i in range(m):
-        cost = [c - a for c, a in zip(cost, tableau[i])]
-    for i in range(m):
-        cost[ncols + i] = ZERO
-    tableau.append(cost)
+    tableau.append(_price_out([ZERO] * ncols + [Fraction(1)] * m + [ZERO], tableau, basis))
     _bland(tableau, basis, total)
     if -tableau[m][total] != 0:
         return LPResult(status="infeasible")
@@ -278,12 +292,7 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
     for j in range(nvars):
         for col, s in col_of[j]:
             objective[col] += sign * s * lp.objective[j]
-    cost = objective[:] + [ZERO]
-    for r, line in enumerate(rows2):
-        f = cost[basis2[r]]
-        if f != 0:
-            cost = [c - f * a for c, a in zip(cost, line)]
-    tableau2 = rows2 + [cost]
+    tableau2 = rows2 + [_price_out(objective + [ZERO], rows2, basis2)]
     status = _bland(tableau2, basis2, ncols)
     if status == "unbounded":
         return LPResult(status="unbounded")
@@ -298,28 +307,41 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
             x += s * values[col]
         point.append(x)
     point = tuple(point)
-    return LPResult(status="optimal", value=dot(lp.objective, point), point=point)
+    return LPResult(
+        status="optimal",
+        value=dot(lp.objective, point),
+        point=point,
+        _tableau=(tableau2, basis2, col_of),
+    )
 
 
-def _optimum_is_unique(
-    lp: LinearProgram, value: Fraction, point: Vec, coords: Iterable[int]
-) -> bool:
-    """Probe the optimal face: the optimum is unique in ``coords`` iff each of
-    them is pinned on it, by a min and a max LP per coordinate."""
-    nvars = len(lp.objective)
-    face_eq = lp.equalities + ((lp.objective, value),)
+def _optimum_is_unique(res: LPResult, coords: Iterable[int]) -> bool:
+    """Whether ``res.point`` is the only optimum in the coordinates ``coords``.
+
+    At the optimal basis the objective reads z* + sum_k d_k x_k with every
+    reduced cost d_k >= 0, so the optimal face is the feasible tableau with
+    each column of d_k > 0 fixed at zero.  Those columns are dropped, which
+    leaves the basis primal feasible, and each coordinate (x+ - x- for a
+    free variable) is minimized and then maximized over the face by
+    Bland-rule pivots from the current basis.  Unique iff every probe is
+    bounded and attains ``point[j]``.
+    """
+    tableau, basis, col_of = res._tableau
+    cost = tableau[len(basis)]
+    keep = [k for k in range(len(cost) - 1) if cost[k] == 0]
+    index = {k: i for i, k in enumerate(keep)}
+    face = [[row[k] for k in keep] + [row[-1]] for row in tableau[: len(basis)]]
+    basis = [index[k] for k in basis]
     for j in coords:
-        unit = tuple(Fraction(1 if k == j else 0) for k in range(nvars))
-        for sense in ("min", "max"):
-            probe = LinearProgram(
-                objective=unit,
-                sense=sense,
-                constraints=lp.constraints,
-                equalities=face_eq,
-                nonneg=lp.nonneg,
-            )
-            res = simplex_solve(probe)
-            if res.status != "optimal" or res.value != point[j]:
+        for sign in (1, -1):
+            probe = [ZERO] * (len(keep) + 1)
+            for col, s in col_of[j]:
+                if col in index:
+                    probe[index[col]] = sign * s
+            face.append(_price_out(probe, face, basis))
+            status = _bland(face, basis, len(keep))
+            least = -face.pop()[-1]  # the least value of sign * x_j on the face
+            if status != "optimal" or sign * least != res.point[j]:
                 return False
     return True
 
@@ -581,7 +603,9 @@ def upper_concave_hull(
     if not points:
         raise DegenerateInput("hull of no points")
     if len(points) > MAX_HULL_POINTS:
-        raise InstanceTooLarge(f"more than {MAX_HULL_POINTS} bundles")
+        raise InstanceTooLarge(
+            f"upper concave hull: {len(points)} bundles exceed the cap of {MAX_HULL_POINTS}"
+        )
     bundles = [q for q, _ in points]
     values = [Fraction(v) for _, v in points]
     n = len(bundles[0])

@@ -346,6 +346,31 @@ def test_equilibrium_oversized(tmp_path, capsys):
     assert cli.main(["equilibrium", "--in", infile, "--cap", "3"]) == cli.EXIT_CAP
 
 
+def test_equilibrium_oversized_names_stage_and_cap(tmp_path, capsys):
+    infile = write(tmp_path, "e.json", ECONOMY)
+    assert cli.main(["equilibrium", "--in", infile, "--cap", "3"]) == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert "allocation enumeration: 16 allocations exceed the cap of 3" in err
+
+
+def test_equilibrium_cap_below_one_is_validation_error(tmp_path, capsys):
+    infile = write(tmp_path, "e.json", ECONOMY)
+    for cap in ("0", "-1"):
+        assert cli.main(["equilibrium", "--in", infile, "--cap", cap]) == cli.EXIT_VALIDATION
+        assert f"cap must be at least 1, got {cap}" in capsys.readouterr().err
+
+
+def test_dualize_over_bundle_cap(tmp_path, capsys):
+    bundles = [(i, j) for i in range(9) for j in range(9)][:65]
+    payload = {
+        "goods": 2,
+        "entries": [{"bundle": list(q), "value": str(i)} for i, q in enumerate(bundles)],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    assert cli.main(["dualize", "--in", infile]) == cli.EXIT_CAP
+    assert "upper concave hull: 65 bundles exceed the cap of 64" in capsys.readouterr().err
+
+
 def test_complex_price_over_bundle_cap(tmp_path, capsys):
     # 65 of the 81 lattice points of [0,8]^2: one past the 64-bundle cap.
     bundles = [(i, j) for i in range(9) for j in range(9)][:65]

@@ -19,8 +19,10 @@ from tropical_demand import (
     min_aggregate_indirect,
     walrasian_check,
 )
+from tropical_demand import equilibrium, polyhedra
 from tropical_demand.equilibrium import _build_certificate
 from tropical_demand.exactmath import dot
+from tropical_demand.polyhedra import simplex_solve
 
 from conftest import economies, make_valuation
 
@@ -159,6 +161,38 @@ def test_duality_test_assignment_economy_clears():
     assert report.max_value == 13  # a takes the second good, b the first
     assert report.certificate is not None
     assert report.certificate.status == "found"
+
+
+def test_duality_test_bounded_non_unique_prices():
+    # One good, u(1) = 3, endowment 1: f(p) = max(0, 3 - p) + p is 3 on all
+    # of [0, 3].  Recorded with the probe that solved one LP per bound.
+    e = Economy(goods=1, consumers=(make_valuation({(0,): 0, (1,): 3}, goods=1),), endowment=(1,))
+    report = duality_test(e)
+    assert report.min_value == 3 and report.argmin_prices == vec(3)
+    assert report.price_unique is False
+
+
+def test_duality_test_unbounded_non_unique_prices():
+    # Nothing to sell: f(p) = max(0, 3 - p_1) is 0 on p_1 >= 3 with p_2 free,
+    # an unbounded optimal face.  Recorded like the bounded case.
+    e = Economy(goods=2, consumers=(make_valuation({(0, 0): 0, (1, 0): 3}),), endowment=(0, 0))
+    report = duality_test(e)
+    assert report.min_value == 0 and report.argmin_prices == vec(3, 0)
+    assert report.price_unique is False
+
+
+def test_duality_test_solves_one_lp(no_equilibrium_economy, monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(equilibrium, "simplex_solve", counting)
+    monkeypatch.setattr(polyhedra, "simplex_solve", counting)
+    report = duality_test(no_equilibrium_economy)
+    assert report.price_unique is True
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
-from tropical_demand.exactmath import (
-    lattice_length,
-    rational_direction,
-    solve_linear_system,
-)
+from tropical_demand.exactmath import lattice_length, rational_direction
 
 F = Fraction
 
@@ -93,8 +89,3 @@ def test_field_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
 
-
-def test_solve_linear_system():
-    sol = solve_linear_system([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
-    assert sol == [F(2), F(1)]
-    assert solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None

@@ -19,7 +19,8 @@ from tropical_demand import (
     simplex_solve,
     upper_concave_hull,
 )
-from tropical_demand.exactmath import dot, independent_directions, solve_linear_system
+from tropical_demand.equilibrium import _epigraph_lp
+from tropical_demand.exactmath import dot, independent_directions
 from tropical_demand.polyhedra import (
     _optimum_is_unique,
     dedupe_halfspaces,
@@ -27,13 +28,42 @@ from tropical_demand.polyhedra import (
     interior_point,
 )
 
-from conftest import make_valuation
+from conftest import economies, make_valuation
 
 F = Fraction
 
 
 def hs(normal, offset) -> HalfSpace:
     return HalfSpace(normal=tuple(F(c) for c in normal), offset=F(offset))
+
+
+def solve_linear_system(rows, rhs) -> list[Fraction] | None:
+    """Solve a square exact linear system by Gaussian elimination; None when
+    the matrix is singular.  Serves the two independent oracles below."""
+    n = len(rows)
+    if n == 0:
+        return []
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise DegenerateInput("solve_linear_system needs a square system")
+    a = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return None
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = a[col][col]
+        a[col] = [x / inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return [a[r][n] for r in range(n)]
+
+
+def test_solve_linear_system():
+    sol = solve_linear_system([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
+    assert sol == [F(2), F(1)]
+    assert solve_linear_system([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +211,7 @@ def test_simplex_box_lp():
     res = simplex_solve(lp)
     assert res.status == "optimal"
     assert res.value == 70 and res.point == (F(25), F(45))
-    assert _optimum_is_unique(lp, res.value, res.point, range(2)) is True
+    assert _optimum_is_unique(res, range(2)) is True
 
 
 def test_simplex_two_consumer_epigraph_lp():
@@ -211,7 +241,7 @@ def test_simplex_two_consumer_epigraph_lp():
     assert res.status == "optimal"
     assert res.value == 75
     assert res.point[2:] == (F(25), F(45))
-    assert _optimum_is_unique(lp, res.value, res.point, range(4)) is True
+    assert _optimum_is_unique(res, range(4)) is True
 
 
 def test_simplex_max_direction():
@@ -249,7 +279,7 @@ def test_simplex_reports_non_unique_optimum():
     )
     res = simplex_solve(lp)
     assert res.status == "optimal" and res.value == 1
-    assert _optimum_is_unique(lp, res.value, res.point, range(2)) is False
+    assert _optimum_is_unique(res, range(2)) is False
 
 
 def _brute_force_lp(lp: LinearProgram):
@@ -312,6 +342,98 @@ def test_simplex_matches_brute_force(raw_rows, objective, sense):
     else:
         assert res.status == "optimal"
         assert res.value == expected
+
+
+def _face_equality_probe(lp: LinearProgram, value, point, coords) -> bool:
+    """Independent oracle: add the row objective . x == value and solve a
+    fresh two-phase min and max LP per coordinate over that face."""
+    nvars = len(lp.objective)
+    face_eq = lp.equalities + ((lp.objective, value),)
+    for j in coords:
+        unit = tuple(F(1 if k == j else 0) for k in range(nvars))
+        for sense in ("min", "max"):
+            probe = LinearProgram(
+                objective=unit,
+                sense=sense,
+                constraints=lp.constraints,
+                equalities=face_eq,
+                nonneg=lp.nonneg,
+            )
+            res = simplex_solve(probe)
+            if res.status != "optimal" or res.value != point[j]:
+                return False
+    return True
+
+
+@st.composite
+def tied_lps(draw):
+    """LPs in 1-3 free or nonnegative variables: rational rows, each followed
+    by no copy, a scaled duplicate or a parallel row, up to two equality
+    rows, and an objective that is either random or a nonnegative
+    combination of row normals, which ties the optimum along their face."""
+    n = draw(st.integers(1, 3))
+    normals = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    offsets = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    rows = []
+    for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=5)):
+        rows.append(hs(a, c))
+        kind = draw(st.sampled_from(("none", "duplicate", "parallel")))
+        if kind == "duplicate":
+            k = draw(st.integers(2, 3))
+            rows.append(hs([k * x for x in a], k * c))
+        elif kind == "parallel":
+            rows.append(hs(a, c + draw(st.fractions(min_value=0, max_value=2, max_denominator=3))))
+    equalities = tuple(
+        (tuple(F(x) for x in a), c)
+        for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=2))
+    )
+    sense = draw(st.sampled_from(("min", "max")))
+    if rows and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        sign = -1 if sense == "min" else 1
+        objective = tuple(
+            sign * sum((w * h.normal[j] for w, h in zip(weights, rows)), F(0)) for j in range(n)
+        )
+    else:
+        objective = tuple(F(x) for x in draw(st.tuples(*[st.integers(-3, 3)] * n)))
+    return LinearProgram(
+        objective=objective,
+        sense=sense,
+        constraints=tuple(draw(st.permutations(rows))),
+        equalities=equalities,
+        nonneg=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_lps())
+def test_optimum_is_unique_matches_face_equality_probe(lp):
+    res = simplex_solve(lp)
+    if res.status != "optimal":
+        return
+    for coords in [range(len(lp.objective))] + [[j] for j in range(len(lp.objective))]:
+        expected = _face_equality_probe(lp, res.value, res.point, coords)
+        assert _optimum_is_unique(res, coords) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(economies())
+def test_epigraph_price_uniqueness_matches_face_equality_probe(e):
+    lp = _epigraph_lp(e)
+    res = simplex_solve(lp)
+    prices = range(len(e.consumers), len(lp.objective))
+    assert _optimum_is_unique(res, prices) == _face_equality_probe(lp, res.value, res.point, prices)
+
+
+def test_optimum_is_unique_on_unbounded_face():
+    # min x over x >= 0 with y free: the optimal face {0} x R is a line.
+    lp = LinearProgram(
+        objective=(F(1), F(0)), sense="min", constraints=(hs((-1, 0), 0),), nonneg=(False, False)
+    )
+    res = simplex_solve(lp)
+    assert res.status == "optimal" and res.value == 0
+    assert _optimum_is_unique(res, [0]) is True
+    assert _optimum_is_unique(res, [1]) is False
 
 
 # ---------------------------------------------------------------------------
