@@ -4,14 +4,15 @@ The minimum of aggregate indirect utility over nonnegative prices always
 weakly exceeds the maximum of aggregate utility over feasible allocations;
 a Walrasian equilibrium exists exactly when the two coincide.  Both sides
 are computed exactly: the price side by an epigraph LP, the allocation
-side by capped exhaustive enumeration over the bundle supports.
+side by a max-plus dynamic program over the leftover endowments, which
+also lists every maximizing allocation.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
@@ -157,34 +158,64 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
     return res.value, res.point[n:], _optimum_is_unique(res, range(n, n + e.goods))
 
 
+def _fits(q: IVec, r: IVec) -> bool:
+    return all(a <= b for a, b in zip(q, r))
+
+
+def _minus(r: IVec, q: IVec) -> IVec:
+    return tuple(b - a for a, b in zip(q, r))
+
+
 def max_aggregate_utility(
     e: Economy, cap: int = 10**6
 ) -> tuple[Fraction, tuple[Allocation, ...]]:
-    """Exhaustive search over the product of bundle supports, feasibility
-    filtered; returns the exact maximum and every maximizer."""
-    supports = [v.bundles() for v in e.consumers]
-    size = 1
-    for s in supports:
-        size *= len(s)
+    """The aggregate valuation at the endowment, a max-plus convolution of
+    the consumers' valuations, and every allocation that attains it.
+
+    ``best[i][r]`` is the most consumers i..n-1 can get from bundles that sum
+    to at most r, for each leftover r that consumers 0..i-1 can reach.
+    Bundles are nonnegative, so the leftovers are at most min(|box|, K^i)
+    points of the endowment box and the work is O(n |box| K); every support
+    holds the zero bundle, so no maximum is over an empty set.  Backtracking
+    from ``best[0][w]`` in support order lists the maximizers in product
+    order (the first consumer's bundle varies slowest).  The size of that
+    product is still capped, since every allocation may be a maximizer.
+    """
+    supports = [[(q, v.entries[q]) for q in v.bundles()] for v in e.consumers]
+    size = prod(len(s) for s in supports)
     if size > cap:
         raise InstanceTooLarge(
             f"allocation enumeration: {size} allocations exceed the cap of {cap}; prune supports"
         )
-    best: Fraction | None = None
+    w = tuple(e.endowment)
+    leftovers = [{w}]
+    for support in supports:
+        leftovers.append({_minus(r, q) for r in leftovers[-1] for q, _ in support if _fits(q, r)})
+    best = [{} for _ in supports] + [{r: ZERO for r in leftovers[-1]}]
+    for i in reversed(range(len(supports))):
+        best[i] = {
+            r: max(u + best[i + 1][_minus(r, q)] for q, u in supports[i] if _fits(q, r))
+            for r in leftovers[i]
+        }
+
+    # Depth-first with an explicit stack, since consumers whose only bundle
+    # is zero do not count against the cap and may be arbitrarily many.
     argmax: list[Allocation] = []
-    for combo in itertools.product(*supports):
-        if any(
-            sum(bundle[l] for bundle in combo) > e.endowment[l] for l in range(e.goods)
-        ):
+    stack = [(w, best[0][w], ())]
+    while stack:
+        r, target, chosen = stack.pop()
+        i = len(chosen)
+        if i == len(supports):
+            argmax.append(Allocation(bundles=chosen))
             continue
-        total = sum((v.entries[q] for v, q in zip(e.consumers, combo)), ZERO)
-        if best is None or total > best:
-            best, argmax = total, [Allocation(bundles=combo)]
-        elif total == best:
-            argmax.append(Allocation(bundles=combo))
-    if best is None:
-        raise DomainError("no feasible allocation, although the all-zero one always is")
-    return best, tuple(argmax)
+        branches = []
+        for q, u in supports[i]:
+            if _fits(q, r):
+                rest = _minus(r, q)
+                if u + best[i + 1][rest] == target:
+                    branches.append((rest, target - u, chosen + (q,)))
+        stack.extend(reversed(branches))
+    return best[0][w], tuple(argmax)
 
 
 def walrasian_check(
@@ -236,8 +267,8 @@ def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
     demand sets at the minimizing prices document why the market cannot
     clear.
     """
+    max_value, argmax = max_aggregate_utility(e, cap=cap)  # refuses over-cap economies first
     min_value, prices, unique = min_aggregate_indirect(e)
-    max_value, argmax = max_aggregate_utility(e, cap=cap)
     gap = min_value - max_value
     exists = gap == 0
     demand_sets = tuple(demand(v, prices) for v in e.consumers)

@@ -158,13 +158,19 @@ class PolygonEdge:
 
 
 def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    inv = tableau[row][col]
-    tableau[row] = [x / inv for x in tableau[row]]
+    """Pivot in place, touching only the columns where the pivot row is
+    nonzero: every other entry would change by f * 0.  No row object may
+    appear twice in the tableau."""
     piv = tableau[row]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            f = line[col]
-            tableau[r] = [x - f * y for x, y in zip(line, piv)]
+    inv = piv[col]
+    support = [j for j, x in enumerate(piv) if x]
+    for j in support:
+        piv[j] /= inv
+    for line in tableau:
+        f = line[col]
+        if f and line is not piv:
+            for j in support:
+                line[j] -= f * piv[j]
 
 
 def _bland(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropical_demand import (
     Allocation,
+    Valuation,
     DegenerateInput,
     DomainError,
     Economy,
@@ -117,6 +119,76 @@ def test_max_aggregate_utility_cap(no_equilibrium_economy):
         max_aggregate_utility(no_equilibrium_economy, cap=3)
 
 
+def test_max_aggregate_utility_argmax_order_golden():
+    # Four maximizers, listed in product order of the supports; consumer 3
+    # owns a bundle outside the endowment and a rational value.  Recorded
+    # with the exhaustive product walk.
+    a = make_valuation({(0, 0): 0, (1, 0): 2, (0, 1): 2, (1, 1): 4, (2, 0): 3})
+    b = make_valuation({(0, 0): 0, (1, 0): 2, (0, 1): 2, (1, 1): 4})
+    c = make_valuation({(0, 0): 0, (1, 0): 2, (0, 1): F(3, 2), (0, 2): 4, (3, 0): 9})
+    e = Economy(goods=2, consumers=(a, b, c), endowment=(2, 2))
+    value, allocations = max_aggregate_utility(e)
+    assert value == 8
+    assert [x.bundles for x in allocations] == [
+        ((0, 1), (1, 1), (1, 0)),
+        ((1, 0), (1, 0), (0, 2)),
+        ((1, 1), (0, 1), (1, 0)),
+        ((1, 1), (1, 1), (0, 0)),
+    ]
+
+
+def test_max_aggregate_utility_many_zero_only_consumers():
+    # A consumer whose only bundle is zero does not count against the cap,
+    # so the backtrack must not recurse once per consumer.
+    zero = make_valuation({(0, 0): 0})
+    a = make_valuation({(0, 0): 0, (1, 0): 3})
+    e = Economy(goods=2, consumers=(a,) + (zero,) * 2000 + (a,), endowment=(1, 0))
+    value, allocations = max_aggregate_utility(e)
+    assert value == 3
+    assert [(x.bundles[0], x.bundles[-1]) for x in allocations] == [((0, 0), (1, 0)), ((1, 0), (0, 0))]
+
+
+def _product_walk(e: Economy) -> tuple[Fraction, tuple[Allocation, ...]]:
+    """Independent oracle: every allocation in the product of the supports,
+    feasibility filtered, keeping each one that attains the maximum."""
+    best, argmax = None, []
+    for combo in itertools.product(*(v.bundles() for v in e.consumers)):
+        if any(sum(q[l] for q in combo) > e.endowment[l] for l in range(e.goods)):
+            continue
+        total = sum((v.entries[q] for v, q in zip(e.consumers, combo)), F(0))
+        if best is None or total > best:
+            best, argmax = total, [Allocation(bundles=combo)]
+        elif total == best:
+            argmax.append(Allocation(bundles=combo))
+    return best, tuple(argmax)
+
+
+@st.composite
+def allocation_economies(draw):
+    """1-3 goods, 1-4 consumers with up to five bundles each in [0, 3]^L,
+    so some lie outside the endowment; rational values, sometimes all zero
+    (then every feasible allocation is a maximizer); the endowment is
+    sometimes zero."""
+    goods = draw(st.integers(1, 3))
+    zero = (0,) * goods
+    all_zero = draw(st.booleans())
+    bundles = st.tuples(*[st.integers(0, 3)] * goods)
+    values = st.fractions(min_value=-5, max_value=20, max_denominator=4)
+    consumers = []
+    for _ in range(draw(st.integers(1, 4))):
+        extra = draw(st.lists(bundles, max_size=4, unique=True))
+        entries = {q: F(0) if all_zero else draw(values) for q in extra if q != zero}
+        consumers.append(Valuation(goods=goods, entries={zero: F(0), **entries}))
+    endowment = zero if draw(st.booleans()) else draw(bundles)
+    return Economy(goods=goods, consumers=tuple(consumers), endowment=endowment)
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_economies())
+def test_max_aggregate_utility_matches_product_walk(e):
+    assert max_aggregate_utility(e) == _product_walk(e)
+
+
 # ---------------------------------------------------------------------------
 # duality test
 # ---------------------------------------------------------------------------
@@ -193,6 +265,20 @@ def test_duality_test_solves_one_lp(no_equilibrium_economy, monkeypatch):
     report = duality_test(no_equilibrium_economy)
     assert report.price_unique is True
     assert len(calls) == 1
+
+
+def test_duality_test_refuses_over_cap_before_the_lp(no_equilibrium_economy, monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return simplex_solve(lp)
+
+    monkeypatch.setattr(equilibrium, "simplex_solve", counting)
+    monkeypatch.setattr(polyhedra, "simplex_solve", counting)
+    with pytest.raises(InstanceTooLarge, match="16 allocations exceed the cap of 3"):
+        duality_test(no_equilibrium_economy, cap=3)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

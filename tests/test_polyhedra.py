@@ -23,6 +23,7 @@ from tropical_demand.equilibrium import _epigraph_lp
 from tropical_demand.exactmath import dot, independent_directions
 from tropical_demand.polyhedra import (
     _optimum_is_unique,
+    _pivot,
     dedupe_halfspaces,
     halfplane_intersection,
     interior_point,
@@ -403,6 +404,43 @@ def tied_lps(draw):
         equalities=equalities,
         nonneg=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
     )
+
+
+def _dense_pivot(tableau, row, col) -> None:
+    """Independent oracle: rebuild every touched row in all of its columns."""
+    inv = tableau[row][col]
+    tableau[row] = [x / inv for x in tableau[row]]
+    piv = tableau[row]
+    for r, line in enumerate(tableau):
+        if r != row and line[col] != 0:
+            f = line[col]
+            tableau[r] = [x - f * y for x, y in zip(line, piv)]
+
+
+@st.composite
+def sparse_tableaux(draw):
+    """A tableau of 1-6 rows by 1-8 columns, most entries zero, and up to
+    four pivot positions drawn one after another."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entry = st.one_of(
+        st.just(F(0)), st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    )
+    tableau = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    pivots = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=4))
+    return tableau, pivots
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_tableaux())
+def test_sparse_pivot_matches_dense_pivot(case):
+    tableau, pivots = case
+    dense = [row[:] for row in tableau]
+    for row, col in pivots:
+        if dense[row][col] == 0:
+            continue
+        _pivot(tableau, row, col)
+        _dense_pivot(dense, row, col)
+        assert tableau == dense
 
 
 @settings(max_examples=300, deadline=None)
