@@ -494,155 +494,82 @@ def _boundary_outer_normal(s: LabeledSubdivision, edge_id: int) -> IVec:
 
 def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
     """Cell-wise dual: regions become vertices at their labels, vertices
-    become regions labeled by their location, facets become perpendicular
-    facets whose weight is the source edge's lattice length."""
+    become regions labeled by their location, and every edge becomes a dual
+    edge by one rule.
+
+    The dual edge's geometry comes from the edge's kind: a facet gives the
+    segment between its two region labels, a boundary edge the ray from its
+    owner's label along minus the domain's outer normal.  Its relation
+    comes from the edge's endpoints: two give a facet between their dual
+    regions, weighted by the lattice length between them; one gives a
+    boundary edge of that dual region; a full line has no dual region to
+    bound and is refused.  Each dual region is the hull of the corners its
+    vertex's edges give, plus their rays; a lone vertex, with no edges,
+    gets the whole plane.
+    """
     ok, violations = check_normal_labeling(s)
     if not ok:
         detail = "; ".join(v.message for v in violations[:3])
         raise NonConservative(f"subdivision is not normally labeled: {detail}")
+    convention = "min" if s.convention == "max" else "max"
+    regions = s.regions()
+    if regions and not s.edges():
+        # The whole plane: no edge carries its label to a dual vertex.
+        if len(s.cells) > 1:
+            raise DegenerateInput("a region with no edges must be the only cell")
+        label = s.region_labels[regions[0]]
+        return LabeledSubdivision(
+            ambient_dim=2,
+            convention=convention,
+            domain=convex_hull_halfspaces([label], 2),
+            cells={0: Cell(dim=0, points=(label,), rays=(), incident=())},
+            region_labels={},
+            facet_data={},
+        )
 
-    if not s.edges():
-        return _dualize_edgeless(s)
-
+    # A boundary edge belongs to the lowest-numbered region that lists it.
+    owner = {e: r for r in reversed(regions) for e in s.cells[r].incident}
+    corners: dict[int, list[Vec]] = {v: [] for v in s.vertices()}
+    rays: dict[int, list[IVec]] = {v: [] for v in s.vertices()}
     dual_edges: list[_EdgeDraft] = []
-    region_points: dict[int, list[Vec]] = {v: [] for v in s.vertices()}
-    region_rays: dict[int, list[IVec]] = {v: [] for v in s.vertices()}
-
     for edge_id in s.edges():
-        cell = s.cells[edge_id]
-        endpoints = cell.incident
         if edge_id in s.facet_data:
             fd = s.facet_data[edge_id]
-            a = s.region_labels[fd.from_region]
-            b = s.region_labels[fd.to_region]
-            if len(endpoints) == 2:
-                u, w = endpoints
-                pu = s.cells[u].points[0]
-                pw = s.cells[w].points[0]
-                prim, weight = rational_direction(vsub(pu, pw))
-                dual_edges.append(
-                    _EdgeDraft(
-                        points=tuple(sorted((a, b))),
-                        rays=(),
-                        facet=(u, w),
-                        weight=weight,
-                        normal=prim,
-                        owner=None,
-                    )
-                )
-            elif len(endpoints) == 1:
-                dual_edges.append(
-                    _EdgeDraft(
-                        points=tuple(sorted((a, b))),
-                        rays=(),
-                        facet=None,
-                        weight=None,
-                        normal=None,
-                        owner=endpoints[0],
-                    )
-                )
-            else:
-                # A full-line facet dualizes to an edge with no incident
-                # 2-cells; representable only in a 1-D complex, so refuse.
-                raise DegenerateInput("cannot dualize a subdivision with line facets")
-            for vertex in endpoints:
-                region_points[vertex].extend((a, b))
+            labels = (s.region_labels[fd.from_region], s.region_labels[fd.to_region])
+            points, ray = tuple(sorted(labels)), ()
+        elif edge_id in owner:
+            points = (s.region_labels[owner[edge_id]],)
+            ray = (tuple(-c for c in _boundary_outer_normal(s, edge_id)),)
         else:
-            owner = _owner_region(s, edge_id)
-            label = s.region_labels[owner]
-            outer = _boundary_outer_normal(s, edge_id)
-            ray_dir = tuple(-c for c in outer)
-            for vertex in endpoints:
-                region_points[vertex].append(label)
-                region_rays[vertex].append(ray_dir)
-            if len(endpoints) == 1:
-                dual_edges.append(
-                    _EdgeDraft(
-                        points=(label,),
-                        rays=(ray_dir,),
-                        facet=None,
-                        weight=None,
-                        normal=None,
-                        owner=endpoints[0],
-                    )
-                )
-            elif len(endpoints) == 2:
-                u, w = endpoints
-                pu = s.cells[u].points[0]
-                pw = s.cells[w].points[0]
-                prim, weight = rational_direction(vsub(pu, pw))
-                dual_edges.append(
-                    _EdgeDraft(
-                        points=(label,),
-                        rays=(ray_dir,),
-                        facet=(u, w),
-                        weight=weight,
-                        normal=prim,
-                        owner=None,
-                    )
-                )
+            raise DegenerateInput(f"boundary edge {edge_id} belongs to no region")
+        endpoints = s.cells[edge_id].incident
+        if len(endpoints) == 2:
+            u, w = endpoints
+            prim, weight = rational_direction(vsub(s.cells[u].points[0], s.cells[w].points[0]))
+            dual_edges.append(_EdgeDraft(points, ray, (u, w), weight, prim, None))
+        elif len(endpoints) == 1:
+            dual_edges.append(_EdgeDraft(points, ray, None, None, None, endpoints[0]))
+        else:
+            raise DegenerateInput("cannot dualize a subdivision with line edges")
+        for vertex in endpoints:
+            corners[vertex].extend(points)
+            rays[vertex].extend(ray)
 
     dual_regions = []
     for vertex in s.vertices():
-        pts = region_points[vertex]
-        if not pts:
-            continue
-        chain = _hull_chain_ccw(pts)
-        rays = []
-        for r in region_rays[vertex]:
-            if r not in rays:
-                rays.append(r)
-        rays = _sort_ccw(rays, key=ivec_to_vec)
-        kind = "bounded" if not rays else "unbounded"
-        poly = Polygon2(tuple(chain), tuple(rays), kind)
+        if not corners[vertex] and len(s.cells) > 1:
+            # Only a lone vertex may dualize to the whole plane.
+            raise DegenerateInput(f"vertex {vertex} lies on no edge")
+        vertex_rays = tuple(_sort_ccw(list(dict.fromkeys(rays[vertex])), key=ivec_to_vec))
+        kind = "unbounded" if vertex_rays else "bounded"
+        poly = Polygon2(_hull_chain_ccw(corners[vertex]), vertex_rays, kind)
         dual_regions.append((vertex, s.cells[vertex].points[0], poly))
 
     if s.domain.halfspaces:
         dual_domain = HPolyhedron(2, ())
     else:
-        label_points = [s.region_labels[r] for r in s.regions()]
-        dual_domain = convex_hull_halfspaces(label_points, 2)
-    convention = "min" if s.convention == "max" else "max"
+        dual_domain = convex_hull_halfspaces([s.region_labels[r] for r in regions], 2)
     return _assemble(dual_edges, dual_regions, convention, dual_domain)
-
-
-def _dualize_edgeless(s: LabeledSubdivision) -> LabeledSubdivision:
-    """Dual of a complex with no 1-cells: a single region maps to a single
-    vertex at its label, and a single vertex maps to one region covering the
-    dual domain."""
-    convention = "min" if s.convention == "max" else "max"
-    regions = s.regions()
-    if regions:
-        label = s.region_labels[regions[0]]
-        cells = {0: Cell(dim=0, points=(label,), rays=(), incident=())}
-        return LabeledSubdivision(
-            ambient_dim=2,
-            convention=convention,
-            domain=convex_hull_halfspaces([label], 2),
-            cells=cells,
-            region_labels={},
-            facet_data={},
-        )
-    vertices = s.vertices()
-    if len(vertices) != 1:
-        raise DegenerateInput("cannot dualize an empty subdivision")
-    point = s.cells[vertices[0]].points[0]
-    cells = {0: Cell(dim=2, points=(), rays=(), incident=())}
-    return LabeledSubdivision(
-        ambient_dim=2,
-        convention=convention,
-        domain=HPolyhedron(2, ()),
-        cells=cells,
-        region_labels={0: point},
-        facet_data={},
-    )
-
-
-def _owner_region(s: LabeledSubdivision, edge_id: int) -> int:
-    for region_id in s.regions():
-        if edge_id in s.cells[region_id].incident:
-            return region_id
-    raise DegenerateInput(f"boundary edge {edge_id} belongs to no region")
 
 
 # ---------------------------------------------------------------------------

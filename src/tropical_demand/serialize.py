@@ -2,9 +2,11 @@
 
 Rationals travel as strings ("num/den", or "num" when the denominator is
 1); bundles and primitive normals as integer arrays.  Every writer sorts
-its content and every document round-trips through its own parser, so
-identical inputs produce byte-identical output.  The schemas shipped in
-docs/schemas/ describe the same formats.
+its content, so identical inputs produce byte-identical output.
+Valuations, economies, functions, domains and subdivisions round-trip
+through their own parsers; correspondence samples are input-only and
+reports output-only.  The schemas shipped in docs/schemas/ describe the
+same formats.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .equilibrium import Economy, EquilibriumReport
 from .errors import ValidationError
 from .exactmath import IVec, Vec, format_rational, rational
 from .polyhedra import AffinePiece, HPolyhedron, HalfSpace
-from .potential import CorrespondenceSample, Polyline
+from .potential import CorrespondenceSample
 from .valuation import PolyhedralFunction, Valuation
 
 
@@ -322,14 +324,6 @@ def balance_report_to_dict(report: BalanceReport) -> dict:
     }
 
 
-def sample_to_dict(sample: CorrespondenceSample) -> dict:
-    return {
-        "pairs": [
-            {"p": _vec_out(p), "q": _vec_out(q)} for p, q in sample.pairs
-        ]
-    }
-
-
 def sample_from_dict(data) -> CorrespondenceSample:
     # Accepted either as a bare array of {"p": ..., "q": ...} pairs or
     # wrapped in {"pairs": [...]}.
@@ -345,26 +339,6 @@ def sample_from_dict(data) -> CorrespondenceSample:
         pairs.append((_vec_in(item.get("p"), "pair p"), _vec_in(item.get("q"), "pair q")))
     try:
         return CorrespondenceSample(pairs=tuple(pairs))
-    except Exception as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def polyline_to_dict(path: Polyline) -> dict:
-    return {
-        "waypoints": [_vec_out(p) for p in path.waypoints],
-        "closed": path.closed,
-    }
-
-
-def polyline_from_dict(data) -> Polyline:
-    _expect(isinstance(data, dict), "polyline: expected an object")
-    raw = data.get("waypoints")
-    _expect(isinstance(raw, list), "polyline: 'waypoints' must be an array")
-    waypoints = tuple(_vec_in(p, "waypoint") for p in raw)
-    closed = data.get("closed", False)
-    _expect(isinstance(closed, bool), "polyline: 'closed' must be a boolean")
-    try:
-        return Polyline(waypoints=waypoints, closed=closed)
     except Exception as exc:
         raise ValidationError(str(exc)) from exc
 

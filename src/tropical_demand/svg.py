@@ -2,8 +2,8 @@
 
 Black edges, filled vertex dots, region labels at interior points, and
 weight badges (white number on a filled disk) at facet midpoints.  Exact
-coordinates are rendered at six decimal digits; rays are clipped at the
-viewport with a configurable margin.
+coordinates are rendered at six decimal digits; rays are clipped at a
+viewport padded by a quarter of the drawing's span plus one unit.
 """
 
 from __future__ import annotations
@@ -16,21 +16,21 @@ from .complexes import LabeledSubdivision, _region_representative
 from .exactmath import Vec, ZERO, format_rational
 
 SCALE = 40  # pixels per unit
+VERTEX_RADIUS = 3.0
+BADGE_RADIUS = 9.0
 
 
 @dataclass(frozen=True)
-class RenderSpec:
-    """Viewport and styling; the viewport must strictly contain all 0-cells."""
+class _Viewport:
+    """A box that strictly contains all 0-cells and region corners."""
 
     xmin: Fraction
     xmax: Fraction
     ymin: Fraction
     ymax: Fraction
-    vertex_radius: float = 3.0
-    badge_radius: float = 9.0
 
 
-def default_render_spec(s: LabeledSubdivision) -> RenderSpec:
+def _viewport(s: LabeledSubdivision) -> _Viewport:
     points = [s.cells[v].points[0] for v in s.vertices()]
     for r in s.regions():
         points.extend(s.cells[r].points)
@@ -40,7 +40,7 @@ def default_render_spec(s: LabeledSubdivision) -> RenderSpec:
     ys = [p[1] for p in points]
     span = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(1))
     pad = span / 4 + 1
-    return RenderSpec(
+    return _Viewport(
         xmin=min(xs) - pad, xmax=max(xs) + pad, ymin=min(ys) - pad, ymax=max(ys) + pad
     )
 
@@ -50,23 +50,23 @@ def _fmt(x: float) -> str:
 
 
 class _Mapper:
-    def __init__(self, spec: RenderSpec):
-        self.spec = spec
-        self.width = float((spec.xmax - spec.xmin) * SCALE)
-        self.height = float((spec.ymax - spec.ymin) * SCALE)
+    def __init__(self, view: _Viewport):
+        self.view = view
+        self.width = float((view.xmax - view.xmin) * SCALE)
+        self.height = float((view.ymax - view.ymin) * SCALE)
 
     def to_px(self, p: Sequence[Fraction]) -> tuple[float, float]:
-        x = float((p[0] - self.spec.xmin) * SCALE)
-        y = float((self.spec.ymax - p[1]) * SCALE)
+        x = float((p[0] - self.view.xmin) * SCALE)
+        y = float((self.view.ymax - p[1]) * SCALE)
         return x, y
 
 
-def _clip_ray(spec: RenderSpec, start: Vec, direction: Sequence[int]) -> Vec:
+def _clip_ray(view: _Viewport, start: Vec, direction: Sequence[int]) -> Vec:
     """Last point of the ray inside the viewport box."""
     best: Fraction | None = None
     for coord, d in enumerate(direction):
-        lo = (spec.xmin, spec.ymin)[coord]
-        hi = (spec.xmax, spec.ymax)[coord]
+        lo = (view.xmin, view.ymin)[coord]
+        hi = (view.xmax, view.ymax)[coord]
         if d > 0:
             t = (hi - start[coord]) / d
         elif d < 0:
@@ -80,23 +80,22 @@ def _clip_ray(spec: RenderSpec, start: Vec, direction: Sequence[int]) -> Vec:
     return tuple(c + best * Fraction(d) for c, d in zip(start, direction))
 
 
-def _edge_endpoints(s: LabeledSubdivision, edge_id: int, spec: RenderSpec) -> tuple[Vec, Vec]:
+def _edge_endpoints(s: LabeledSubdivision, edge_id: int, view: _Viewport) -> tuple[Vec, Vec]:
     cell = s.cells[edge_id]
     if len(cell.points) == 2:
         return cell.points[0], cell.points[1]
     if len(cell.rays) == 1:
         start = cell.points[0]
-        return start, _clip_ray(spec, start, cell.rays[0])
+        return start, _clip_ray(view, start, cell.rays[0])
     anchor = cell.points[0]
-    a = _clip_ray(spec, anchor, cell.rays[0])
-    b = _clip_ray(spec, anchor, cell.rays[1])
+    a = _clip_ray(view, anchor, cell.rays[0])
+    b = _clip_ray(view, anchor, cell.rays[1])
     return a, b
 
 
-def render_subdivision(s: LabeledSubdivision, spec: RenderSpec | None = None) -> str:
-    if spec is None:
-        spec = default_render_spec(s)
-    mapper = _Mapper(spec)
+def render_subdivision(s: LabeledSubdivision) -> str:
+    view = _viewport(s)
+    mapper = _Mapper(view)
     parts: list[str] = []
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(mapper.width)}" '
@@ -105,7 +104,7 @@ def render_subdivision(s: LabeledSubdivision, spec: RenderSpec | None = None) ->
     parts.append('<rect width="100%" height="100%" fill="white"/>')
 
     for edge_id in s.edges():
-        a, b = _edge_endpoints(s, edge_id, spec)
+        a, b = _edge_endpoints(s, edge_id, view)
         (x1, y1), (x2, y2) = mapper.to_px(a), mapper.to_px(b)
         parts.append(
             f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
@@ -127,11 +126,11 @@ def render_subdivision(s: LabeledSubdivision, spec: RenderSpec | None = None) ->
         if edge_id not in s.facet_data:
             continue
         fd = s.facet_data[edge_id]
-        a, b = _edge_endpoints(s, edge_id, spec)
+        a, b = _edge_endpoints(s, edge_id, view)
         mid = tuple((ca + cb) / 2 for ca, cb in zip(a, b))
         x, y = mapper.to_px(mid)
         parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(spec.badge_radius)}" fill="steelblue"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(BADGE_RADIUS)}" fill="steelblue"/>'
         )
         parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y + 4.0)}" font-size="11" text-anchor="middle" '
@@ -141,7 +140,7 @@ def render_subdivision(s: LabeledSubdivision, spec: RenderSpec | None = None) ->
     for vertex_id in s.vertices():
         x, y = mapper.to_px(s.cells[vertex_id].points[0])
         parts.append(
-            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(spec.vertex_radius)}" fill="black"/>'
+            f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(VERTEX_RADIUS)}" fill="black"/>'
         )
 
     parts.append("</svg>")

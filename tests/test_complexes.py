@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings
 
 from tropical_demand import (
     DegenerateInput,
+    HalfSpace,
+    HPolyhedron,
     NonConservative,
     UnsupportedDimension,
     canonical_form,
@@ -17,7 +19,7 @@ from tropical_demand import (
     indirect_utility,
     price_complex,
 )
-from tropical_demand.complexes import edge_direction
+from tropical_demand.complexes import Cell, LabeledSubdivision, edge_direction
 from tropical_demand.exactmath import dot, lattice_length, vsub
 
 from conftest import make_valuation, price_vectors, valuations
@@ -272,6 +274,54 @@ def test_one_region_complex_dualizes_to_one_vertex():
     s = price_complex(make_valuation({(0, 0): 0}))
     dual = dualize_complex(s)
     assert not dual.regions() and len(dual.vertices()) == 1
+
+
+def test_one_vertex_complex_dualizes_to_the_whole_plane():
+    s = demand_complex(make_valuation({(0, 0): 5}))
+    dual = dualize_complex(s)
+    (region,) = dual.regions()
+    assert not dual.vertices() and not dual.edges()
+    assert dual.cells[region].points == () and dual.cells[region].rays == ()
+    assert dual.region_labels == {region: (F(0), F(0))}
+    assert dual.domain.halfspaces == ()
+
+
+def test_dualize_complex_rejects_a_vertex_on_no_edge(five_bundle_valuation):
+    s = demand_complex(five_bundle_valuation)
+    stray = Cell(dim=0, points=((F(5), F(5)),), rays=(), incident=())
+    tampered = dataclasses.replace(s, cells={**s.cells, max(s.cells) + 1: stray})
+    with pytest.raises(DegenerateInput, match="lies on no edge"):
+        dualize_complex(tampered)
+
+
+def test_dualize_complex_rejects_two_whole_plane_regions():
+    s = price_complex(make_valuation({(0, 0): 0}))
+    (region,) = s.regions()
+    tampered = dataclasses.replace(
+        s,
+        cells={**s.cells, region + 1: s.cells[region]},
+        region_labels={**s.region_labels, region + 1: (F(1), F(0))},
+    )
+    with pytest.raises(DegenerateInput, match="only cell"):
+        dualize_complex(tampered)
+
+
+def test_dualize_complex_rejects_a_boundary_line():
+    # The half-plane x <= 1: one region whose only edge is the full line
+    # x = 1 on the domain boundary.  Its dual would be a ray with no dual
+    # region to bound, so it is refused like a line facet.
+    line = Cell(dim=1, points=((F(1), F(0)),), rays=((0, -1), (0, 1)), incident=())
+    region = Cell(dim=2, points=(), rays=((0, -1), (0, 1)), incident=(0,))
+    s = LabeledSubdivision(
+        ambient_dim=2,
+        convention="max",
+        domain=HPolyhedron(2, (HalfSpace((F(1), F(0)), F(1)),)),
+        cells={0: line, 1: region},
+        region_labels={1: (F(0), F(0))},
+        facet_data={},
+    )
+    with pytest.raises(DegenerateInput, match="line edges"):
+        dualize_complex(s)
 
 
 # ---------------------------------------------------------------------------
