@@ -1,7 +1,9 @@
 """Normally labeled polyhedral subdivisions of the plane.
 
-The subdivision induced by a piecewise-affine function: 2-cells where one
-piece is active, 1-cells where two tie, 0-cells where three or more meet.
+The price complex is the subdivision induced by the indirect utility: 2-cells
+where one bundle is demanded, 1-cells where two tie, 0-cells where three or
+more meet.  The demand complex is its cell-wise dual, ``dualize_complex``,
+on the bundle hull; no concave hull is lifted to build either.
 Region labels encode the active piece; each interior facet stores a weight
 and a primitive integer normal with the invariant
 
@@ -47,10 +49,9 @@ from .polyhedra import (
     Polygon2,
     PolygonEdge,
     convex_hull_halfspaces,
-    dedupe_halfspaces,
     halfplane_intersection,
 )
-from .valuation import PolyhedralFunction, Valuation, dualize, indirect_utility
+from .valuation import Valuation, indirect_utility
 
 
 @dataclass(frozen=True)
@@ -214,43 +215,6 @@ class _EdgeDraft:
         return (len(self.points), self.points, self.rays)
 
 
-def _subdivision_from_pieces(f: PolyhedralFunction, labels: Sequence[Vec]) -> LabeledSubdivision:
-    """One half-plane intersection of each piece's ``f.active_region`` gives
-    its region and edges.
-
-    An edge of region k lies on the tie line of every piece its supporting
-    rows come from.  Two pieces tied with k along one line differ by a
-    multiple of that line's equation, so one of them wins everywhere beyond
-    it: at most one kept piece l lies across, and the edge is the facet
-    (k, l), read off the region that comes first in piece order.  An edge
-    with no kept piece across lies on the domain boundary and belongs to k.
-    """
-    f = replace(f, domain=HPolyhedron(2, dedupe_halfspaces(f.domain.halfspaces)))
-    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]] = {}
-    for k in range(len(f.pieces)):
-        active = f.active_region(k)
-        region = halfplane_intersection(active[0]) if active is not None else None
-        if region is not None:
-            regions[k] = (*region, active[1])
-
-    edges: list[_EdgeDraft] = []
-    for k, (_, region_edges, tied) in regions.items():
-        for edge in region_edges:
-            across = [tied[i] for i in edge.sources if i < len(tied) and tied[i] in regions]
-            if across and across[0] < k:
-                continue
-            points, rays = _edge_geometry(edge)
-            if across:
-                l = across[0]
-                prim, weight = rational_direction(vsub(labels[k], labels[l]))
-                edges.append(_EdgeDraft(points, rays, (k, l), weight, prim, None))
-            else:
-                edges.append(_EdgeDraft(points, rays, None, None, None, k))
-
-    polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
-    return _assemble(edges, polygons, f.convention, f.domain)
-
-
 def _assemble(
     edges: list[_EdgeDraft],
     regions: list[tuple[int, Vec, Polygon2]],
@@ -333,9 +297,16 @@ def _assemble(
 def price_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of price space into regions of constant demand.
 
-    Regions are labeled by the demanded bundle; facets carry the weight and
-    primitive normal factored from the label difference.  Capped, like the
-    hull, at MAX_HULL_POINTS bundles.
+    Each region and its edges come from one half-plane intersection of a
+    piece's ``active_region`` in the indirect utility, and the region is
+    labeled by the piece's bundle.  An edge of region k lies on the tie line
+    of every piece its rows come from; two pieces tied with k along one line
+    differ by a multiple of its equation, so exactly one kept piece l lies
+    across.  The edge is the facet (k, l), read off the region that comes
+    first in piece order, with the weight and primitive normal factored from
+    the label difference.  The domain is the plane, so no edge lies on a
+    boundary.  Capped at MAX_HULL_POINTS bundles, which also caps the demand
+    complex, its dual.
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
@@ -345,30 +316,42 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
         )
     f = indirect_utility(v)
     labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
-    return _subdivision_from_pieces(f, labels)
+    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]] = {}
+    for k in range(len(f.pieces)):
+        active = f.active_region(k)
+        region = halfplane_intersection(active[0]) if active is not None else None
+        if region is not None:
+            regions[k] = (*region, active[1])
+
+    edges: list[_EdgeDraft] = []
+    for k, (_, region_edges, tied) in regions.items():
+        for edge in region_edges:
+            l = next((tied[i] for i in edge.sources if tied[i] in regions), None)
+            if l is None:
+                raise DegenerateInput(f"an edge of the region of piece {k} has no region across")
+            if l < k:
+                continue
+            prim, weight = rational_direction(vsub(labels[k], labels[l]))
+            edges.append(_EdgeDraft(*_edge_geometry(edge), (k, l), weight, prim, None))
+
+    polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
+    return _assemble(edges, polygons, f.convention, f.domain)
 
 
 def demand_complex(v: Valuation) -> LabeledSubdivision:
-    """Dual subdivision of the bundle hull, labeled by indifference prices."""
+    """Subdivision of the bundle hull into the cells demanded together,
+    labeled by their indifference prices: the cell-wise dual of the price
+    complex, on the bundle hull as its domain."""
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
-    if len(v.entries) == 1:
-        bundle = next(iter(v.entries))
-        point = ivec_to_vec(bundle)
-        cells = {0: Cell(dim=0, points=(point,), rays=(), incident=())}
-        return LabeledSubdivision(
-            ambient_dim=2,
-            convention="min",
-            domain=convex_hull_halfspaces([point], 2),
-            cells=cells,
-            region_labels={},
-            facet_data={},
-        )
-    if len(independent_directions([ivec_to_vec(q) for q in v.bundles()])) < 2:
+    bundles = [ivec_to_vec(q) for q in v.bundles()]
+    if len(independent_directions(bundles)) == 1:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
-    dual = dualize(v)
-    labels = [piece.slope for piece in dual.pieces]
-    return _subdivision_from_pieces(dual, labels)
+    dual = dualize_complex(price_complex(v))
+    # The dual's own domain, the hull of the region labels, is the same set
+    # but can list its rows in another order, when a bundle that is no hull
+    # vertex lies on the hull's boundary.
+    return replace(dual, domain=convex_hull_halfspaces(bundles, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -650,13 +650,32 @@ def upper_concave_hull(
     return pieces, hull
 
 
+def _normals(dirs: Sequence[Vec], dim: int) -> list[Vec]:
+    """A basis of the normals to the span of ``dirs`` in R^2 or R^3: the unit
+    vectors when there are none, else the quarter turn of the one direction
+    in the plane, or the independent cross products in space."""
+    units = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
+    if not dirs:
+        return units
+    if dim == 2:
+        return [rot90ccw(dirs[0])]
+    u = dirs[0]
+    crosses = [
+        (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        for v in dirs[1:] or units
+    ]
+    return independent_directions([(ZERO,) * 3, *crosses])
+
+
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
     Supports dim <= 3.  Full-dimensional sets take their facets from the
-    integer facet walk, in order of first appearance over the sorted points;
-    in dimension 2 degenerate (collinear) inputs produce the line/segment as
-    an intersection of half-planes.
+    integer facet walk, in order of first appearance over the sorted points.
+    A lower-dimensional set gets the equations of its affine hull, each as a
+    pair of opposite rows, and then its hull within the affine hull, built
+    in the coordinates ``y_i = d_i . (p - p_0)`` along its independent
+    directions and read back in R^dim.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
@@ -673,29 +692,18 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     if dim not in (2, 3):
         raise UnsupportedDimension("convex hulls supported up to dimension 3")
     uniq = sorted(set(pts))
-    if dim == 2 and len(uniq) == 1:
-        p = uniq[0]
-        hs = []
-        for j in range(2):
-            e = tuple(Fraction(1 if k == j else 0) for k in range(2))
-            hs.append(HalfSpace(e, p[j]))
-            hs.append(HalfSpace(tuple(-c for c in e), -p[j]))
-        return HPolyhedron(2, tuple(hs))
     dirs = independent_directions(uniq)
-    if dim == 2 and len(dirs) == 1:
-        d = dirs[0]
-        normal = rot90ccw(d)
-        c = dot(normal, uniq[0])
-        ts = [dot(d, p) for p in uniq]
-        hs = (
-            HalfSpace(tuple(normal), c),
-            HalfSpace(tuple(-x for x in normal), -c),
-            HalfSpace(tuple(d), max(ts)),
-            HalfSpace(tuple(-x for x in d), -min(ts)),
-        )
-        return HPolyhedron(2, dedupe_halfspaces(hs))
     if len(dirs) < dim:
-        raise DegenerateInput("degenerate point set in dimension 3")
+        base = uniq[0]
+        hs = []
+        for n in _normals(dirs, dim):
+            hs += [HalfSpace(n, dot(n, base)), HalfSpace(tuple(-c for c in n), -dot(n, base))]
+        if dirs:
+            ys = [tuple(dot(d, vsub(p, base)) for d in dirs) for p in uniq]
+            for h in convex_hull_halfspaces(ys, len(dirs)).halfspaces:
+                n = tuple(sum(a * d[i] for a, d in zip(h.normal, dirs)) for i in range(dim))
+                hs.append(HalfSpace(n, h.offset + dot(n, base)))
+        return HPolyhedron(dim, dedupe_halfspaces(hs))
     scale = lcm(*(c.denominator for p in uniq for c in p))
     hs = [
         HalfSpace(tuple(Fraction(a) for a in normal), Fraction(offset, scale))

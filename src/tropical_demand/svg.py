@@ -22,7 +22,7 @@ BADGE_RADIUS = 9.0
 
 @dataclass(frozen=True)
 class _Viewport:
-    """A box that strictly contains all 0-cells and region corners."""
+    """A box that strictly contains every point of every cell."""
 
     xmin: Fraction
     xmax: Fraction
@@ -31,9 +31,7 @@ class _Viewport:
 
 
 def _viewport(s: LabeledSubdivision) -> _Viewport:
-    points = [s.cells[v].points[0] for v in s.vertices()]
-    for r in s.regions():
-        points.extend(s.cells[r].points)
+    points = [p for c in s.cells.values() for p in c.points]
     if not points:
         points = [(ZERO, ZERO)]
     xs = [p[0] for p in points]

@@ -40,8 +40,16 @@ small_rationals = st.fractions(
 
 
 @st.composite
-def valuations(draw, max_bundles: int = 8, coord: int = 4, max_value: int = 50):
-    """Random 2-good valuations containing the zero bundle."""
+def valuations(
+    draw, max_bundles: int = 8, coord: int = 4, max_value: int = 50, rational: bool = False
+):
+    """Random 2-good valuations containing the zero bundle; with ``rational``
+    the values are fractions as well as integers."""
+    values = (
+        st.fractions(min_value=0, max_value=max_value, max_denominator=6)
+        if rational
+        else st.integers(0, max_value)
+    )
     extra = draw(
         st.lists(
             st.tuples(st.integers(0, coord), st.integers(0, coord)),
@@ -52,7 +60,7 @@ def valuations(draw, max_bundles: int = 8, coord: int = 4, max_value: int = 50):
     entries = {(0, 0): Fraction(0)}
     for bundle in extra:
         if bundle != (0, 0):
-            entries[bundle] = Fraction(draw(st.integers(0, max_value)))
+            entries[bundle] = Fraction(draw(values))
     return Valuation(goods=2, entries=entries)
 
 

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import jsonschema
@@ -147,6 +148,28 @@ def test_dualize_single_bundle(tmp_path):
     assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert len(doc["pieces"]) == 1
+
+
+def test_dualize_lower_dimensional_three_good_sets(tmp_path):
+    # A point, four coplanar bundles and two collinear ones: the domain is
+    # the equations of the affine hull plus the hull within it.
+    for bundles in (
+        [(0, 0, 0)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+        [(0, 0, 0), (1, 1, 1)],
+    ):
+        payload = {
+            "goods": 3,
+            "entries": [{"bundle": list(q), "value": str(i)} for i, q in enumerate(bundles)],
+        }
+        infile = write(tmp_path, "v.json", payload)
+        out = tmp_path / "dual.json"
+        assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        validate(doc, "polyhedral_function.schema.json")
+        domain = serialize.function_from_dict(doc).domain
+        assert all(domain.contains(q) for q in bundles)
+        assert len(domain.halfspaces) == 6
 
 
 def test_dualize_builds_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
@@ -382,6 +405,44 @@ def test_complex_price_over_bundle_cap(tmp_path, capsys):
     assert cli.main(["complex", "--in", infile, "--which", "price"]) == cli.EXIT_CAP
     err = capsys.readouterr().err
     assert "price complex" in err and "64" in err
+
+
+def test_complex_demand_over_bundle_cap(tmp_path, capsys):
+    # The demand complex is the dual of the price complex, so the price
+    # complex's cap refuses it.
+    bundles = [(i, j) for i in range(9) for j in range(9)][:65]
+    payload = {
+        "goods": 2,
+        "entries": [{"bundle": list(q), "value": str(i)} for i, q in enumerate(bundles)],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    assert cli.main(["complex", "--in", infile, "--which", "demand"]) == cli.EXIT_CAP
+    assert "price complex: 65 bundles exceed the cap of 64" in capsys.readouterr().err
+
+
+def test_complex_svg_lines_lie_in_the_viewbox(tmp_path):
+    # The collinear valuation's price complex is two full lines, x = 50 and
+    # x = 100; the viewport must contain them as well as every 0-cell.
+    collinear = {
+        "goods": 2,
+        "entries": [
+            {"bundle": [0, 0], "value": "0"},
+            {"bundle": [1, 0], "value": "100"},
+            {"bundle": [2, 0], "value": "150"},
+        ],
+    }
+    for payload, which in ((FIVE_BUNDLE, "price"), (FIVE_BUNDLE, "demand"), (collinear, "price")):
+        infile = write(tmp_path, "v.json", payload)
+        svg = tmp_path / "c.svg"
+        args = ["complex", "--in", infile, "--which", which, "--out", str(tmp_path / "c.json")]
+        assert cli.main([*args, "--svg", str(svg)]) == 0
+        text = svg.read_text()
+        width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', text).groups())
+        lines = re.findall(r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)"', text)
+        assert lines
+        for x1, y1, x2, y2 in lines:
+            for x, y in ((x1, y1), (x2, y2)):
+                assert 0 <= float(x) <= width and 0 <= float(y) <= height
 
 
 def test_cyclemono_golden(tmp_path):

@@ -13,14 +13,23 @@ from tropical_demand import (
     canonical_form,
     check_balancing,
     check_normal_labeling,
+    convex_hull_halfspaces,
     demand,
     demand_complex,
+    dualize,
     dualize_complex,
     indirect_utility,
     price_complex,
 )
 from tropical_demand.complexes import Cell, LabeledSubdivision, edge_direction
-from tropical_demand.exactmath import dot, lattice_length, vsub
+from tropical_demand.exactmath import (
+    cross2,
+    dot,
+    independent_directions,
+    ivec_to_vec,
+    lattice_length,
+    vsub,
+)
 
 from conftest import make_valuation, price_vectors, valuations
 
@@ -166,6 +175,17 @@ def test_demand_complex_single_bundle():
     assert s.cells[s.vertices()[0]].points == ((F(0), F(0)),)
 
 
+def test_demand_complex_domain_is_the_bundle_hull():
+    # (1,1) lies on the hull edge from (0,0) to (2,2) and is demanded on no
+    # region.  The hull of the region labels alone, the dual's own domain,
+    # lists the same rows in another order.
+    v = make_valuation({(0, 0): 0, (1, 1): 0, (2, 0): 0, (2, 2): 0})
+    bundles = [ivec_to_vec(q) for q in v.bundles()]
+    dc = demand_complex(v)
+    assert dc.domain == convex_hull_halfspaces(bundles, 2)
+    assert dc.domain != dualize_complex(price_complex(v)).domain
+
+
 def test_demand_complex_is_normally_labeled(five_bundle_valuation):
     ok, violations = check_normal_labeling(demand_complex(five_bundle_valuation))
     assert ok and not violations
@@ -215,12 +235,6 @@ def test_balancing_catches_tampered_weight(five_bundle_valuation):
 # ---------------------------------------------------------------------------
 # duality
 # ---------------------------------------------------------------------------
-
-
-def test_dualize_price_complex_equals_demand_complex(five_bundle_valuation):
-    pc = price_complex(five_bundle_valuation)
-    dc = demand_complex(five_bundle_valuation)
-    assert canonical_form(dualize_complex(pc)) == canonical_form(dc)
 
 
 def test_dualize_complex_is_an_involution(five_bundle_valuation):
@@ -370,14 +384,33 @@ def test_random_demand_complexes_are_balanced(v):
     assert check_balancing(s).overall
 
 
-@settings(max_examples=20, deadline=None)
-@given(valuations(max_bundles=8))
+@settings(max_examples=30, deadline=None)
+@given(valuations(max_bundles=8, rational=True))
 def test_random_price_and_demand_complexes_are_dual(v):
+    # The demand complex is built as the dual of the price complex; check it
+    # along a second route.  Its regions are the pieces of the concave dual,
+    # each region is the ccw chain, from its least point, of the extreme
+    # points of the demand set at its price, and its domain is the bundle
+    # hull.  Dualizing it again gives back the price complex.
     try:
         dc = demand_complex(v)
     except DegenerateInput:
         assume(False)  # collinear bundle sets have no 2-D dual
         return
-    pc = price_complex(v)
-    assert canonical_form(dualize_complex(pc)) == canonical_form(dc)
-    assert canonical_form(dualize_complex(dc)) == canonical_form(pc)
+    assume(len(v.entries) > 1)  # one bundle dualizes to a lone vertex
+    assert sorted(dc.region_labels.values()) == [piece.slope for piece in dualize(v).pieces]
+    for region, price in dc.region_labels.items():
+        demanded = [ivec_to_vec(q) for q in demand(v, price).bundles]
+        rows = convex_hull_halfspaces(demanded, 2).halfspaces
+        corners = {
+            q
+            for q in demanded
+            if len(independent_directions([(0, 0), *(h.normal for h in rows if h.tight_at(q))]))
+            == 2
+        }
+        chain = dc.cells[region].points
+        assert set(chain) == corners and chain[0] == min(chain)
+        turns = zip(chain, chain[1:] + chain[:1], chain[2:] + chain[:2])
+        assert all(cross2(vsub(b, a), vsub(c, b)) > 0 for a, b, c in turns)
+    assert dc.domain == convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], 2)
+    assert canonical_form(dualize_complex(dc)) == canonical_form(price_complex(v))

@@ -196,6 +196,78 @@ def test_convex_hull_halfspaces_row_order():
         (("1",), "3"),
         (("-1",), "-1/2"),
     ]
+    # A point and two segments in the plane: the equations of the affine
+    # hull, each as a pair of opposite rows, then the two ends.
+    assert _rows(convex_hull_halfspaces([(F(3, 2), 2)], 2)) == [
+        (("1", "0"), "3/2"),
+        (("-1", "0"), "-3/2"),
+        (("0", "1"), "2"),
+        (("0", "-1"), "-2"),
+    ]
+    assert _rows(convex_hull_halfspaces([(4, 2), (0, 0), (2, 1), (6, 3)], 2)) == [
+        (("-1", "2"), "0"),
+        (("1", "-2"), "0"),
+        (("2", "1"), "15"),
+        (("-2", "-1"), "0"),
+    ]
+    assert _rows(convex_hull_halfspaces([(0, 3), (0, F(1, 2)), (0, 1)], 2)) == [
+        (("-1", "0"), "0"),
+        (("1", "0"), "0"),
+        (("0", "1"), "3"),
+        (("0", "-1"), "-1/2"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "points, rows, inside",
+    [
+        (
+            [(0, 0, 0)],
+            [
+                (("1", "0", "0"), "0"),
+                (("-1", "0", "0"), "0"),
+                (("0", "1", "0"), "0"),
+                (("0", "-1", "0"), "0"),
+                (("0", "0", "1"), "0"),
+                (("0", "0", "-1"), "0"),
+            ],
+            lambda x: x == (0, 0, 0),
+        ),
+        (
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+            [
+                (("0", "0", "-1"), "0"),
+                (("0", "0", "1"), "0"),
+                (("0", "-1", "0"), "0"),
+                (("-1", "0", "0"), "0"),
+                (("1", "0", "0"), "1"),
+                (("0", "1", "0"), "1"),
+            ],
+            lambda x: x[2] == 0 and 0 <= x[0] <= 1 and 0 <= x[1] <= 1,
+        ),
+        (
+            [(0, 0, 0), (1, 1, 1)],
+            [
+                (("0", "1", "-1"), "0"),
+                (("0", "-1", "1"), "0"),
+                (("-1", "0", "1"), "0"),
+                (("1", "0", "-1"), "0"),
+                (("1", "1", "1"), "3"),
+                (("-1", "-1", "-1"), "0"),
+            ],
+            lambda x: x[0] == x[1] == x[2] and 0 <= x[0] <= 1,
+        ),
+    ],
+    ids=["point", "coplanar", "collinear"],
+)
+def test_convex_hull_halfspaces_of_lower_dimensional_sets_in_3d(points, rows, inside):
+    # The equations of the affine hull come first, as pairs of opposite
+    # rows, then the hull within it; together they cut out exactly the hull.
+    hull = convex_hull_halfspaces(points, 3)
+    assert _rows(hull) == rows
+    grid = [tuple(F(c, 2) for c in x) for x in itertools.product(range(-2, 5), repeat=3)]
+    for x in grid:
+        assert hull.contains(x) == inside(x), x
 
 
 # ---------------------------------------------------------------------------

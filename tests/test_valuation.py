@@ -86,6 +86,23 @@ def test_dualize_single_bundle():
     assert dual.evaluate((F(0), F(0))) == 0
 
 
+@settings(max_examples=25, deadline=None)
+@given(valuations(rational=True))
+def test_dualize_with_a_zero_third_good_pads_the_two_good_dual(v):
+    # Bundles with q3 = 0 span at most a plane in R^3: the dual is the
+    # 2-good dual with slopes and rows padded by zeros, plus x3 = 0 as the
+    # pair of rows x3 <= 0 and -x3 <= 0.
+    flat = Valuation(3, {(*q, 0): u for q, u in v.entries.items()})
+    two, three = dualize(v), dualize(flat)
+    assert [((*p.slope, 0), p.intercept) for p in two.pieces] == [
+        (p.slope, p.intercept) for p in three.pieces
+    ]
+    padded = {((*h.normal, 0), h.offset) for h in two.domain.halfspaces}
+    padded |= {((0, 0, 1), 0), ((0, 0, -1), 0)}
+    assert {(h.normal, h.offset) for h in three.domain.halfspaces} == padded
+    assert len(three.domain.halfspaces) == len(padded)
+
+
 def test_inverse_demand_region_center_bundle(five_bundle_valuation):
     region = inverse_demand_region(five_bundle_valuation, (1, 1))
     out = polygon_from_halfspaces(region)
