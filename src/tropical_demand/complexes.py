@@ -62,7 +62,9 @@ class Cell:
     dim 1: segment (two points), ray (point + direction), or full line
            (anchor point + both directions).
     dim 2: ccw vertex chain plus up to two recession rays; a chain with no
-           points and no rays is the whole plane.
+           points and no rays is the whole plane, and one with rays but no
+           points is a strip or a half-plane (the latter lies to the left
+           of its first ray).
     incident lists the ids of the cell's boundary cells.
     """
 
@@ -182,13 +184,25 @@ def _edge_geometry(edge: PolygonEdge) -> tuple[tuple[Vec, ...], tuple[IVec, ...]
     return (anchor,), tuple(sorted((d, back)))
 
 
-def _region_representative(cell: Cell) -> Vec | None:
-    """A point inside the region (exact for convex chains), None if unknown."""
+def _region_representative(s: LabeledSubdivision, region_id: int) -> Vec | None:
+    """A point inside the region (exact for convex chains), None if unknown.
+
+    A region with corners steps their average along its rays.  A region
+    with rays but no corners is cut out by parallel line edges: a strip
+    gives the midpoint of its two lines' anchors, and a half-plane its
+    line's anchor stepped to the left of its first ray.
+    """
+    cell = s.cells[region_id]
     if cell.dim != 2:
         return None
     if not cell.points and not cell.rays:
         return (ZERO, ZERO)  # whole plane
     if not cell.points:
+        anchors = [s.cells[e].points[0] for e in cell.incident if _edge_kind(s.cells[e]) == "line"]
+        if len(anchors) == 2:
+            return tuple((a + b) / 2 for a, b in zip(*anchors))
+        if len(anchors) == 1:
+            return tuple(a + c for a, c in zip(anchors[0], rot90ccw(cell.rays[0])))
         return None
     k = Fraction(len(cell.points))
     avg = tuple(sum(p[i] for p in cell.points) / k for i in range(2))
@@ -391,8 +405,8 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
                 LabelingViolation(edge_id, "normal is not perpendicular to the facet")
             )
             continue
-        rep_from = _region_representative(s.cells[fd.from_region])
-        rep_to = _region_representative(s.cells[fd.to_region])
+        rep_from = _region_representative(s, fd.from_region)
+        rep_to = _region_representative(s, fd.to_region)
         if rep_from is not None and rep_to is not None:
             side = dot(fd.normal, vsub(rep_to, rep_from))
             if side < 0:

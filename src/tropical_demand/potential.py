@@ -14,8 +14,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+
 from .complexes import LabeledSubdivision, edge_direction
-from .errors import DegenerateInput, DomainError, NonConservative
+from .errors import DegenerateInput, DomainError, InstanceTooLarge, NonConservative
 from .exactmath import Vec, ZERO, dot, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
@@ -223,6 +225,15 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
+MAX_SAMPLE_PAIRS = 256
+
+
+def _scaled_to_ints(vectors: list[Vec]) -> list[tuple[int, ...]]:
+    """The vectors times the lcm of all their denominators, as exact ints."""
+    scale = lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
+
+
 def check_cyclic_monotonicity(
     data: CorrespondenceSample, direction: str = "demand"
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -234,31 +245,54 @@ def check_cyclic_monotonicity(
     w(i -> j) = q_i . (p_j - p_i).  The inverse direction swaps the roles
     of prices and bundles.  Detection is exact Bellman-Ford; the witness is
     a violating cycle as a tuple of sample indices.
+
+    The weights form one k x k integer matrix, built before the relaxation:
+    the weighted vectors (q in the demand direction) are scaled to integers
+    by the lcm of their denominators, the others by theirs, and
+    W[i][j] = a_i . b_j - a_i . b_i.  Scaling multiplies every weight by the
+    same positive constant, so every comparison, the relaxation order, the
+    verdict and the witness are those of the rational weights.  Samples of
+    more than MAX_SAMPLE_PAIRS pairs raise :class:`InstanceTooLarge` before
+    the matrix is built.
     """
     if direction not in ("demand", "inverse"):
         raise DegenerateInput(f"unknown direction {direction!r}")
     pairs = data.pairs
     k = len(pairs)
+    if k > MAX_SAMPLE_PAIRS:
+        raise InstanceTooLarge(
+            f"cyclic monotonicity: {k} pairs exceed the cap of {MAX_SAMPLE_PAIRS}"
+        )
     if k == 1:
         return True, None
 
-    def weight(i: int, j: int) -> Fraction:
-        pi, qi = pairs[i]
-        pj, qj = pairs[j]
-        if direction == "demand":
-            return dot(qi, vsub(pj, pi))
-        return dot(pi, vsub(qj, qi))
+    prices = [p for p, _ in pairs]
+    bundles = [q for _, q in pairs]
+    a_vecs, b_vecs = (bundles, prices) if direction == "demand" else (prices, bundles)
+    if len(a_vecs[0]) != len(b_vecs[0]):
+        raise DegenerateInput(
+            f"dimension mismatch: {len(a_vecs[0])} vs {len(b_vecs[0])}"
+        )
+    a = _scaled_to_ints(a_vecs)
+    b = _scaled_to_ints(b_vecs)
+    weights: list[list[int]] = []
+    for ai, bi in zip(a, b):
+        own = sum(x * y for x, y in zip(ai, bi))
+        weights.append([sum(x * y for x, y in zip(ai, bj)) - own for bj in b])
 
-    dist = [ZERO for _ in range(k)]
-    pred: list[int | None] = [None for _ in range(k)]
+    dist = [0] * k
+    pred: list[int | None] = [None] * k
     witness_node = None
     for round_ in range(k):
         changed = False
         for i in range(k):
+            # j == i is skipped, so dist[i] is fixed while its row relaxes.
+            dist_i = dist[i]
+            row = weights[i]
             for j in range(k):
                 if i == j:
                     continue
-                candidate = dist[i] + weight(i, j)
+                candidate = dist_i + row[j]
                 if candidate < dist[j]:
                     dist[j] = candidate
                     pred[j] = i

@@ -110,7 +110,7 @@ def render_subdivision(s: LabeledSubdivision) -> str:
         )
 
     for region_id in s.regions():
-        rep = _region_representative(s.cells[region_id])
+        rep = _region_representative(s, region_id)
         if rep is None:
             continue
         x, y = mapper.to_px(rep)

@@ -489,6 +489,56 @@ def test_cyclemono_accepts_bare_pair_list(tmp_path):
     assert cli.main(["cyclemono", "--in", infile]) == 1
 
 
+# Violating samples whose witnesses are longer than two pairs, with the
+# witness order each direction reports.  The three integer pairs violate no
+# 2-cycle inequality, only the 3-cycle ones; the seven rational pairs have
+# denominators 2, 3 and 97.
+CYCLEMONO_GOLDENS = [
+    (
+        [(("5", "2"), ("3", "1")), (("8", "0"), ("3", "3")), (("5", "6"), ("0", "1"))],
+        {"demand": [0, 2, 1], "inverse": [0, 1, 2]},
+    ),
+    (
+        [
+            (("19/3", "154/97"), ("197/97", "0")),
+            (("9/2", "0"), ("1", "2")),
+            (("5/3", "55/97"), ("286/97", "167/97")),
+            (("8", "729/97"), ("0", "3")),
+            (("556/97", "8/97"), ("1", "3")),
+            (("402/97", "9"), ("0", "1")),
+            (("2", "9"), ("99/97", "4/3")),
+        ],
+        {"demand": [0, 6, 5, 3], "inverse": [1, 4, 3, 5]},
+    ),
+]
+
+
+def test_cyclemono_witness_goldens(tmp_path):
+    for pairs, witnesses in CYCLEMONO_GOLDENS:
+        payload = {"pairs": [{"p": list(p), "q": list(q)} for p, q in pairs]}
+        infile = write(tmp_path, "s.json", payload)
+        for direction, witness in witnesses.items():
+            out = tmp_path / f"{direction}.json"
+            args = ["cyclemono", "--in", infile, "--out", str(out), "--direction", direction]
+            assert cli.main(args) == 1
+            assert json.loads(out.read_text()) == {
+                "cyclically_monotone": False,
+                "direction": direction,
+                "witness_cycle": witness,
+            }
+
+
+def test_cyclemono_over_pair_cap(tmp_path, capsys):
+    from tropical_demand.potential import MAX_SAMPLE_PAIRS
+
+    n = MAX_SAMPLE_PAIRS + 1
+    payload = {"pairs": [{"p": [str(i)], "q": [str(i)]} for i in range(n)]}
+    infile = write(tmp_path, "s.json", payload)
+    assert cli.main(["cyclemono", "--in", infile]) == cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert f"cyclic monotonicity: {n} pairs exceed the cap of {MAX_SAMPLE_PAIRS}" in err
+
+
 def test_byte_determinism(tmp_path):
     infile = write(tmp_path, "v.json", FIVE_BUNDLE)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -21,7 +21,12 @@ from tropical_demand import (
     indirect_utility,
     price_complex,
 )
-from tropical_demand.complexes import Cell, LabeledSubdivision, edge_direction
+from tropical_demand.complexes import (
+    Cell,
+    LabeledSubdivision,
+    LabelingViolation,
+    edge_direction,
+)
 from tropical_demand.exactmath import (
     cross2,
     dot,
@@ -336,6 +341,43 @@ def test_dualize_complex_rejects_a_boundary_line():
     )
     with pytest.raises(DegenerateInput, match="line edges"):
         dualize_complex(s)
+
+
+# The collinear valuation's price complex is cut by the lines x = 50 and
+# x = 100 into two half-planes and a strip, none of which has a corner.
+COLLINEAR = {(0, 0): 0, (1, 0): 100, (2, 0): 150}
+
+
+def test_every_cornerless_region_of_an_svg_is_labeled():
+    import re
+
+    from tropical_demand.svg import render_subdivision
+
+    s = price_complex(make_valuation(COLLINEAR))
+    assert all(not s.cells[r].points and s.cells[r].rays for r in s.regions())
+    labels = re.findall(r'font-size="13"[^>]*>(\([^<]*\))</text>', render_subdivision(s))
+    assert sorted(labels) == ["(0,0)", "(1,0)", "(2,0)"]
+
+
+def test_normal_labeling_catches_flipped_normals_between_cornerless_regions():
+    # Swap the labels of the two half-planes and flip every facet normal:
+    # each label difference still factors as weight * normal, but every
+    # normal now points from 'to' into 'from', which only interior points
+    # of the regions can tell.
+    s = price_complex(make_valuation(COLLINEAR))
+    assert check_normal_labeling(s) == (True, [])
+    low, high = (region_by_label(s, label) for label in ((0, 0), (2, 0)))
+    labels = {**s.region_labels, low: s.region_labels[high], high: s.region_labels[low]}
+    flipped = {
+        e: dataclasses.replace(fd, normal=tuple(-c for c in fd.normal))
+        for e, fd in s.facet_data.items()
+    }
+    tampered = dataclasses.replace(s, region_labels=labels, facet_data=flipped)
+    ok, violations = check_normal_labeling(tampered)
+    assert not ok
+    assert violations == [
+        LabelingViolation(e, "normal points from 'to' into 'from'") for e in sorted(flipped)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from tropical_demand import (
     CorrespondenceSample,
     DegenerateInput,
     DomainError,
+    InstanceTooLarge,
     NonConservative,
     Polyline,
     check_cyclic_monotonicity,
@@ -21,6 +22,9 @@ from tropical_demand import (
     path_integral,
     price_complex,
 )
+
+from tropical_demand.exactmath import ZERO, dot, vsub
+from tropical_demand.potential import MAX_SAMPLE_PAIRS
 
 from conftest import make_valuation, price_vectors, valuations
 
@@ -235,3 +239,179 @@ def test_cyclic_monotonicity_is_selection_invariant(v, prices, rng):
         pairs.append((p, tuple(F(c) for c in q)))
     ok, _ = check_cyclic_monotonicity(CorrespondenceSample(pairs=tuple(pairs)))
     assert ok
+
+
+def test_dimension_mismatch_rejected_in_both_directions():
+    sample = CorrespondenceSample(pairs=((vec(0, 1), vec(2)), (vec(1, 0), vec(3))))
+    with pytest.raises(DegenerateInput, match="dimension mismatch: 1 vs 2"):
+        check_cyclic_monotonicity(sample, "demand")
+    with pytest.raises(DegenerateInput, match="dimension mismatch: 2 vs 1"):
+        check_cyclic_monotonicity(sample, "inverse")
+
+
+def test_sample_over_the_pair_cap_is_refused():
+    pairs = tuple((vec(i), vec(i)) for i in range(MAX_SAMPLE_PAIRS + 1))
+    with pytest.raises(InstanceTooLarge) as err:
+        check_cyclic_monotonicity(CorrespondenceSample(pairs=pairs))
+    assert str(err.value) == (
+        f"cyclic monotonicity: {MAX_SAMPLE_PAIRS + 1} pairs exceed the cap of {MAX_SAMPLE_PAIRS}"
+    )
+
+
+# ---------------------------------------------------------------------------
+# cyclic monotonicity: a rational Bellman-Ford oracle and an assignment route
+# ---------------------------------------------------------------------------
+
+
+def _arc_weight(pairs, direction, i, j):
+    pi, qi = pairs[i]
+    pj, qj = pairs[j]
+    if direction == "demand":
+        return dot(qi, vsub(pj, pi))
+    return dot(pi, vsub(qj, qi))
+
+
+def _fraction_bellman_ford(pairs, direction):
+    """Bellman-Ford over rational weights built per relaxation: the same
+    relaxation order and witness walk as the integer-matrix version."""
+    k = len(pairs)
+    if k == 1:
+        return True, None
+    dist = [ZERO for _ in range(k)]
+    pred = [None for _ in range(k)]
+    witness_node = None
+    for round_ in range(k):
+        changed = False
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    continue
+                candidate = dist[i] + _arc_weight(pairs, direction, i, j)
+                if candidate < dist[j]:
+                    dist[j] = candidate
+                    pred[j] = i
+                    changed = True
+                    if round_ == k - 1:
+                        witness_node = j
+        if not changed:
+            return True, None
+    if witness_node is None:
+        return True, None
+    node = witness_node
+    for _ in range(k):
+        node = pred[node]
+    cycle = [node]
+    cursor = pred[node]
+    while cursor != node:
+        cycle.append(cursor)
+        cursor = pred[cursor]
+    cycle.reverse()
+    start = cycle.index(min(cycle))
+    return False, tuple(cycle[start:] + cycle[:start])
+
+
+def _min_assignment_cost(cost):
+    """Exact Hungarian algorithm (shortest augmenting paths with row and
+    column potentials): the least total cost of a permutation."""
+    n = len(cost)
+    u = [ZERO] * (n + 1)
+    v = [ZERO] * (n + 1)
+    row_of = [0] * (n + 1)  # row_of[j]: the row matched to column j, 0 if none
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        row_of[0] = i
+        j0 = 0
+        minv = [None] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = row_of[j0]
+            delta, j1 = None, None
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                reduced = cost[i0 - 1][j - 1] - u[i0] - v[j]
+                if minv[j] is None or reduced < minv[j]:
+                    minv[j] = reduced
+                    way[j] = j0
+                if delta is None or minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if row_of[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return sum((cost[row_of[j] - 1][j - 1] for j in range(1, n + 1)), ZERO)
+
+
+def test_hungarian_solver_matches_brute_force():
+    import itertools
+    import random
+
+    rng = random.Random(5)
+    for n in range(1, 6):
+        for _ in range(20):
+            cost = [[F(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(n)]
+            best = min(
+                sum((cost[i][s[i]] for i in range(n)), ZERO)
+                for s in itertools.permutations(range(n))
+            )
+            assert _min_assignment_cost(cost) == best
+
+
+def _rationals():
+    return st.builds(F, st.integers(-30, 30), st.sampled_from((1, 2, 3, 6, 97)))
+
+
+@st.composite
+def correspondence_samples(draw, max_pairs=12):
+    """1-3 goods, rational prices drawn from a pool (so prices repeat), and
+    bundles that are free rationals or zero, or else the affine decreasing
+    map q = c - p, which is cyclically monotone in both directions."""
+    goods = draw(st.integers(1, 3))
+    vectors = st.tuples(*[_rationals()] * goods)
+    k = draw(st.integers(1, max_pairs))
+    pool = draw(st.lists(vectors, min_size=1, max_size=k))
+    prices = [draw(st.sampled_from(pool)) for _ in range(k)]
+    if draw(st.booleans()):
+        c = draw(vectors)
+        bundles = [vsub(c, p) for p in prices]
+    else:
+        zero = tuple(ZERO for _ in range(goods))
+        bundles = [draw(st.one_of(st.just(zero), vectors)) for _ in range(k)]
+    return CorrespondenceSample(pairs=tuple(zip(prices, bundles)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(correspondence_samples())
+def test_integer_matrix_matches_the_fraction_oracle(sample):
+    for direction in ("demand", "inverse"):
+        assert check_cyclic_monotonicity(sample, direction) == _fraction_bellman_ford(
+            sample.pairs, direction
+        )
+
+
+@settings(max_examples=100, deadline=None)
+@given(correspondence_samples(max_pairs=8))
+def test_monotone_iff_identity_is_an_optimal_assignment(sample):
+    # Every permutation is a product of cycles, so the cycle inequalities
+    # hold iff no permutation s lowers sum_i a_i . b_s(i) below the identity's.
+    pairs = sample.pairs
+    k = len(pairs)
+    for direction in ("demand", "inverse"):
+        a, b = zip(*((q, p) if direction == "demand" else (p, q) for p, q in pairs))
+        cost = [[dot(a[i], b[j]) for j in range(k)] for i in range(k)]
+        identity = sum((cost[i][i] for i in range(k)), ZERO)
+        ok, witness = check_cyclic_monotonicity(sample, direction)
+        assert ok == (_min_assignment_cost(cost) == identity)
+        if not ok:
+            arcs = zip(witness, witness[1:] + witness[:1])
+            assert sum((_arc_weight(pairs, direction, i, j) for i, j in arcs), ZERO) < 0
