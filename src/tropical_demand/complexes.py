@@ -25,7 +25,6 @@ from typing import Sequence
 
 from .errors import (
     DegenerateInput,
-    InstanceTooLarge,
     NonConservative,
     UnsupportedDimension,
 )
@@ -45,11 +44,10 @@ from .exactmath import (
 )
 from .polyhedra import (
     HPolyhedron,
-    MAX_HULL_POINTS,
     Polygon2,
     PolygonEdge,
+    check_hull_cap,
     convex_hull_halfspaces,
-    halfplane_intersection,
 )
 from .valuation import Valuation, indirect_utility
 
@@ -311,8 +309,8 @@ def _assemble(
 def price_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of price space into regions of constant demand.
 
-    Each region and its edges come from one half-plane intersection of a
-    piece's ``active_region`` in the indirect utility, and the region is
+    Each region and its edges come from ``active_polygons`` of the indirect
+    utility, one half-plane intersection per piece, and the region is
     labeled by the piece's bundle.  An edge of region k lies on the tie line
     of every piece its rows come from; two pieces tied with k along one line
     differ by a multiple of its equation, so exactly one kept piece l lies
@@ -324,18 +322,10 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
-    if len(v.entries) > MAX_HULL_POINTS:
-        raise InstanceTooLarge(
-            f"price complex: {len(v.entries)} bundles exceed the cap of {MAX_HULL_POINTS}"
-        )
+    check_hull_cap("price complex", len(v.entries))
     f = indirect_utility(v)
     labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
-    regions: dict[int, tuple[Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]] = {}
-    for k in range(len(f.pieces)):
-        active = f.active_region(k)
-        region = halfplane_intersection(active[0]) if active is not None else None
-        if region is not None:
-            regions[k] = (*region, active[1])
+    regions = {k: (polygon, edges, tied) for k, polygon, edges, tied in f.active_polygons()}
 
     edges: list[_EdgeDraft] = []
     for k, (_, region_edges, tied) in regions.items():

@@ -9,18 +9,23 @@ is a pure function on immutable inputs.
 normals with exact cross products and walks them once with a deque.  In one
 pass it decides whether the intersection has interior and, if so, returns
 its polygon (vertex chain plus recession rays, no bounding box) together with
-the half-planes that support each edge.  The 2-D complexes build every
-region with it; the simplex remains for the market and for n-good regions.
+the half-planes that support each edge.  Its offsets are scaled once by the
+lcm of their denominators, so each test in the walk is the sign of one
+integer expression; only the final vertices are Fractions.  The 2-D
+complexes build every region with it, the 2-good concave dual reads its
+pieces off their vertices, and 2-D essential pieces are the regions it
+finds; the simplex remains for the market and for n-good regions.
 The market solves its epigraph LP once: ``simplex_solve`` keeps the final
 phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
 face off it with warm-started Bland pivots instead of solving new LPs.
 
-The upper concave hull of lifted points and the convex hull of the bundles
-share one facet walk, ``_facets``: every m-subset of lattice points in R^m
-spans a candidate hyperplane whose normal is the vector of integer cofactors
-of its difference vectors, kept when all points lie on one side.  Rational
-values and points are first scaled by the lcm of their denominators, so
-every test is an integer determinant.
+The upper concave hull of lifted points (the dual of 1-good, collinear and
+3-good valuations, and the test oracle for 2 goods) and the convex hull of
+the bundles share one facet walk, ``_facets``: every m-subset of lattice
+points in R^m spans a candidate hyperplane whose normal is the vector of
+integer cofactors of its difference vectors, kept when all points lie on
+one side.  Rational values and points are first scaled by the lcm of their
+denominators, so every test is an integer determinant.
 """
 
 from __future__ import annotations
@@ -449,19 +454,30 @@ def _cross(p, q):
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _meet(p, q) -> Vec:
-    """Intersection point of the boundary lines of two non-parallel rows."""
+def _meet(p, q, scale: int) -> Vec:
+    """Intersection point of the boundary lines of two non-parallel rows
+    whose integer offsets are ``scale`` times the true ones."""
+    det = _cross(p, q) * scale
+    return (
+        Fraction(p[2] * q[1] - q[2] * p[1], det),
+        Fraction(p[0] * q[2] - q[0] * p[2], det),
+    )
+
+
+def _excess_sign(row, p, q) -> int:
+    """An int with the sign of ``row``'s excess at the meet of ``p`` and
+    ``q``: positive outside the row's half-plane, zero on its line.  The
+    meet is (X, Y) / det, so the excess is (a*X + b*Y - c*det) / det, an
+    integer over det when the three offsets share one scale."""
     det = _cross(p, q)
-    return ((p[2] * q[1] - q[2] * p[1]) / det, (p[0] * q[2] - q[0] * p[2]) / det)
-
-
-def _excess(row, x: Vec) -> Fraction:
-    """Positive outside the row's half-plane, zero on its line."""
-    return row[0] * x[0] + row[1] * x[1] - row[2]
+    x = p[2] * q[1] - q[2] * p[1]
+    y = p[0] * q[2] - q[0] * p[2]
+    num = row[0] * x + row[1] * y - row[2] * det
+    return num if det > 0 else -num
 
 
 def _line(row) -> HalfSpace:
-    return HalfSpace((Fraction(row[0]), Fraction(row[1])), row[2])
+    return HalfSpace((Fraction(row[0]), Fraction(row[1])), row[4])
 
 
 _BY_ANGLE = functools.cmp_to_key(lambda p, q: ccw_compare(p[:2], q[:2]))
@@ -474,24 +490,35 @@ def halfplane_intersection(
     (empty, a point, a segment, a ray or a line).
 
     Rows are scaled to primitive integer normals, and of the rows sharing a
-    normal only the tightest are kept.  The rest are sorted by the angle of
-    their normals, with exact cross products, and walked once with a deque.
-    The walk starts after a gap of at least pi between consecutive normals
-    when there is one, which makes the region unbounded.  While the walked
-    normals span at most pi, the deque is a chain whose two ends run to
-    infinity.  The first row turning more than pi from the front closes it
-    into a bounded polygon; after that, a row that contains the closing
-    vertex is redundant.  Each new row pops the end vertices it does not
-    strictly contain.  When one line is left and the new row turns by pi or
-    more from it, no interior remains.
+    normal only the tightest are kept.  Their offsets are then scaled by one
+    lcm L of their denominators, so every row is (a, b, L*c) in ints.  The
+    rows are sorted by the angle of their normals, with exact cross
+    products, and walked once with a deque.  The walk starts after a gap of
+    at least pi between consecutive normals when there is one, which makes
+    the region unbounded.  While the walked normals span at most pi, the
+    deque is a chain whose two ends run to infinity.  The first row turning
+    more than pi from the front closes it into a bounded polygon; after
+    that, a row that contains the closing vertex is redundant.  Each new row
+    pops the end vertices it does not strictly contain.  When one line is
+    left and the new row turns by pi or more from it, no interior remains.
+    Every containment test is the sign of one integer expression
+    (``_excess_sign``); vertices are made into Fractions only for the final
+    deque.
 
     Returns the polygon and its edges in chain order, each edge with the
-    input rows that support it.
+    input rows that support it and its unscaled offset.
     """
     if any(len(h.normal) != 2 for h in halfspaces):
         raise UnsupportedDimension("half-plane intersection is 2-D only")
     tightest = _tightest_rows(halfspaces)
-    rows = sorted(((n[0], n[1], c, src) for n, (c, src) in tightest.items()), key=_BY_ANGLE)
+    scale = lcm(*(c.denominator for c, _ in tightest.values()))
+    rows = sorted(
+        (
+            (n[0], n[1], c.numerator * (scale // c.denominator), src, c)
+            for n, (c, src) in tightest.items()
+        ),
+        key=_BY_ANGLE,
+    )
     m = len(rows)
     if m == 0:
         return Polygon2((), (), "plane"), ()
@@ -509,11 +536,11 @@ def halfplane_intersection(
     dq: deque = deque()
     closed = False
     for row in rows[gap + 1 :] + rows[: gap + 1]:
-        if closed and _excess(row, _meet(dq[-1], dq[0])) <= 0:
+        if closed and _excess_sign(row, dq[-1], dq[0]) <= 0:
             continue
-        while len(dq) >= 2 and _excess(row, _meet(dq[-2], dq[-1])) >= 0:
+        while len(dq) >= 2 and _excess_sign(row, dq[-2], dq[-1]) >= 0:
             dq.pop()
-        while len(dq) >= 2 and _excess(row, _meet(dq[0], dq[1])) >= 0:
+        while len(dq) >= 2 and _excess_sign(row, dq[0], dq[1]) >= 0:
             dq.popleft()
         if dq:
             turn = _cross(dq[0], row)
@@ -524,13 +551,13 @@ def halfplane_intersection(
 
     lines = list(dq)
     if closed:
-        starts = [_meet(lines[i - 1], lines[i]) for i in range(len(lines))]
+        starts = [_meet(lines[i - 1], lines[i], scale) for i in range(len(lines))]
         s = starts.index(min(starts))
         lines, starts = lines[s:] + lines[:s], starts[s:] + starts[:s]
         ends = starts[1:] + starts[:1]
         polygon = Polygon2(tuple(starts), (), "bounded")
     else:
-        starts = [None] + [_meet(lines[i - 1], lines[i]) for i in range(1, len(lines))]
+        starts = [None] + [_meet(lines[i - 1], lines[i], scale) for i in range(1, len(lines))]
         ends = starts[1:] + [None]
         first, last = lines[0], lines[-1]
         rays = ((first[1], -first[0]), (-last[1], last[0]))
@@ -562,6 +589,12 @@ def polygon_from_halfspaces(poly: HPolyhedron) -> Polygon2:
 # ---------------------------------------------------------------------------
 
 MAX_HULL_POINTS = 64
+
+
+def check_hull_cap(stage: str, count: int) -> None:
+    """Refuse more than MAX_HULL_POINTS bundles, naming the stage."""
+    if count > MAX_HULL_POINTS:
+        raise InstanceTooLarge(f"{stage}: {count} bundles exceed the cap of {MAX_HULL_POINTS}")
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:
@@ -608,10 +641,7 @@ def upper_concave_hull(
     """
     if not points:
         raise DegenerateInput("hull of no points")
-    if len(points) > MAX_HULL_POINTS:
-        raise InstanceTooLarge(
-            f"upper concave hull: {len(points)} bundles exceed the cap of {MAX_HULL_POINTS}"
-        )
+    check_hull_cap("upper concave hull", len(points))
     bundles = [q for q, _ in points]
     values = [Fraction(v) for _, v in points]
     n = len(bundles[0])

@@ -10,16 +10,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateInput, EmptyCell, UnknownBundle, ValidationError
-from .exactmath import IVec, dot, ivec_to_vec, vsub
+from .exactmath import IVec, dot, independent_directions, ivec_to_vec, vsub
 from .polyhedra import (
     AffinePiece,
     HPolyhedron,
     HalfSpace,
+    Polygon2,
+    PolygonEdge,
+    check_hull_cap,
     convex_hull_halfspaces,
     feasible_point,
+    halfplane_intersection,
     interior_point,
     reduce,
     upper_concave_hull,
@@ -107,6 +111,19 @@ class PolyhedralFunction:
             tied.append(j)
         return (*rows, *self.domain.halfspaces), tuple(tied)
 
+    def active_polygons(
+        self,
+    ) -> Iterator[tuple[int, Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]]:
+        """In piece order, each piece k whose active set has interior, with its
+        polygon and edges from one half-plane intersection of
+        ``active_region(k)`` and the pieces tied with k along its rows.
+        2-D only."""
+        for k in range(len(self.pieces)):
+            active = self.active_region(k)
+            region = halfplane_intersection(active[0]) if active is not None else None
+            if region is not None:
+                yield (k, *region, active[1])
+
 
 @dataclass(frozen=True)
 class DemandSet:
@@ -151,11 +168,32 @@ def dualize(v: Valuation) -> PolyhedralFunction:
     """The lowest concave function above the lifted bundle values.
 
     Min-of-affine on the convex hull of the bundles; the slopes of the
-    pieces are the prices at which demand is maximally multi-valued.
+    pieces are the prices at which demand is maximally multi-valued.  For 2
+    goods with affinely full-dimensional bundles those prices are the 0-cells
+    of the price complex: every corner p of a piece's active polygon in the
+    indirect utility f gives the piece with slope p and intercept f(p).
+    Otherwise (1 or 3 goods, collinear bundles) the pieces come from
+    ``upper_concave_hull``.  Either way at most MAX_HULL_POINTS bundles.
     """
-    pieces, _ = upper_concave_hull([(q, u) for q, u in sorted(v.entries.items())])
+    pieces = _dual_pieces(v)
     domain = convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], v.goods)
     return PolyhedralFunction("min", tuple(pieces), domain)
+
+
+def _dual_pieces(v: Valuation) -> list[AffinePiece]:
+    """The pieces of the concave dual, sorted by (slope, intercept)."""
+    entries = sorted(v.entries.items())
+    check_hull_cap("upper concave hull", len(entries))
+    if v.goods != 2 or len(independent_directions([q for q, _ in entries])) < 2:
+        return upper_concave_hull(entries)[0]
+    f = indirect_utility(v)
+    # p lies in piece k's region, so f(p) is that piece's value there.
+    pieces = {
+        AffinePiece(slope=p, intercept=f.pieces[k].evaluate(p))
+        for k, polygon, _, _ in f.active_polygons()
+        for p in polygon.vertices
+    }
+    return sorted(pieces, key=lambda p: (p.slope, p.intercept))
 
 
 def _below_hull(v: Valuation, hull: Sequence[AffinePiece]) -> frozenset[IVec]:
@@ -165,9 +203,8 @@ def _below_hull(v: Valuation, hull: Sequence[AffinePiece]) -> frozenset[IVec]:
 
 def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:
     """Split bundles into those on the concave hull and those strictly below
-    (never demanded at any price)."""
-    hull, _ = upper_concave_hull(sorted(v.entries.items()))
-    below = _below_hull(v, hull)
+    (never demanded at any price), against the pieces of the dual."""
+    below = _below_hull(v, _dual_pieces(v))
     return frozenset(v.entries) - below, below
 
 
@@ -214,8 +251,12 @@ def essential_pieces(f: PolyhedralFunction) -> frozenset[AffinePiece]:
 
     Dropping the others does not change the function; this is the canonical
     piece set used when comparing polyhedral functions built along
-    different routes.
+    different routes.  In 2-D a region has interior iff its half-plane
+    intersection is not None; other dimensions solve one interior-point LP
+    per piece.
     """
+    if f.domain.dim == 2:
+        return frozenset(f.pieces[k] for k, *_ in f.active_polygons())
     keep = []
     for k, piece in enumerate(f.pieces):
         active = f.active_region(k)

@@ -172,7 +172,7 @@ def test_dualize_lower_dimensional_three_good_sets(tmp_path):
         assert len(domain.halfspaces) == 6
 
 
-def test_dualize_builds_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
+def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
     from tropical_demand import valuation
 
     calls = []
@@ -183,18 +183,25 @@ def test_dualize_builds_one_hull_and_reads_never_demanded_off_it(tmp_path, monke
         return hull(points)
 
     monkeypatch.setattr(valuation, "upper_concave_hull", counting_hull)
-    payload = {
-        "goods": 2,
-        "entries": [
-            {"bundle": list(q), "value": str(u)}
-            for q, u in {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}.items()
-        ],
-    }
-    infile = write(tmp_path, "v.json", payload)
-    out = tmp_path / "dual.json"
-    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["never_demanded"] == [[1, 1]]
-    assert calls == [5]
+    cases = [
+        # Full-dimensional 2-good bundles: the dual comes off the price
+        # complex, and no hull is lifted.
+        (2, {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}, [[1, 1]], []),
+        # Collinear 2-good bundles and 3 goods lift the hull once.
+        (2, {(0, 0): 0, (1, 1): 1, (2, 2): 10, (3, 3): 12}, [[1, 1]], [4]),
+        (3, {(0, 0, 0): 0, (2, 0, 0): 9, (0, 2, 0): 9, (2, 2, 2): 30, (1, 1, 1): 1}, [[1, 1, 1]], [5]),
+    ]
+    for goods, entries, never_demanded, hulls in cases:
+        calls.clear()
+        payload = {
+            "goods": goods,
+            "entries": [{"bundle": list(q), "value": str(u)} for q, u in entries.items()],
+        }
+        infile = write(tmp_path, "v.json", payload)
+        out = tmp_path / "dual.json"
+        assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["never_demanded"] == never_demanded
+        assert calls == hulls
 
 
 def test_dualize_duplicate_bundle_is_validation_error(tmp_path, capsys):

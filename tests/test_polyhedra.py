@@ -626,14 +626,24 @@ def test_polygon_of_segment_is_degenerate():
 
 
 @st.composite
+def rationals_over_coprime_denominators(draw, bound: int):
+    """Rationals in [-bound, bound] whose denominator divides one of 1, 2,
+    3, 5, 7, 11, 13 or 97."""
+    d = draw(st.sampled_from((1, 2, 3, 5, 7, 11, 13, 97)))
+    return F(draw(st.integers(-bound * d, bound * d)), d)
+
+
+@st.composite
 def halfplane_sets(draw):
     """Random rational half-planes, each followed by no copy, a scaled
-    duplicate, a parallel row, an anti-parallel row or its own reverse."""
-    offsets = st.fractions(min_value=-6, max_value=6, max_denominator=4)
-    shifts = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    duplicate, a parallel row, an anti-parallel row or its own reverse.
+    Offset denominators are coprime, up to 97, so the one lcm that scales
+    the offsets to ints grows large."""
+    offsets = rationals_over_coprime_denominators(6)
+    shifts = rationals_over_coprime_denominators(2)
     base = draw(
         st.lists(
-            st.tuples(st.integers(-3, 3), st.integers(-3, 3), offsets).filter(
+            st.tuples(st.integers(-9, 9), st.integers(-9, 9), offsets).filter(
                 lambda r: r[:2] != (0, 0)
             ),
             max_size=6,

@@ -23,6 +23,7 @@ from tropical_demand import (
     polygon_from_halfspaces,
 )
 from tropical_demand.exactmath import dot
+from tropical_demand.polyhedra import interior_point, upper_concave_hull
 
 from conftest import make_valuation, price_vectors, valuations
 
@@ -246,3 +247,34 @@ def test_biconjugation_on_concavified_data(v):
 @given(valuations(), st.lists(price_vectors(), min_size=2, max_size=4))
 def test_demand_is_monotone(v, prices):
     assert check_monotone(v, prices) is True
+
+
+# ---------------------------------------------------------------------------
+# two routes to the same object
+# ---------------------------------------------------------------------------
+
+any_valuations = st.one_of(
+    valuations(max_bundles=12),
+    valuations(max_bundles=12, rational=True),
+    valuations(max_bundles=12, max_value=3),  # ties
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_valuations)
+def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
+    # Full-dimensional 2-good sets read the dual off the region corners;
+    # the lifted hull's facet walk is the oracle, in the same order.
+    assert list(dualize(v).pieces) == upper_concave_hull(sorted(v.entries.items()))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_valuations)
+def test_essential_pieces_in_2d_match_the_interior_point_lp(v):
+    for f in (indirect_utility(v), dualize(v)):
+        expected = set()
+        for k, piece in enumerate(f.pieces):
+            active = f.active_region(k)
+            if active is not None and interior_point(HPolyhedron(2, active[0])) is not None:
+                expected.add(piece)
+        assert essential_pieces(f) == expected
