@@ -66,7 +66,6 @@ from .polyhedra import (
     PolygonEdge,
     convex_hull_halfspaces,
     halfplane_intersection,
-    polygon_from_halfspaces,
     reduce,
     simplex_solve,
     upper_concave_hull,

@@ -11,6 +11,7 @@ dimension, 5 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -145,42 +146,45 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dualize", help="concave dual of a valuation")
     common(p)
-    p.set_defaults(fn=cmd_dualize)
 
     p = sub.add_parser("complex", help="price or demand complex of a valuation")
     common(p)
     p.add_argument("--which", choices=("price", "demand"), required=True)
     p.add_argument("--svg", default=None, help="also render the complex to SVG")
-    p.set_defaults(fn=cmd_complex)
 
     p = sub.add_parser("balance", help="balancing check of a labeled subdivision")
     common(p)
-    p.set_defaults(fn=cmd_balance)
 
     p = sub.add_parser("integrate", help="integrate a subdivision up to its potential")
     common(p)
     p.add_argument("--anchor-region", type=int, default=None, help="region id fixing the constant")
     p.add_argument("--anchor-value", default="0", help="intercept of the anchored region's piece")
-    p.set_defaults(fn=cmd_integrate)
 
     p = sub.add_parser("equilibrium", help="duality test for Walrasian equilibrium")
     common(p)
     p.add_argument("--cap", type=int, default=10**6, help="allocation enumeration cap")
-    p.set_defaults(fn=cmd_equilibrium)
 
     p = sub.add_parser("cyclemono", help="cyclic monotonicity of sampled demand data")
     common(p)
     p.add_argument("--direction", choices=("demand", "inverse"), default="demand")
-    p.set_defaults(fn=cmd_cyclemono)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: each parse_args call returns a
+    fresh namespace, so no state carries over between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The handler is looked up by name on each call rather than stored in
+    # the cached parser, so a wrapper put on a cmd_* function later is seen.
+    handler = globals()[f"cmd_{args.command}"]
     try:
-        return args.fn(args)
+        return handler(args)
     except _ParseFailure as exc:
         return _fail(str(exc), EXIT_PARSE)
     except UnsupportedDimension as exc:

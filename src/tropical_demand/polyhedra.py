@@ -1,9 +1,18 @@
 """Exact polyhedral primitives.
 
-Half-space representations, an exact-rational two-phase simplex solver with
-Bland's anti-cycling rule, irredundancy reduction, an LP-free 2-D half-plane
+Half-space representations, an exact two-phase simplex solver with Bland's
+anti-cycling rule, irredundancy reduction, an LP-free 2-D half-plane
 intersection, and upper concave hulls of lifted lattice points.  Everything
-is a pure function on immutable inputs.
+is a pure function on immutable inputs.  Inputs and results are Fractions.
+
+The simplex runs on a tableau of ints over one positive common denominator.
+The constraint rows are scaled once by the lcm of all their denominators,
+and each pivot keeps the pivot row and divides every other row exactly by
+the old denominator (integer-preserving pivoting, as in Edmonds 1967 and
+Bareiss 1968).  Bland's rule tests only signs and compares ratios by
+cross-multiplication, so it takes the same pivots as on the rational
+tableau; only the final point and the uniqueness probes' optima become
+Fractions.
 
 ``halfplane_intersection`` sorts the half-planes by the angle of their
 normals with exact cross products and walks them once with a deque.  In one
@@ -38,7 +47,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput, EmptyCell, InstanceTooLarge, UnsupportedDimension
+from .errors import DegenerateInput, InstanceTooLarge, UnsupportedDimension
 from .exactmath import (
     IVec,
     Vec,
@@ -122,8 +131,9 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Fraction | None = None
     point: Vec | None = None
-    # Optimal solves only: the final phase-2 tableau (reduced-cost row last),
-    # its basis and the columns of each variable, for _optimum_is_unique.
+    # Optimal solves only: the final phase-2 integer tableau (reduced-cost
+    # row last), its basis, the columns of each variable and the common
+    # denominator det of the tableau, for _optimum_is_unique.
     _tableau: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -132,9 +142,8 @@ class Polygon2:
     """2-D polyhedron geometry: ccw vertex chain plus recession rays.
 
     kind is one of "bounded" (the chain starts at its lex-min vertex),
-    "unbounded" (pointed, rays at the chain ends), "plane" (no constraints),
-    "unpointed" (contains a line: rays hold the lineality directions), or
-    "degenerate" (no interior: one point of the set).
+    "unbounded" (pointed, rays at the chain ends), "plane" (no constraints)
+    or "unpointed" (contains a line: rays hold the lineality directions).
     """
 
     vertices: tuple[Vec, ...]
@@ -162,63 +171,94 @@ class PolygonEdge:
 # ---------------------------------------------------------------------------
 
 
-def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:
-    """Pivot in place, touching only the columns where the pivot row is
-    nonzero: every other entry would change by f * 0.  No row object may
-    appear twice in the tableau."""
+def _pivot(tableau: list[list[int]], row: int, col: int, det: int) -> int:
+    """Integer-preserving pivot in place; returns the new common denominator.
+
+    The tableau stands for ``tableau / det``.  The pivot row is kept, and
+    every other row x becomes (p*x - f*y) / det, with p the pivot, f the
+    row's entry in the pivot column and y the pivot row.  Every such
+    division is exact: each entry is a minor of the starting integer matrix
+    (Edmonds 1967, Bareiss 1968).  The new denominator is |p|; a negative
+    pivot negates every row.  No row object may appear twice in the tableau.
+    """
     piv = tableau[row]
-    inv = piv[col]
-    support = [j for j, x in enumerate(piv) if x]
-    for j in support:
-        piv[j] /= inv
-    for line in tableau:
+    p = piv[col]
+    support = [j for j, y in enumerate(piv) if y]
+    for i, line in enumerate(tableau):
+        if line is piv:
+            continue
         f = line[col]
-        if f and line is not piv:
+        if p == det:
+            # x - f*y/det: only the pivot row's nonzero columns move.
+            if f:
+                for j in support:
+                    line[j] -= f * piv[j] // det
+            continue
+        new = [p * x // det if x else 0 for x in line]
+        if f:
             for j in support:
-                line[j] -= f * piv[j]
+                new[j] = (p * line[j] - f * piv[j]) // det
+        tableau[i] = new
+    if p < 0:
+        for i, line in enumerate(tableau):
+            tableau[i] = [-x for x in line]
+        return -p
+    return p
 
 
-def _bland(tableau: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _bland(tableau: list[list[int]], basis: list[int], ncols: int, det: int) -> tuple[str, int]:
     """Run Bland-rule simplex iterations on a tableau whose last row holds
-    reduced costs (minimization). Returns "optimal" or "unbounded"."""
+    reduced costs (minimization), all over the positive denominator ``det``.
+    Returns "optimal" or "unbounded" and the final denominator.  Only signs
+    are tested, and the ratio test compares rhs / a by cross-multiplication,
+    so no test depends on ``det``."""
     m = len(basis)
-    cost = tableau[m]
     while True:
+        cost = tableau[m]
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
-            return "optimal"
-        leave, best = None, None
+            return "optimal", det
+        leave = None
         for r in range(m):
             a = tableau[r][enter]
             if a > 0:
-                ratio = tableau[r][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
+                b = tableau[r][ncols]
+                # b / a against the least ratio so far, cross-multiplied
+                if leave is None or b * best_a < best_b * a or (
+                    b * best_a == best_b * a and basis[r] < basis[leave]
+                ):
+                    leave, best_a, best_b = r, a, b
         if leave is None:
-            return "unbounded"
-        _pivot(tableau, leave, enter)
+            return "unbounded", det
+        det = _pivot(tableau, leave, enter, det)
         basis[leave] = enter
-        cost = tableau[m]
 
 
-def _price_out(
-    cost: list[Fraction], rows: list[list[Fraction]], basis: list[int]
-) -> list[Fraction]:
-    """Eliminate the basic columns from a cost row that ends in 0; it then
-    holds the reduced costs and ends in minus the basic solution's value."""
+def _price_out(cost: list[int], rows: list[list[int]], basis: list[int], det: int) -> list[int]:
+    """Reduced costs of an integer cost row that ends in 0, over ``det``:
+    det*c - sum_r c[basis[r]] * rows[r].  Each basic column of ``rows`` is
+    det times a unit vector, so this clears the basic columns, and the last
+    entry is minus the basic solution's value times det."""
+    out = [det * c for c in cost]
     for line, var in zip(rows, basis):
         f = cost[var]
-        if f != 0:
-            cost = [c - f * a for c, a in zip(cost, line)]
-    return cost
+        if f:
+            out = [c - f * a for c, a in zip(out, line)]
+    return out
 
 
 def simplex_solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex.
+    """Exact two-phase simplex on an integer tableau.
 
-    Returns the optimum and one optimal basic solution.  An optimal result
-    also carries its final tableau, from which ``_optimum_is_unique`` decides
-    whether that solution is the only one without solving another LP.
+    Every constraint row is scaled by one lcm L of all the rows'
+    denominators.  A global scale only rescales the slack and artificial
+    variables and the phase-1 objective, so Bland's rule takes the same
+    pivots as on the rational rows; a per-row scale would change the
+    phase-1 reduced costs.  The tableau then holds ints over one common
+    denominator (see ``_pivot``), and only the final point is made of
+    Fractions.  An optimal result also carries its final tableau, from which
+    ``_optimum_is_unique`` decides whether that solution is the only one
+    without solving another LP.
     """
     nvars = len(lp.objective)
     nonneg = lp.nonneg if lp.nonneg else tuple(False for _ in range(nvars))
@@ -235,53 +275,32 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
             ncols += 2
     nstruct = ncols
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    kinds: list[str] = []
-    for h in lp.constraints:
-        row = [ZERO] * nstruct
-        for j, coeff in enumerate(h.normal):
-            for col, sign in col_of[j]:
-                row[col] += sign * coeff
-        rows.append(row)
-        rhs.append(h.offset)
-        kinds.append("ineq")
-    for vec, b in lp.equalities:
-        row = [ZERO] * nstruct
-        for j, coeff in enumerate(vec):
-            for col, sign in col_of[j]:
-                row[col] += sign * coeff
-        rows.append(row)
-        rhs.append(b)
-        kinds.append("eq")
-
-    m = len(rows)
-    nslack = sum(1 for k in kinds if k == "ineq")
+    source = [(h.normal, h.offset) for h in lp.constraints] + list(lp.equalities)
+    scale = lcm(*(x.denominator for normal, b in source for x in (*normal, b)))
+    nslack = len(lp.constraints)
     ncols = nstruct + nslack
-
-    matrix: list[list[Fraction]] = []
-    slack_seen = 0
-    for i in range(m):
-        row = rows[i] + [ZERO] * nslack
-        if kinds[i] == "ineq":
-            row[nstruct + slack_seen] = Fraction(1)
-            slack_seen += 1
-        if rhs[i] < 0:
-            row = [-x for x in row]
-            b = -rhs[i]
-        else:
-            b = rhs[i]
-        matrix.append(row + [b])
-
-    # Phase 1: artificial variables, minimize their sum.
+    m = len(source)
     total = ncols + m
-    tableau = [matrix[i][:ncols] + [ZERO] * m + [matrix[i][ncols]] for i in range(m)]
-    for i in range(m):
-        tableau[i][ncols + i] = Fraction(1)
+
+    # Phase 1: slack and artificial columns are unit columns; minimize the
+    # sum of the artificials.
+    tableau: list[list[int]] = []
+    for i, (normal, b) in enumerate(source):
+        row = [0] * (total + 1)
+        for j, coeff in enumerate(normal):
+            for col, sign in col_of[j]:
+                row[col] += sign * coeff.numerator * (scale // coeff.denominator)
+        if i < nslack:
+            row[nstruct + i] = 1
+        row[total] = b.numerator * (scale // b.denominator)
+        if row[total] < 0:
+            row = [-x for x in row]
+        row[ncols + i] = 1
+        tableau.append(row)
     basis = [ncols + i for i in range(m)]
-    tableau.append(_price_out([ZERO] * ncols + [Fraction(1)] * m + [ZERO], tableau, basis))
-    _bland(tableau, basis, total)
-    if -tableau[m][total] != 0:
+    tableau.append(_price_out([0] * ncols + [1] * m + [0], tableau, basis, 1))
+    _, det = _bland(tableau, basis, total, 1)
+    if tableau[m][total] != 0:
         return LPResult(status="infeasible")
 
     # Drive remaining artificials out of the basis; drop redundant rows.
@@ -291,38 +310,35 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
             col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
             if col is None:
                 continue  # redundant row
-            _pivot(tableau, r, col)
+            det = _pivot(tableau, r, col, det)
             basis[r] = col
         keep.append(r)
     rows2 = [tableau[r][:ncols] + [tableau[r][total]] for r in keep]
     basis2 = [basis[r] for r in keep]
 
-    # Phase 2.
-    objective = [ZERO] * ncols
-    sign = Fraction(1) if lp.sense == "min" else Fraction(-1)
-    for j in range(nvars):
+    # Phase 2, on the objective scaled to ints by the lcm of its denominators.
+    sign = 1 if lp.sense == "min" else -1
+    oscale = lcm(*(c.denominator for c in lp.objective))
+    objective = [0] * (ncols + 1)
+    for j, c in enumerate(lp.objective):
         for col, s in col_of[j]:
-            objective[col] += sign * s * lp.objective[j]
-    tableau2 = rows2 + [_price_out(objective + [ZERO], rows2, basis2)]
-    status = _bland(tableau2, basis2, ncols)
+            objective[col] += sign * s * c.numerator * (oscale // c.denominator)
+    tableau2 = rows2 + [_price_out(objective, rows2, basis2, det)]
+    status, det = _bland(tableau2, basis2, ncols, det)
     if status == "unbounded":
         return LPResult(status="unbounded")
 
-    values = [ZERO] * ncols
+    values = [0] * ncols
     for r, var in enumerate(basis2):
         values[var] = tableau2[r][ncols]
-    point = []
-    for j in range(nvars):
-        x = ZERO
-        for col, s in col_of[j]:
-            x += s * values[col]
-        point.append(x)
-    point = tuple(point)
+    point = tuple(
+        Fraction(sum(s * values[col] for col, s in col_of[j]), det) for j in range(nvars)
+    )
     return LPResult(
         status="optimal",
         value=dot(lp.objective, point),
         point=point,
-        _tableau=(tableau2, basis2, col_of),
+        _tableau=(tableau2, basis2, col_of, det),
     )
 
 
@@ -337,7 +353,7 @@ def _optimum_is_unique(res: LPResult, coords: Iterable[int]) -> bool:
     Bland-rule pivots from the current basis.  Unique iff every probe is
     bounded and attains ``point[j]``.
     """
-    tableau, basis, col_of = res._tableau
+    tableau, basis, col_of, det = res._tableau
     cost = tableau[len(basis)]
     keep = [k for k in range(len(cost) - 1) if cost[k] == 0]
     index = {k: i for i, k in enumerate(keep)}
@@ -345,13 +361,14 @@ def _optimum_is_unique(res: LPResult, coords: Iterable[int]) -> bool:
     basis = [index[k] for k in basis]
     for j in coords:
         for sign in (1, -1):
-            probe = [ZERO] * (len(keep) + 1)
+            probe = [0] * (len(keep) + 1)
             for col, s in col_of[j]:
                 if col in index:
                     probe[index[col]] = sign * s
-            face.append(_price_out(probe, face, basis))
-            status = _bland(face, basis, len(keep))
-            least = -face.pop()[-1]  # the least value of sign * x_j on the face
+            face.append(_price_out(probe, face, basis, det))
+            status, det = _bland(face, basis, len(keep), det)
+            # the least value of sign * x_j on the face
+            least = Fraction(-face.pop()[-1], det)
             if status != "optimal" or sign * least != res.point[j]:
                 return False
     return True
@@ -566,22 +583,6 @@ def halfplane_intersection(
         PolygonEdge(a, b, _line(row), tuple(row[3])) for row, a, b in zip(lines, starts, ends)
     )
     return polygon, edges
-
-
-def polygon_from_halfspaces(poly: HPolyhedron) -> Polygon2:
-    """Extract exact 2-D geometry: ccw vertex chain plus recession rays.
-
-    A set with no interior comes back "degenerate", as one of its points.
-    """
-    if poly.dim != 2:
-        raise UnsupportedDimension("polygon extraction is 2-D only")
-    region = halfplane_intersection(poly.halfspaces)
-    if region is not None:
-        return region[0]
-    pt = feasible_point(poly)
-    if pt is None:
-        raise EmptyCell("empty polyhedron")
-    return Polygon2((pt,), (), "degenerate")
 
 
 # ---------------------------------------------------------------------------

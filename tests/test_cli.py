@@ -1,3 +1,4 @@
+import functools
 import json
 import pathlib
 import re
@@ -6,6 +7,7 @@ from fractions import Fraction
 import jsonschema
 
 from tropical_demand import cli, serialize
+from tropical_demand.cli import build_parser
 
 F = Fraction
 
@@ -544,6 +546,35 @@ def test_cyclemono_over_pair_cap(tmp_path, capsys):
     assert cli.main(["cyclemono", "--in", infile]) == cli.EXIT_CAP
     err = capsys.readouterr().err
     assert f"cyclic monotonicity: {n} pairs exceed the cap of {MAX_SAMPLE_PAIRS}" in err
+
+
+def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, monkeypatch):
+    # Two different subcommands back to back, then an option given once and
+    # omitted the next time: each call sees only its own arguments.
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+    valuation = write(tmp_path, "v.json", FIVE_BUNDLE)
+    economy = write(tmp_path, "e.json", ECONOMY)
+    svg = tmp_path / "c.svg"
+    assert cli.main(["complex", "--in", valuation, "--which", "price", "--svg", str(svg),
+                     "--out", str(tmp_path / "c.json")]) == 0
+    assert svg.stat().st_size > 0
+    svg.unlink()
+    # A handler rebound after the parser was built is the one that runs.
+    handled = []
+    dualize = cli.cmd_dualize
+    monkeypatch.setattr(cli, "cmd_dualize", lambda args: handled.append(1) or dualize(args))
+    assert cli.main(["dualize", "--in", valuation, "--out", str(tmp_path / "d.json")]) == 0
+    assert cli.main(["equilibrium", "--in", economy, "--cap", "3"]) == cli.EXIT_CAP
+    assert cli.main(["equilibrium", "--in", economy, "--out", str(tmp_path / "r.json")]) == 1
+    assert cli.main(["complex", "--in", valuation, "--which", "price",
+                     "--out", str(tmp_path / "c2.json")]) == 0
+    assert built == [1] and handled == [1]
+    assert json.loads((tmp_path / "r.json").read_text())["gap"] == "5"
+    assert json.loads((tmp_path / "d.json").read_text())["pieces"]
+    assert (tmp_path / "c.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
+    assert not svg.exists()
 
 
 def test_byte_determinism(tmp_path):

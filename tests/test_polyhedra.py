@@ -1,34 +1,36 @@
+import contextlib
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tropical_demand import (
     AffinePiece,
     DegenerateInput,
-    EmptyCell,
     HPolyhedron,
     HalfSpace,
     LinearProgram,
     convex_hull_halfspaces,
-    polygon_from_halfspaces,
     price_complex,
     reduce,
     simplex_solve,
     upper_concave_hull,
 )
+from tropical_demand import polyhedra
 from tropical_demand.equilibrium import _epigraph_lp
 from tropical_demand.exactmath import dot, independent_directions
 from tropical_demand.polyhedra import (
     _optimum_is_unique,
     _pivot,
     dedupe_halfspaces,
+    feasible_point,
     halfplane_intersection,
     interior_point,
 )
 
+import fraction_simplex
 from conftest import economies, make_valuation
 
 F = Fraction
@@ -491,12 +493,10 @@ def _dense_pivot(tableau, row, col) -> None:
 
 @st.composite
 def sparse_tableaux(draw):
-    """A tableau of 1-6 rows by 1-8 columns, most entries zero, and up to
-    four pivot positions drawn one after another."""
+    """An integer tableau of 1-6 rows by 1-8 columns, most entries zero, and
+    up to four pivot positions drawn one after another."""
     m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
-    entry = st.one_of(
-        st.just(F(0)), st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=6)
-    )
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-5, 5))
     tableau = [[draw(entry) for _ in range(n)] for _ in range(m)]
     pivots = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)), max_size=4))
     return tableau, pivots
@@ -504,15 +504,21 @@ def sparse_tableaux(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(sparse_tableaux())
-def test_sparse_pivot_matches_dense_pivot(case):
+@example(([[-2, 1, 3], [4, 1, 0], [1, -1, 2]], [(0, 0), (1, 1), (2, 2)]))  # negative pivots
+def test_integer_pivot_matches_dense_pivot(case):
+    # The integer tableau over its denominator is the Fraction tableau after
+    # every pivot, whatever the pivot's sign; an inexact floor division
+    # would show as a wrong entry.
     tableau, pivots = case
-    dense = [row[:] for row in tableau]
+    dense = [[F(x) for x in row] for row in tableau]
+    det = 1
     for row, col in pivots:
         if dense[row][col] == 0:
             continue
-        _pivot(tableau, row, col)
+        det = _pivot(tableau, row, col, det)
         _dense_pivot(dense, row, col)
-        assert tableau == dense
+        assert det > 0
+        assert [[F(x, det) for x in line] for line in tableau] == dense
 
 
 @settings(max_examples=300, deadline=None)
@@ -535,6 +541,122 @@ def test_epigraph_price_uniqueness_matches_face_equality_probe(e):
     assert _optimum_is_unique(res, prices) == _face_equality_probe(lp, res.value, res.point, prices)
 
 
+@contextlib.contextmanager
+def recorded_pivots(module):
+    """Record the (row, col) of every pivot the module's simplex makes."""
+    seen = []
+    original = module._pivot
+
+    def recording(tableau, row, col, *det):
+        seen.append((row, col))
+        return original(tableau, row, col, *det)
+
+    module._pivot = recording
+    try:
+        yield seen
+    finally:
+        module._pivot = original
+
+
+def _solve_and_probe(module, lp: LinearProgram):
+    """Status, value, point and uniqueness verdicts (all coordinates, then
+    each alone) of one kernel, with every pivot it took in order."""
+    nvars = len(lp.objective)
+    with recorded_pivots(module) as pivots:
+        res = module.simplex_solve(lp)
+        verdicts = []
+        if res.status == "optimal":
+            for coords in [range(nvars)] + [[j] for j in range(nvars)]:
+                verdicts.append(module._optimum_is_unique(res, coords))
+    return (res.status, res.value, res.point, verdicts), pivots
+
+
+def assert_kernels_agree(lp: LinearProgram) -> list[tuple[int, int]]:
+    got, got_pivots = _solve_and_probe(polyhedra, lp)
+    want, want_pivots = _solve_and_probe(fraction_simplex, lp)
+    assert got_pivots == want_pivots
+    assert got == want
+    return got_pivots
+
+
+@st.composite
+def rational_lps(draw):
+    """LPs in 1-4 free or nonnegative variables with rational coefficients
+    over mixed denominators.  Each row is followed by no copy, a scaled
+    duplicate (a ratio-test tie), a parallel row, or an opposite row that
+    may leave an empty strip; up to two equality rows, some of them copies
+    of an inequality row; a random or tied objective, often unbounded when
+    the rows are few."""
+    n = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    normals = st.tuples(*[coeff] * n).filter(any)
+    offsets = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    rows = []
+    for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=6)):
+        rows.append(HalfSpace(a, c))
+        kind = draw(st.sampled_from(("none", "duplicate", "parallel", "opposite")))
+        shift = draw(st.fractions(min_value=-1, max_value=2, max_denominator=3))
+        if kind == "duplicate":
+            k = draw(st.sampled_from((2, 3, F(1, 2))))
+            rows.append(HalfSpace(tuple(k * x for x in a), k * c))
+        elif kind == "parallel":
+            rows.append(HalfSpace(a, c + shift))
+        elif kind == "opposite":
+            rows.append(HalfSpace(tuple(-x for x in a), -c + shift))
+    equalities = [(a, c) for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=2))]
+    if rows and draw(st.booleans()):
+        h = draw(st.sampled_from(rows))
+        equalities.append((h.normal, h.offset))
+    sense = draw(st.sampled_from(("min", "max")))
+    if rows and draw(st.booleans()):
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        sign = -1 if sense == "min" else 1
+        objective = tuple(
+            sign * sum((w * h.normal[j] for w, h in zip(weights, rows)), F(0)) for j in range(n)
+        )
+    else:
+        objective = draw(st.tuples(*[coeff] * n))
+    return LinearProgram(
+        objective=objective,
+        sense=sense,
+        constraints=tuple(draw(st.permutations(rows))),
+        equalities=tuple(draw(st.permutations(equalities))),
+        nonneg=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.one_of(rational_lps(), tied_lps()))
+def test_integer_kernel_matches_fraction_kernel(lp):
+    assert_kernels_agree(lp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(economies(max_consumers=4, max_bundles=6))
+def test_integer_kernel_matches_fraction_kernel_on_epigraph_lps(e):
+    assert assert_kernels_agree(_epigraph_lp(e))
+
+
+def test_kernels_agree_on_each_status_and_a_negative_drive_out_pivot():
+    # x + y == 1 with x, y >= 0 and x - y == -1: phase 1 leaves an
+    # artificial basic at zero on the redundant copy, and the drive-out
+    # pivot on the negated row is negative.
+    optimal = LinearProgram(
+        objective=(F(1), F(2)),
+        sense="min",
+        constraints=(),
+        equalities=(((F(1), F(1)), F(1)), ((F(-1), F(-1)), F(-1)), ((F(1), F(-1)), F(-1))),
+        nonneg=(True, True),
+    )
+    unbounded = LinearProgram(objective=(F(1, 2),), sense="max", constraints=(hs((-1,), 0),))
+    infeasible = LinearProgram(
+        objective=(F(1),), sense="min", constraints=(hs((F(1, 3),), 0), hs((F(-1, 2),), -1))
+    )
+    for lp, status in ((optimal, "optimal"), (unbounded, "unbounded"), (infeasible, "infeasible")):
+        assert_kernels_agree(lp)
+        assert simplex_solve(lp).status == status
+
+
 def test_optimum_is_unique_on_unbounded_face():
     # min x over x >= 0 with y free: the optimal face {0} x R is a line.
     lp = LinearProgram(
@@ -547,7 +669,7 @@ def test_optimum_is_unique_on_unbounded_face():
 
 
 # ---------------------------------------------------------------------------
-# polygon extraction
+# polygon extraction by half-plane intersection
 # ---------------------------------------------------------------------------
 
 
@@ -563,7 +685,7 @@ def test_polygon_of_zero_bundle_region():
             hs((-2, -2), -34),
         ),
     )
-    out = polygon_from_halfspaces(poly)
+    out, _ = halfplane_intersection(poly.halfspaces)
     assert out.kind == "unbounded"
     assert set(out.vertices) == {(F(8), F(16)), (F(10), F(14))}
     assert set(out.rays) == {(1, 0), (0, 1)}
@@ -573,7 +695,7 @@ def test_polygon_unit_square():
     poly = HPolyhedron(
         2, (hs((1, 0), 1), hs((-1, 0), 0), hs((0, 1), 1), hs((0, -1), 0))
     )
-    out = polygon_from_halfspaces(poly)
+    out, _ = halfplane_intersection(poly.halfspaces)
     assert out.kind == "bounded" and not out.rays
     assert set(out.vertices) == {(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))}
     # counterclockwise: positive signed area
@@ -586,17 +708,18 @@ def test_polygon_unit_square():
 
 
 def test_polygon_empty():
-    with pytest.raises(EmptyCell):
-        polygon_from_halfspaces(HPolyhedron(2, (hs((1, 0), 0), hs((-1, 0), -1))))
+    rows = (hs((1, 0), 0), hs((-1, 0), -1))
+    assert halfplane_intersection(rows) is None
+    assert feasible_point(HPolyhedron(2, rows)) is None
 
 
 def test_polygon_full_plane():
-    out = polygon_from_halfspaces(HPolyhedron(2, ()))
-    assert out.kind == "plane" and not out.vertices and not out.rays
+    out, edges = halfplane_intersection(())
+    assert out.kind == "plane" and not out.vertices and not out.rays and not edges
 
 
 def test_polygon_halfplane_is_unpointed():
-    out = polygon_from_halfspaces(HPolyhedron(2, (hs((1, 0), 2),)))
+    out, _ = halfplane_intersection((hs((1, 0), 2),))
     assert out.kind == "unpointed"
     assert set(out.rays) == {(0, 1), (0, -1)}
 
@@ -606,7 +729,7 @@ def test_polygon_vertices_satisfy_constraints():
         2,
         (hs((1, 1), 4), hs((-1, 2), 3), hs((0, -1), 0), hs((-1, -3), 1)),
     )
-    out = polygon_from_halfspaces(poly)
+    out, _ = halfplane_intersection(poly.halfspaces)
     for vertex in out.vertices:
         tight = sum(1 for h in poly.halfspaces if dot(h.normal, vertex) == h.offset)
         assert tight >= 2
@@ -614,10 +737,11 @@ def test_polygon_vertices_satisfy_constraints():
 
 
 def test_polygon_of_segment_is_degenerate():
+    # No interior, so no polygon; the set still has a point.
     poly = HPolyhedron(2, (hs((0, 1), 0), hs((0, -1), 0), hs((1, 0), 1), hs((-1, 0), 0)))
-    out = polygon_from_halfspaces(poly)
-    assert out.kind == "degenerate" and len(out.vertices) == 1
-    assert poly.contains(out.vertices[0])
+    assert halfplane_intersection(poly.halfspaces) is None
+    point = feasible_point(poly)
+    assert point is not None and poly.contains(point)
 
 
 # ---------------------------------------------------------------------------

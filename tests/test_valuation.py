@@ -20,10 +20,9 @@ from tropical_demand import (
     hull_support,
     indirect_utility,
     inverse_demand_region,
-    polygon_from_halfspaces,
 )
 from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import interior_point, upper_concave_hull
+from tropical_demand.polyhedra import halfplane_intersection, interior_point, upper_concave_hull
 
 from conftest import make_valuation, price_vectors, valuations
 
@@ -106,7 +105,7 @@ def test_dualize_with_a_zero_third_good_pads_the_two_good_dual(v):
 
 def test_inverse_demand_region_center_bundle(five_bundle_valuation):
     region = inverse_demand_region(five_bundle_valuation, (1, 1))
-    out = polygon_from_halfspaces(region)
+    out, _ = halfplane_intersection(region.halfspaces)
     assert out.kind == "bounded"
     assert set(out.vertices) == {
         (F(1), F(9)),
@@ -118,7 +117,7 @@ def test_inverse_demand_region_center_bundle(five_bundle_valuation):
 
 def test_inverse_demand_region_zero_bundle(five_bundle_valuation):
     region = inverse_demand_region(five_bundle_valuation, (0, 0))
-    out = polygon_from_halfspaces(region)
+    out, _ = halfplane_intersection(region.halfspaces)
     assert out.kind == "unbounded"
     assert set(out.vertices) == {(F(8), F(16)), (F(10), F(14))}
     assert set(out.rays) == {(1, 0), (0, 1)}
@@ -140,7 +139,7 @@ def test_inverse_demand_region_unknown_bundle(five_bundle_valuation):
 def test_inverse_demand_region_on_nonnegative_prices(five_bundle_valuation):
     nonneg = HPolyhedron(2, (HalfSpace((F(-1), F(0)), F(0)), HalfSpace((F(0), F(-1)), F(0))))
     region = inverse_demand_region(five_bundle_valuation, (2, 2), price_domain=nonneg)
-    out = polygon_from_halfspaces(region)
+    out, _ = halfplane_intersection(region.halfspaces)
     assert out.kind == "bounded"
     assert set(out.vertices) == {
         (F(0), F(0)),
