@@ -30,21 +30,22 @@ face off it with warm-started Bland pivots instead of solving new LPs.
 
 The upper concave hull of lifted points (the dual of 1-good, collinear and
 3-good valuations, and the test oracle for 2 goods) and the convex hull of
-the bundles share one facet walk, ``_facets``: every m-subset of lattice
-points in R^m spans a candidate hyperplane whose normal is the vector of
-integer cofactors of its difference vectors, kept when all points lie on
-one side.  Rational values and points are first scaled by the lcm of their
-denominators, so every test is an integer determinant.
+the bundles share one exact kernel, ``_extreme_rays``: incremental double
+description of a pointed cone {x : a.x >= 0} over integer rows, with
+gcd-reduced integer rays and bit-set zero sets for the adjacency test.  The
+hull's pieces are the vertices of the indirect utility's epigraph and the
+bundle hull's facets the rays of its recession cone; both are read off
+extreme rays.  Rational values and points are first scaled by the lcm of
+their denominators, so every test is the sign of an integer.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InstanceTooLarge, UnsupportedDimension
@@ -598,33 +599,104 @@ def check_hull_cap(stage: str, count: int) -> None:
         raise InstanceTooLarge(f"{stage}: {count} bundles exceed the cap of {MAX_HULL_POINTS}")
 
 
-def _det(rows: Sequence[Sequence[int]]) -> int:
-    """Laplace expansion along the first row; the matrices here are at most 3x3."""
-    if not rows:
-        return 1
-    return sum(
-        (-1) ** j * x * _det([r[:j] + r[j + 1 :] for r in rows[1:]])
-        for j, x in enumerate(rows[0])
-    )
+def _first_independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the rows that the greedy pass keeps: each row in order is
+    kept when it is linearly independent of the rows kept before it, until
+    ``limit`` are kept.  Independence is a matroid, so the kept rows are the
+    lexicographically first maximal independent set.  The elimination is
+    fraction-free: each step is an integer combination of two rows."""
+    kept: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []
+    for i, row in enumerate(rows):
+        work = list(row)
+        for lead, r in reduced:
+            f, p = work[lead], r[lead]
+            if f:
+                work = [p * x - f * y for x, y in zip(work, r)]
+        lead = next((j for j, x in enumerate(work) if x), None)
+        if lead is not None:
+            reduced.append((lead, work))
+            kept.append(i)
+            if len(kept) == limit:
+                break
+    return kept
 
 
-def _facets(points: Sequence[IVec]):
-    """Hyperplanes through m of the lattice points in R^m with every point on
-    one side: ``(normal, offset)`` with ``normal . p <= offset`` for all p,
-    both orientations when all points lie on the hyperplane, in subset order.
-    The normal is the vector of signed cofactors of the m-1 difference
-    vectors."""
-    m = len(points[0])
-    for p0, *rest in itertools.combinations(points, m):
-        diffs = [[x - y for x, y in zip(p, p0)] for p in rest]
-        normal = tuple((-1) ** j * _det([r[:j] + r[j + 1 :] for r in diffs]) for j in range(m))
-        if not any(normal):
+def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
+    """The primitive integer extreme rays of the pointed cone
+    { x in R^dim : a . x >= 0 for every row a }, sorted.
+
+    Incremental double description (Motzkin et al. 1953; Fukuda and Prodon
+    1996).  The first ``dim`` independent rows form a nonsingular basis B,
+    and the cone they cut out is simplicial: its rays are the columns of
+    B^-1 made primitive, the oriented cofactor vectors.  Each further row a
+    splits the current rays into r+ (a.r > 0), r0 and r- (a.r < 0); the
+    r- leave, and every adjacent pair (r+, r-) gives the ray
+    |a.r-| * r+ + (a.r+) * r-, gcd-reduced, on the new face.  Each ray
+    carries its zero set, the processed rows it is tight on, as a bit set.
+    Two extreme rays are adjacent iff their common zero set has at least
+    dim - 2 rows and lies in no other ray's zero set (Fukuda and Prodon,
+    Prop. 7).  Every test is an integer sign or a bit-set inclusion, and
+    the extreme rays of a pointed cone, made primitive, are unique, so the
+    order in which rows are added changes only the speed.
+    """
+    basis = _first_independent(rows, dim)
+    if len(basis) < dim:
+        raise DegenerateInput(
+            f"extreme rays: the {len(rows)} rows span a space of dimension "
+            f"{len(basis)} < {dim}, so the cone is not pointed"
+        )
+    # Fraction-free Gauss-Jordan on [B | I] ends in [D | E] with D diagonal
+    # and E B = D, so B^-1 = D^-1 E.  Column j of B^-1 is tight on every
+    # basis row but the j-th, and positive on that one.
+    a = [list(rows[i]) + [int(j == k) for k in range(dim)] for j, i in enumerate(basis)]
+    for col in range(dim):
+        piv = next(r for r in range(col, dim) if a[r][col])
+        a[col], a[piv] = a[piv], a[col]
+        p, pivot = a[col], a[col][col]
+        for r in range(dim):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [pivot * x - f * y for x, y in zip(a[r], p)]
+    m = lcm(*(a[i][i] for i in range(dim)))
+    full = sum(1 << i for i in basis)
+    rays = []
+    for j, i in enumerate(basis):
+        ray = [a[r][dim + j] * (m // a[r][r]) for r in range(dim)]
+        g = gcd(*ray)
+        rays.append((tuple(x // g for x in ray), full & ~(1 << i)))
+    chosen = set(basis)
+    for k, row in enumerate(rows):
+        if k in chosen:
             continue
-        offset = sum(a * x for a, x in zip(normal, p0))
-        if all(sum(a * x for a, x in zip(normal, p)) <= offset for p in points):
-            yield normal, offset
-        if all(sum(a * x for a, x in zip(normal, p)) >= offset for p in points):
-            yield tuple(-a for a in normal), -offset
+        bit = 1 << k
+        plus, minus, kept = [], [], []
+        for ray, zeros in rays:
+            side = sum(x * y for x, y in zip(row, ray))
+            if side > 0:
+                plus.append((ray, zeros, side))
+                kept.append((ray, zeros))
+            elif side < 0:
+                minus.append((ray, zeros, side))
+            else:
+                kept.append((ray, zeros | bit))
+        if not minus:
+            rays = kept
+            continue
+        zero_sets = [zeros for _, zeros in rays]
+        for rp, zp, sp in plus:
+            for rm, zm, sm in minus:
+                common = zp & zm
+                if common.bit_count() < dim - 2:
+                    continue
+                # rp and rm themselves contain the common zero set.
+                if sum(1 for z in zero_sets if (z & common) == common) > 2:
+                    continue
+                w = [sp * y - sm * x for x, y in zip(rp, rm)]
+                g = gcd(*w)
+                kept.append((tuple(x // g for x in w), common | bit))
+        rays = kept
+    return sorted(ray for ray, _ in rays)
 
 
 def upper_concave_hull(
@@ -632,13 +704,15 @@ def upper_concave_hull(
 ) -> tuple[list[AffinePiece], set[int]]:
     """Minimal affine pieces whose pointwise min majorizes the lifted points.
 
-    The bundles get integer coordinates y on their affine hull, of dimension
-    d, and each upper facet a.y + c*L*u <= b (c > 0, L the lcm of the value
-    denominators) of the lifted points (y, L*u) is the piece
-    u = (b - a.y) / (c*L), read back in bundle coordinates.  The facet walk
-    tests every (d+1)-subset: O(K^(n+2)), so the input is capped at 64
-    points and 3 goods.  Hull indices are exactly the points the majorant
-    touches.
+    The bundles get integer coordinates y on their affine hull, of
+    dimension d, and L is the lcm of the value denominators.  The pieces are
+    the vertices of the indirect utility's epigraph, read as the extreme
+    rays (p, t, s) with s > 0 of the cone with rows (y, 1, -L*u), one per
+    point, and s >= 0: each is the piece u = (p.y + t) / (L*s), read back in
+    bundle coordinates.  The rays with s = 0 are the facets of the bundle
+    hull and are dropped.  Hull indices are exactly the points the majorant
+    touches, the rows some piece's ray is tight on.  At most 64 points and 3
+    goods.
     """
     if not points:
         raise DegenerateInput("hull of no points")
@@ -657,26 +731,26 @@ def upper_concave_hull(
 
     base = bundles[0]
     directions = independent_directions([tuple(Fraction(c) for c in q) for q in bundles])
+    d = len(directions)
     scale = lcm(*(u.denominator for u in values))
-    lifted = [
-        (*(int(dot(b, vsub(q, base))) for b in directions), int(u * scale))
+    rows = [(0,) * (d + 1) + (1,)] + [
+        (*(int(dot(b, vsub(q, base))) for b in directions), 1, -int(u * scale))
         for q, u in zip(bundles, values)
     ]
-    pieces = set()
-    for normal, offset in _facets(lifted):
-        c = normal[-1] * scale
-        if c > 0:
-            slope = tuple(
-                sum((Fraction(-a, c) * b[i] for a, b in zip(normal[:-1], directions)), ZERO)
-                for i in range(n)
-            )
-            pieces.add(AffinePiece(slope=slope, intercept=Fraction(offset, c) - dot(slope, base)))
-    pieces = sorted(pieces, key=lambda p: (p.slope, p.intercept))
+    rays = [r for r in _extreme_rays(rows, d + 2) if r[-1] > 0]
+    pieces = []
+    for *p, t, s in rays:
+        c = s * scale
+        slope = tuple(
+            sum((Fraction(a, c) * b[i] for a, b in zip(p, directions)), ZERO) for i in range(n)
+        )
+        pieces.append(AffinePiece(slope=slope, intercept=Fraction(t, c) - dot(slope, base)))
+    pieces.sort(key=lambda p: (p.slope, p.intercept))
 
     hull = {
         i
-        for i, (q, u) in enumerate(zip(bundles, values))
-        if min(p.evaluate(q) for p in pieces) == u
+        for i, row in enumerate(rows[1:])
+        if any(sum(a * x for a, x in zip(row, r)) == 0 for r in rays)
     }
     return pieces, hull
 
@@ -701,8 +775,12 @@ def _normals(dirs: Sequence[Vec], dim: int) -> list[Vec]:
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
-    Supports dim <= 3.  Full-dimensional sets take their facets from the
-    integer facet walk, in order of first appearance over the sorted points.
+    Supports dim <= 3.  A full-dimensional set, scaled to integer points P,
+    reads each facet n.P <= c off an extreme ray (-n, c) of the cone
+    { (m, c) : m.P + c >= 0 for every P }, whose rows are the points (P, 1).
+    The facets are sorted by the lexicographically first affinely
+    independent dim-subset of the sorted points on each, the order in which
+    a walk over every dim-subset would first meet them, and deduplicated.
     A lower-dimensional set gets the equations of its affine hull, each as a
     pair of opposite rows, and then its hull within the affine hull, built
     in the coordinates ``y_i = d_i . (p - p_0)`` along its independent
@@ -736,8 +814,13 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
                 hs.append(HalfSpace(n, h.offset + dot(n, base)))
         return HPolyhedron(dim, dedupe_halfspaces(hs))
     scale = lcm(*(c.denominator for p in uniq for c in p))
+    lifted = [(*(int(c * scale) for c in p), 1) for p in uniq]
+    facets = []
+    for ray in _extreme_rays(lifted, dim + 1):
+        tight = [p for p in lifted if sum(a * x for a, x in zip(ray, p)) == 0]
+        facets.append((tuple(tight[i] for i in _first_independent(tight, dim)), ray))
     hs = [
-        HalfSpace(tuple(Fraction(a) for a in normal), Fraction(offset, scale))
-        for normal, offset in _facets([tuple(int(c * scale) for c in p) for p in uniq])
+        HalfSpace(tuple(Fraction(-a) for a in ray[:-1]), Fraction(ray[-1], scale))
+        for _, ray in sorted(facets)
     ]
     return HPolyhedron(dim, dedupe_halfspaces(hs))

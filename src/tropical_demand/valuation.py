@@ -172,8 +172,9 @@ def dualize(v: Valuation) -> PolyhedralFunction:
     goods with affinely full-dimensional bundles those prices are the 0-cells
     of the price complex: every corner p of a piece's active polygon in the
     indirect utility f gives the piece with slope p and intercept f(p).
-    Otherwise (1 or 3 goods, collinear bundles) the pieces come from
-    ``upper_concave_hull``.  Either way at most MAX_HULL_POINTS bundles.
+    Otherwise (1 or 3 goods, collinear bundles) ``upper_concave_hull``
+    enumerates the vertices (p, f(p)) of the epigraph of f by exact double
+    description.  Either way at most MAX_HULL_POINTS bundles.
     """
     pieces = _dual_pieces(v)
     domain = convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], v.goods)

@@ -41,10 +41,15 @@ small_rationals = st.fractions(
 
 @st.composite
 def valuations(
-    draw, max_bundles: int = 8, coord: int = 4, max_value: int = 50, rational: bool = False
+    draw,
+    max_bundles: int = 8,
+    coord: int = 4,
+    max_value: int = 50,
+    rational: bool = False,
+    goods: int = 2,
 ):
-    """Random 2-good valuations containing the zero bundle; with ``rational``
-    the values are fractions as well as integers."""
+    """Random valuations of 2 or 3 goods containing the zero bundle; with
+    ``rational`` the values are fractions as well as integers."""
     values = (
         st.fractions(min_value=0, max_value=max_value, max_denominator=6)
         if rational
@@ -52,16 +57,17 @@ def valuations(
     )
     extra = draw(
         st.lists(
-            st.tuples(st.integers(0, coord), st.integers(0, coord)),
+            st.tuples(*[st.integers(0, coord)] * goods),
             max_size=max_bundles - 1,
             unique=True,
         )
     )
-    entries = {(0, 0): Fraction(0)}
+    zero = (0,) * goods
+    entries = {zero: Fraction(0)}
     for bundle in extra:
-        if bundle != (0, 0):
+        if bundle != zero:
             entries[bundle] = Fraction(draw(values))
-    return Valuation(goods=2, entries=entries)
+    return Valuation(goods=goods, entries=entries)
 
 
 @st.composite

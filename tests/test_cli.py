@@ -1,6 +1,7 @@
 import functools
 import json
 import pathlib
+import random
 import re
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import jsonschema
 
 from tropical_demand import cli, serialize
 from tropical_demand.cli import build_parser
+from tropical_demand.exactmath import independent_directions
 
 F = Fraction
 
@@ -401,6 +403,36 @@ def test_dualize_over_bundle_cap(tmp_path, capsys):
     infile = write(tmp_path, "v.json", payload)
     assert cli.main(["dualize", "--in", infile]) == cli.EXIT_CAP
     assert "upper concave hull: 65 bundles exceed the cap of 64" in capsys.readouterr().err
+
+
+def test_dualize_three_goods_at_the_bundle_cap(tmp_path):
+    # 64 seeded bundles in [0,6]^3, exactly the cap, checked against a
+    # certificate that enumerates nothing: each piece majorizes every
+    # bundle and is tight on 4 affinely independent ones (a vertex of the
+    # epigraph), and a bundle's min over the pieces is its value exactly
+    # when it is demanded somewhere.
+    rng = random.Random(64)
+    bundles = {(0, 0, 0)}
+    while len(bundles) < 64:
+        bundles.add(tuple(rng.randint(0, 6) for _ in range(3)))
+    entries = {q: F(rng.randint(0, 60), rng.choice([1, 2, 3])) for q in sorted(bundles)}
+    payload = {
+        "goods": 3,
+        "entries": [{"bundle": list(q), "value": str(u)} for q, u in entries.items()],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    out = tmp_path / "dual.json"
+    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pieces = serialize.function_from_dict(doc).pieces
+    never = {tuple(q) for q in doc["never_demanded"]}
+    assert pieces
+    for p in pieces:
+        tight = [q for q, u in entries.items() if p.evaluate(q) == u]
+        assert all(p.evaluate(q) >= u for q, u in entries.items())
+        assert len(independent_directions(tight)) == 3
+    for q, u in entries.items():
+        assert (min(p.evaluate(q) for p in pieces) == u) == (q not in never)
 
 
 def test_complex_price_over_bundle_cap(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,8 +31,9 @@ from tropical_demand.polyhedra import (
     interior_point,
 )
 
+import facet_walk
 import fraction_simplex
-from conftest import economies, make_valuation
+from conftest import economies, make_valuation, valuations
 
 F = Fraction
 
@@ -163,6 +165,125 @@ def test_hull_pieces_match_subset_interpolation(points):
             expected.add((slope, intercept))
     pieces, _ = upper_concave_hull(points)
     assert [(p.slope, p.intercept) for p in pieces] == sorted(expected)
+
+
+VALUE_KINDS = {
+    "ties 0..1": dict(max_value=1),
+    "ties 0..3": dict(max_value=3),
+    "rational": dict(rational=True),
+    "wide": dict(),
+}
+
+
+@st.composite
+def walk_points(draw):
+    """Sorted lifted points of 1-3 goods for the facet-walk differentials.
+
+    Bundles of 2 or 3 goods come from ``valuations``.  They are kept, or
+    mapped injectively onto a line in R^1, R^2 or R^3, or (2 goods) onto a
+    plane in R^3.  Values are tie-heavy, rational over coprime denominators
+    or wide.  They may be replaced by an integer linear function, which puts
+    every lifted point on one hyperplane, or have one added, which keeps
+    the tie-heavy values' coplanar subsets coplanar in a tilted position."""
+    goods = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(sorted(VALUE_KINDS)))
+    v = draw(valuations(max_bundles=14, coord=3, goods=goods, **VALUE_KINDS[kind]))
+    shape = draw(st.sampled_from(["kept", "line", "plane"] if goods == 2 else ["kept", "line"]))
+    if shape == "line":
+        direction = draw(st.sampled_from([(1,), (1, 2), (2, 1, 3)]))
+        embed = lambda q: tuple(sum(x * 4**i for i, x in enumerate(q)) * d for d in direction)
+    elif shape == "plane":
+        embed = lambda q: (q[0], q[1], q[0] + 2 * q[1])
+    else:
+        embed = lambda q: q
+    points = {embed(q): u for q, u in v.entries.items()}
+    lift = draw(st.sampled_from(["values", "linear", "linear plus values"]))
+    if lift != "values":
+        slope = draw(st.tuples(*[st.integers(0, 3)] * len(next(iter(points)))))
+        keep = lift != "linear"
+        points = {q: sum(a * x for a, x in zip(slope, q)) + keep * u for q, u in points.items()}
+    return sorted(points.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_points())
+@example([((0,), F(0)), ((1,), F(1, 2)), ((2,), F(2, 3)), ((3,), F(4, 5)), ((5,), F(6, 7))])
+@example(sorted({(0, 0, 0): F(0), (1, 0, 0): F(1), (0, 1, 0): F(1), (1, 1, 0): F(2), (0, 0, 1): F(1), (1, 1, 1): F(3)}.items()))
+@example(sorted({(0, 0, 0): F(0), (1, 0, 1): F(1), (0, 1, 2): F(1), (1, 1, 3): F(0), (2, 1, 4): F(1)}.items()))
+@example(sorted({(0, 0, 0): F(0), (1, 2, 1): F(3), (2, 4, 2): F(3), (3, 6, 3): F(1, 2)}.items()))
+def test_hull_matches_the_facet_walk(points):
+    # Same pieces in the same order, and the same hull indices, as the
+    # walk over every (d+1)-subset of the lifted points.
+    assert upper_concave_hull(points) == facet_walk.upper_concave_hull(points)
+
+
+@st.composite
+def full_dimensional_point_sets(draw):
+    """Rational point sets in R^2 or R^3 that span the space: points of a
+    small grid scaled by one rational, so that facets hold many points, or
+    coordinates over coprime denominators."""
+    dim = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([1, 2, 3]))
+        coord = st.integers(0, 3).map(lambda k: F(k, den))
+    else:
+        coord = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5]))
+    points = draw(
+        st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=14, unique=True)
+    )
+    assume(len(independent_directions(points)) == dim)
+    return dim, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_dimensional_point_sets())
+@example((2, [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]))
+# The cube [0,2]^3 with the midpoint of an edge: the first three sorted
+# points are collinear, so each facet's first affinely independent triple
+# skips one of them.
+@example((3, [(0, 0, 1), *itertools.product((0, 2), repeat=3)]))
+def test_convex_hull_halfspaces_matches_the_facet_walk(case):
+    # The rows, in order, are the walk's: facets by first appearance over
+    # the sorted points, then deduplicated.
+    dim, points = case
+    assert convex_hull_halfspaces(points, dim).halfspaces == facet_walk.hull_rows(points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_points(), st.randoms(use_true_random=False))
+def test_extreme_rays_do_not_depend_on_row_order(points, rnd):
+    # The cone of the lifted hull, rows shuffled: the same primitive rays.
+    bundles = [q for q, _ in points]
+    d = len(independent_directions(bundles))
+    scale = lcm(*(u.denominator for _, u in points))
+    rows = [(0,) * (len(bundles[0]) + 1) + (1,)] + [(*q, 1, -int(u * scale)) for q, u in points]
+    assume(d == len(bundles[0]))
+    shuffled = rows[:]
+    rnd.shuffle(shuffled)
+    rays = polyhedra._extreme_rays(rows, d + 2)
+    assert rays == polyhedra._extreme_rays(shuffled, d + 2)
+    assert all(sum(a * x for a, x in zip(row, r)) >= 0 for r in rays for row in rows)
+
+
+def test_extreme_rays_of_a_simplicial_and_a_square_cone():
+    assert polyhedra._extreme_rays([(1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
+    # x + y >= 0 is redundant; the cone over the unit square has 4 rays.
+    assert polyhedra._extreme_rays([(1, 1), (1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
+    square = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
+    assert polyhedra._extreme_rays(square, 3) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "rows, dim",
+    [
+        ([(1, 0, 0), (0, 1, 0)], 3),  # too few rows
+        ([(1, 1), (-1, -1), (2, 2)], 2),  # a half-plane: contains a line
+        ([], 1),
+    ],
+)
+def test_extreme_rays_of_a_cone_that_is_not_pointed(rows, dim):
+    with pytest.raises(DegenerateInput, match="extreme rays: .* not pointed"):
+        polyhedra._extreme_rays(rows, dim)
 
 
 def _rows(poly):
