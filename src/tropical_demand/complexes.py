@@ -35,7 +35,6 @@ from .exactmath import (
     ccw_compare,
     cross2,
     dot,
-    independent_directions,
     is_primitive,
     ivec_to_vec,
     rational_direction,
@@ -43,6 +42,7 @@ from .exactmath import (
     vsub,
 )
 from .polyhedra import (
+    _first_independent,
     HPolyhedron,
     Polygon2,
     PolygonEdge,
@@ -310,15 +310,15 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of price space into regions of constant demand.
 
     Each region and its edges come from ``active_polygons`` of the indirect
-    utility, one half-plane intersection per piece, and the region is
-    labeled by the piece's bundle.  An edge of region k lies on the tie line
-    of every piece its rows come from; two pieces tied with k along one line
-    differ by a multiple of its equation, so exactly one kept piece l lies
-    across.  The edge is the facet (k, l), read off the region that comes
-    first in piece order, with the weight and primitive normal factored from
-    the label difference.  The domain is the plane, so no edge lies on a
-    boundary.  Capped at MAX_HULL_POINTS bundles, which also caps the demand
-    complex, its dual.
+    utility, one half-plane intersection of integer tie rows per piece, and
+    the region is labeled by the piece's bundle.  An edge of region k lies
+    on the tie line of every piece its rows come from; two pieces tied with
+    k along one line differ by a multiple of its equation, so exactly one
+    kept piece l lies across.  The edge is the facet (k, l), read off the
+    region that comes first in piece order, with the weight and primitive
+    normal factored from the label difference.  The domain is the plane, so
+    no edge lies on a boundary.  Capped at MAX_HULL_POINTS bundles, which
+    also caps the demand complex, its dual.
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
@@ -348,14 +348,13 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
     complex, on the bundle hull as its domain."""
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
-    bundles = [ivec_to_vec(q) for q in v.bundles()]
-    if len(independent_directions(bundles)) == 1:
+    if len(_first_independent([(*q, 1) for q in v.bundles()], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     dual = dualize_complex(price_complex(v))
     # The dual's own domain, the hull of the region labels, is the same set
     # but can list its rows in another order, when a bundle that is no hull
     # vertex lies on the hull's boundary.
-    return replace(dual, domain=convex_hull_halfspaces(bundles, 2))
+    return replace(dual, domain=convex_hull_halfspaces(v.bundles(), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -14,16 +14,22 @@ cross-multiplication, so it takes the same pivots as on the rational
 tableau; only the final point and the uniqueness probes' optima become
 Fractions.
 
-``halfplane_intersection`` sorts the half-planes by the angle of their
-normals with exact cross products and walks them once with a deque.  In one
-pass it decides whether the intersection has interior and, if so, returns
-its polygon (vertex chain plus recession rays, no bounding box) together with
-the half-planes that support each edge.  Its offsets are scaled once by the
-lcm of their denominators, so each test in the walk is the sign of one
-integer expression; only the final vertices are Fractions.  The 2-D
-complexes build every region with it, the 2-good concave dual reads its
-pieces off their vertices, and 2-D essential pieces are the regions it
-finds; the simplex remains for the market and for n-good regions.
+``halfplane_intersection`` keeps, per primitive integer normal, the
+tightest of its half-planes and hands them to one private kernel,
+``_intersect_rows``.  The kernel takes each row as an integer normal and an
+integer offset numerator and denominator, sorts the rows by the angle of
+their normals with exact cross products and walks them once with a deque.
+In one pass it decides whether the intersection has interior and, if so,
+returns its polygon (vertex chain plus recession rays, no bounding box)
+together with the half-planes that support each edge.  Its offsets are
+scaled once by a common multiple of their denominators, so each test in the
+walk is the sign of one integer expression; only the final vertices and
+edge lines are Fractions.  The 2-D active regions of a polyhedral function
+build their integer tie rows themselves and call the kernel directly, with
+no Fraction row in between: the 2-D complexes build every region that way,
+the 2-good concave dual reads its pieces off their vertices, and 2-D
+essential pieces are the regions it finds; the simplex remains for the
+market and for n-good regions.
 The market solves its epigraph LP once: ``simplex_solve`` keeps the final
 phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
 face off it with warm-started Bland pivots instead of solving new LPs.
@@ -412,25 +418,41 @@ def interior_point(poly: HPolyhedron) -> Vec | None:
     return res.point[:n]
 
 
-def _tightest_rows(halfspaces: Sequence[HalfSpace]) -> dict[IVec, tuple[Fraction, list[int]]]:
+def _primitive_row(h: HalfSpace) -> tuple[IVec, int, int]:
+    """A row as its primitive integer normal n and the offset num/den (den > 0)
+    of the same half-space written n . x <= num/den."""
+    n, w = rational_direction(h.normal)
+    c = h.offset / w
+    return n, c.numerator, c.denominator
+
+
+def _tighten(best: dict[IVec, tuple[int, int, list[int]]], n: IVec, num: int, den: int, i: int):
+    """Fold row i, n . x <= num/den with den > 0, into ``best``: per normal,
+    in order of first appearance, the least offset and the rows attaining it.
+    Offsets are compared by cross-multiplication, so they need not be
+    reduced."""
+    old = best.get(n)
+    if old is None or num * old[1] < old[0] * den:
+        best[n] = (num, den, [i])
+    elif num * old[1] == old[0] * den:
+        old[2].append(i)
+
+
+def _tightest_rows(halfspaces: Sequence[HalfSpace]) -> dict[IVec, tuple[int, int, list[int]]]:
     """Rows scaled to primitive integer normals: per normal, in order of first
-    appearance, the least offset and the indices of the rows attaining it."""
-    best: dict[IVec, tuple[Fraction, list[int]]] = {}
+    appearance, the least offset num/den and the indices of the rows
+    attaining it."""
+    best: dict[IVec, tuple[int, int, list[int]]] = {}
     for i, h in enumerate(halfspaces):
-        n, w = rational_direction(h.normal)
-        c = h.offset / w
-        if n not in best or c < best[n][0]:
-            best[n] = (c, [i])
-        elif c == best[n][0]:
-            best[n][1].append(i)
+        _tighten(best, *_primitive_row(h), i)
     return best
 
 
 def dedupe_halfspaces(halfspaces: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
     """Scale-normalize and drop repeated or dominated copies of the same row."""
     return tuple(
-        HalfSpace(tuple(Fraction(x) for x in n), c)
-        for n, (c, _) in _tightest_rows(halfspaces).items()
+        HalfSpace(tuple(Fraction(x) for x in n), Fraction(num, den))
+        for n, (num, den, _) in _tightest_rows(halfspaces).items()
     )
 
 
@@ -495,7 +517,7 @@ def _excess_sign(row, p, q) -> int:
 
 
 def _line(row) -> HalfSpace:
-    return HalfSpace((Fraction(row[0]), Fraction(row[1])), row[4])
+    return HalfSpace((Fraction(row[0]), Fraction(row[1])), Fraction(row[4], row[5]))
 
 
 _BY_ANGLE = functools.cmp_to_key(lambda p, q: ccw_compare(p[:2], q[:2]))
@@ -508,32 +530,42 @@ def halfplane_intersection(
     (empty, a point, a segment, a ray or a line).
 
     Rows are scaled to primitive integer normals, and of the rows sharing a
-    normal only the tightest are kept.  Their offsets are then scaled by one
-    lcm L of their denominators, so every row is (a, b, L*c) in ints.  The
-    rows are sorted by the angle of their normals, with exact cross
-    products, and walked once with a deque.  The walk starts after a gap of
-    at least pi between consecutive normals when there is one, which makes
-    the region unbounded.  While the walked normals span at most pi, the
-    deque is a chain whose two ends run to infinity.  The first row turning
-    more than pi from the front closes it into a bounded polygon; after
-    that, a row that contains the closing vertex is redundant.  Each new row
-    pops the end vertices it does not strictly contain.  When one line is
-    left and the new row turns by pi or more from it, no interior remains.
-    Every containment test is the sign of one integer expression
-    (``_excess_sign``); vertices are made into Fractions only for the final
-    deque.
-
+    normal only the tightest are kept; ``_intersect_rows`` walks them.
     Returns the polygon and its edges in chain order, each edge with the
     input rows that support it and its unscaled offset.
     """
     if any(len(h.normal) != 2 for h in halfspaces):
         raise UnsupportedDimension("half-plane intersection is 2-D only")
-    tightest = _tightest_rows(halfspaces)
-    scale = lcm(*(c.denominator for c, _ in tightest.values()))
+    return _intersect_rows(_tightest_rows(halfspaces))
+
+
+def _intersect_rows(
+    tightest: dict[IVec, tuple[int, int, list[int]]],
+) -> tuple[Polygon2, tuple[PolygonEdge, ...]] | None:
+    """The half-plane intersection of rows n . x <= num/den, given per
+    distinct primitive integer normal n, in order of first appearance, as
+    (num, den, sources) with den > 0.
+
+    The offsets are scaled by one common multiple L of their denominators,
+    so every row is (a, b, L*c) in ints.  The rows are sorted by the angle
+    of their normals, with exact cross products, and walked once with a
+    deque.  The walk starts after a gap of at least pi between consecutive
+    normals when there is one, which makes the region unbounded.  While the
+    walked normals span at most pi, the deque is a chain whose two ends run
+    to infinity.  The first row turning more than pi from the front closes
+    it into a bounded polygon; after that, a row that contains the closing
+    vertex is redundant.  Each new row pops the end vertices it does not
+    strictly contain.  When one line is left and the new row turns by pi or
+    more from it, no interior remains.  Every containment test is the sign
+    of one integer expression (``_excess_sign``), which does not depend on
+    L; vertices and edge lines are made into Fractions only for the final
+    deque.
+    """
+    scale = lcm(*(den for _, den, _ in tightest.values()))
     rows = sorted(
         (
-            (n[0], n[1], c.numerator * (scale // c.denominator), src, c)
-            for n, (c, src) in tightest.items()
+            (n[0], n[1], num * (scale // den), src, num, den)
+            for n, (num, den, src) in tightest.items()
         ),
         key=_BY_ANGLE,
     )
@@ -775,8 +807,11 @@ def _normals(dirs: Sequence[Vec], dim: int) -> list[Vec]:
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
-    Supports dim <= 3.  A full-dimensional set, scaled to integer points P,
-    reads each facet n.P <= c off an extreme ray (-n, c) of the cone
+    Supports dim <= 3.  The points are scaled by the lcm of their
+    denominators to integer points P, and the set is full-dimensional iff
+    the lifted points (P, 1) have rank dim + 1, which the fraction-free
+    ``_first_independent`` decides.  A full-dimensional set reads each facet
+    n.P <= c off an extreme ray (-n, c) of the cone
     { (m, c) : m.P + c >= 0 for every P }, whose rows are the points (P, 1).
     The facets are sorted by the lexicographically first affinely
     independent dim-subset of the sorted points on each, the order in which
@@ -784,7 +819,7 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     A lower-dimensional set gets the equations of its affine hull, each as a
     pair of opposite rows, and then its hull within the affine hull, built
     in the coordinates ``y_i = d_i . (p - p_0)`` along its independent
-    directions and read back in R^dim.
+    directions (``independent_directions``) and read back in R^dim.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if not pts:
@@ -801,8 +836,10 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     if dim not in (2, 3):
         raise UnsupportedDimension("convex hulls supported up to dimension 3")
     uniq = sorted(set(pts))
-    dirs = independent_directions(uniq)
-    if len(dirs) < dim:
+    scale = lcm(*(c.denominator for p in uniq for c in p))
+    lifted = [(*(c.numerator * (scale // c.denominator) for c in p), 1) for p in uniq]
+    if len(_first_independent(lifted, dim + 1)) <= dim:
+        dirs = independent_directions(uniq)
         base = uniq[0]
         hs = []
         for n in _normals(dirs, dim):
@@ -813,8 +850,6 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
                 n = tuple(sum(a * d[i] for a, d in zip(h.normal, dirs)) for i in range(dim))
                 hs.append(HalfSpace(n, h.offset + dot(n, base)))
         return HPolyhedron(dim, dedupe_halfspaces(hs))
-    scale = lcm(*(c.denominator for p in uniq for c in p))
-    lifted = [(*(int(c * scale) for c in p), 1) for p in uniq]
     facets = []
     for ray in _extreme_rays(lifted, dim + 1):
         tight = [p for p in lifted if sum(a * x for a, x in zip(ray, p)) == 0]

@@ -10,11 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
+from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DegenerateInput, EmptyCell, UnknownBundle, ValidationError
-from .exactmath import IVec, dot, independent_directions, ivec_to_vec, vsub
+from .errors import (
+    DegenerateInput,
+    EmptyCell,
+    UnknownBundle,
+    UnsupportedDimension,
+    ValidationError,
+)
+from .exactmath import IVec, dot, ivec_to_vec, vsub
 from .polyhedra import (
+    _first_independent,
+    _intersect_rows,
+    _primitive_row,
+    _tighten,
     AffinePiece,
     HPolyhedron,
     HalfSpace,
@@ -23,7 +36,6 @@ from .polyhedra import (
     check_hull_cap,
     convex_hull_halfspaces,
     feasible_point,
-    halfplane_intersection,
     interior_point,
     reduce,
     upper_concave_hull,
@@ -84,45 +96,99 @@ class PolyhedralFunction:
         target = self.evaluate(x)
         return [p for p in self.pieces if p.evaluate(x) == target]
 
-    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
-        """Rows of the set where piece k attains the function, one per other
-        non-parallel piece in piece order, and the piece tied with k along
-        each of them; the domain rows follow them.
+    @cached_property
+    def _scaled(self) -> tuple[int, int, list[IVec], list[int]]:
+        """Every slope times one lcm S of the slope denominators and every
+        intercept times one lcm T of the intercept denominators, as ints."""
+        slope_scale = lcm(*(c.denominator for p in self.pieces for c in p.slope))
+        intercept_scale = lcm(*(p.intercept.denominator for p in self.pieces))
+        slopes = [tuple(_scale(c, slope_scale) for c in p.slope) for p in self.pieces]
+        intercepts = [_scale(p.intercept, intercept_scale) for p in self.pieces]
+        return slope_scale, intercept_scale, slopes, intercepts
+
+    def _tie_rows(self, k: int) -> list[tuple[int, IVec, int]] | None:
+        """The set where piece k attains the function, as the rows
+        (normal / S) . x <= offset / T in ints, one per other non-parallel
+        piece j in piece order, each as (j, normal, offset).
 
         None when a parallel piece beats k everywhere.
         """
-        piece = self.pieces[k]
-        rows: list[HalfSpace] = []
-        tied: list[int] = []
-        for j, other in enumerate(self.pieces):
+        _, _, slopes, intercepts = self._scaled
+        slope, intercept = slopes[k], intercepts[k]
+        rows = []
+        for j, (other, b) in enumerate(zip(slopes, intercepts)):
             if j == k:
                 continue
             if self.convention == "max":
-                normal = vsub(other.slope, piece.slope)
-                offset = piece.intercept - other.intercept
+                normal, offset = tuple(map(sub, other, slope)), intercept - b
             else:
-                normal = vsub(piece.slope, other.slope)
-                offset = other.intercept - piece.intercept
-            if all(c == 0 for c in normal):
+                normal, offset = tuple(map(sub, slope, other)), b - intercept
+            if not any(normal):
                 if offset < 0:
                     return None
                 continue
-            rows.append(HalfSpace(normal=normal, offset=offset))
-            tied.append(j)
-        return (*rows, *self.domain.halfspaces), tuple(tied)
+            rows.append((j, normal, offset))
+        return rows
+
+    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
+        """Rows of the set where piece k attains the function, one per other
+        non-parallel piece in piece order, and the piece tied with k along
+        each of them; the domain rows follow them.  The rows are those of
+        ``_tie_rows`` made into Fractions.
+
+        None when a parallel piece beats k everywhere.
+        """
+        rows = self._tie_rows(k)
+        if rows is None:
+            return None
+        slope_scale, intercept_scale, _, _ = self._scaled
+        halfspaces = tuple(
+            HalfSpace(
+                normal=tuple(Fraction(x, slope_scale) for x in normal),
+                offset=Fraction(offset, intercept_scale),
+            )
+            for _, normal, offset in rows
+        )
+        return (*halfspaces, *self.domain.halfspaces), tuple(j for j, _, _ in rows)
 
     def active_polygons(
         self,
     ) -> Iterator[tuple[int, Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]]:
         """In piece order, each piece k whose active set has interior, with its
-        polygon and edges from one half-plane intersection of
-        ``active_region(k)`` and the pieces tied with k along its rows.
-        2-D only."""
+        polygon and edges and the pieces tied with k along its rows: the
+        half-plane intersection of ``active_region(k)``, built from the
+        integer rows of ``_tie_rows``.
+
+        A row normal . x <= offset in ints stands for the half-plane
+        n . x <= offset * S / (T * g), with g the gcd of the normal and n the
+        primitive normal / g.  The rows sharing n keep only the tightest,
+        compared by cross-multiplication, and the domain rows follow, so
+        the walk gets the rows, offsets and sources that
+        ``halfplane_intersection`` would.  2-D only.
+        """
+        normals = [p.slope for p in self.pieces] + [h.normal for h in self.domain.halfspaces]
+        if self.domain.dim != 2 or any(len(n) != 2 for n in normals):
+            raise UnsupportedDimension("active polygons are 2-D only")
+        slope_scale, intercept_scale, _, _ = self._scaled
+        domain = [_primitive_row(h) for h in self.domain.halfspaces]
         for k in range(len(self.pieces)):
-            active = self.active_region(k)
-            region = halfplane_intersection(active[0]) if active is not None else None
+            rows = self._tie_rows(k)
+            if rows is None:
+                continue
+            best: dict = {}
+            for i, (_, (a, b), offset) in enumerate(rows):
+                g = gcd(a, b)
+                _tighten(best, (a // g, b // g), offset * slope_scale, intercept_scale * g, i)
+            for i, row in enumerate(domain, len(rows)):
+                _tighten(best, *row, i)
+            region = _intersect_rows(best)
             if region is not None:
-                yield (k, *region, active[1])
+                yield (k, *region, tuple(j for j, _, _ in rows))
+
+
+def _scale(x: Fraction, scale: int) -> int:
+    """x times a common multiple of its denominator, as an int."""
+    return x.numerator * (scale // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -182,10 +248,15 @@ def dualize(v: Valuation) -> PolyhedralFunction:
 
 
 def _dual_pieces(v: Valuation) -> list[AffinePiece]:
-    """The pieces of the concave dual, sorted by (slope, intercept)."""
+    """The pieces of the concave dual, sorted by (slope, intercept).
+
+    Two goods whose lifted bundles (q, 1) have rank 3, by fraction-free
+    elimination, read them off the corners of ``active_polygons`` of the
+    indirect utility, whose regions are built from integer tie rows; every
+    other valuation lifts the upper concave hull."""
     entries = sorted(v.entries.items())
     check_hull_cap("upper concave hull", len(entries))
-    if v.goods != 2 or len(independent_directions([q for q, _ in entries])) < 2:
+    if v.goods != 2 or len(_first_independent([(*q, 1) for q, _ in entries], 3)) < 3:
         return upper_concave_hull(entries)[0]
     f = indirect_utility(v)
     # p lies in piece k's region, so f(p) is that piece's value there.
@@ -198,8 +269,22 @@ def _dual_pieces(v: Valuation) -> list[AffinePiece]:
 
 
 def _below_hull(v: Valuation, hull: Sequence[AffinePiece]) -> frozenset[IVec]:
-    """Bundles strictly below the min of the upper-hull pieces: never demanded."""
-    return frozenset(q for q, u in v.entries.items() if min(p.evaluate(q) for p in hull) > u)
+    """Bundles strictly below the min of the upper-hull pieces: never demanded.
+
+    The slopes, intercepts and values are scaled by one lcm of all their
+    denominators, so each test compares integer dot products."""
+    scale = lcm(
+        *(c.denominator for p in hull for c in (*p.slope, p.intercept)),
+        *(u.denominator for u in v.entries.values()),
+    )
+    pieces = [
+        (tuple(_scale(c, scale) for c in p.slope), _scale(p.intercept, scale)) for p in hull
+    ]
+    return frozenset(
+        q
+        for q, u in v.entries.items()
+        if min(sum(a * x for a, x in zip(slope, q)) + t for slope, t in pieces) > _scale(u, scale)
+    )
 
 
 def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from tropical_demand import (
     HPolyhedron,
     PolyhedralFunction,
     UnknownBundle,
+    UnsupportedDimension,
     ValidationError,
     Valuation,
     check_monotone,
@@ -23,7 +25,9 @@ from tropical_demand import (
 )
 from tropical_demand.exactmath import dot
 from tropical_demand.polyhedra import halfplane_intersection, interior_point, upper_concave_hull
+from tropical_demand.valuation import _below_hull
 
+import fraction_regions
 from conftest import make_valuation, price_vectors, valuations
 
 F = Fraction
@@ -277,3 +281,126 @@ def test_essential_pieces_in_2d_match_the_interior_point_lp(v):
             if active is not None and interior_point(HPolyhedron(2, active[0])) is not None:
                 expected.add(piece)
         assert essential_pieces(f) == expected
+
+
+# ---------------------------------------------------------------------------
+# integer tie rows against the Fraction route
+# ---------------------------------------------------------------------------
+
+small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def polyhedral_functions(draw):
+    """2-D max or min functions with rational pieces, repeated slopes and
+    intercepts, and a domain of 0-3 rows whose normals can repeat the tie
+    rows' directions."""
+    slopes = st.tuples(small_fractions, small_fractions)
+    pieces = draw(
+        st.lists(
+            st.builds(AffinePiece, slope=slopes, intercept=small_fractions),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    normals = slopes.filter(lambda n: any(n))
+    domain = draw(
+        st.lists(st.builds(HalfSpace, normal=normals, offset=small_fractions), max_size=3)
+    )
+    convention = draw(st.sampled_from(("max", "min")))
+    return PolyhedralFunction(convention, tuple(pieces), HPolyhedron(2, tuple(domain)))
+
+
+def _assert_same_regions(f):
+    assert [f.active_region(k) for k in range(len(f.pieces))] == [
+        fraction_regions.active_region(f, k) for k in range(len(f.pieces))
+    ]
+    assert list(f.active_polygons()) == list(fraction_regions.active_polygons(f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(valuations(max_bundles=12, rational=True))
+def test_max_regions_match_the_fraction_route(v):
+    _assert_same_regions(indirect_utility(v))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_valuations)
+def test_min_regions_of_the_dual_match_the_fraction_route(v):
+    # Rational slopes, and the bundle hull's rows as the domain.
+    _assert_same_regions(dualize(v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polyhedral_functions())
+def test_regions_of_hand_drawn_functions_match_the_fraction_route(f):
+    _assert_same_regions(f)
+
+
+def _function(convention, *pieces, domain=()):
+    return PolyhedralFunction(
+        convention,
+        tuple(AffinePiece(tuple(map(F, slope)), F(b)) for slope, b in pieces),
+        HPolyhedron(2, tuple(HalfSpace(tuple(map(F, n)), F(c)) for n, c in domain)),
+    )
+
+
+@pytest.mark.parametrize("convention", ["max", "min"])
+@pytest.mark.parametrize(
+    "pieces, domain",
+    [
+        # a duplicate slope that loses everywhere
+        ([((1, 0), 0), ((1, 0), 2), ((0, 1), 0)], ()),
+        # a duplicate slope that ties: both copies get the same region
+        ([((1, 0), 1), ((0, 1), 0), ((1, 0), 1)], ()),
+        # two pieces: each region is a half-plane
+        ([((0, 0), 0), ((2, -2), F(1, 3))], ()),
+        # three parallel slopes: the middle region is a strip
+        ([((0, 0), 0), ((1, 1), F(-1, 2)), ((2, 2), -3)], ()),
+        # a strip of the domain that shares its normals with the tie rows
+        ([((0, 0), 0), ((3, 0), 1)], [((1, 0), F(5, 2)), ((-2, 0), 2)]),
+    ],
+)
+def test_degenerate_regions_match_the_fraction_route(convention, pieces, domain):
+    _assert_same_regions(_function(convention, *pieces, domain=domain))
+
+
+def test_active_polygons_refuse_other_dimensions_before_building_rows(monkeypatch):
+    def no_rows(self, k):
+        raise AssertionError("tie rows built for a function that is not 2-D")
+
+    monkeypatch.setattr(PolyhedralFunction, "_tie_rows", no_rows)
+    one_piece = PolyhedralFunction(
+        "max", (AffinePiece((F(1), F(2), F(3)), F(0)),), HPolyhedron(3, ())
+    )
+    three_goods = indirect_utility(make_valuation({(0, 0, 0): 0, (1, 0, 2): 5}, goods=3))
+    skew_domain = replace(
+        indirect_utility(make_valuation({(0, 0): 0, (1, 0): 5})),
+        domain=HPolyhedron(2, (HalfSpace((F(1), F(0), F(0)), F(1)),)),
+    )
+    for f in (one_piece, three_goods, skew_domain):
+        with pytest.raises(UnsupportedDimension):
+            next(f.active_polygons())
+
+
+hull_pieces = st.lists(
+    st.builds(
+        AffinePiece, slope=st.tuples(small_fractions, small_fractions), intercept=small_fractions
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(valuations(max_bundles=12, rational=True), valuations(max_bundles=12, max_value=3)),
+    st.one_of(st.none(), hull_pieces),
+)
+def test_below_hull_matches_fraction_evaluation(v, hull):
+    # The dual's own pieces put bundles on and below the hull; arbitrary
+    # rational pieces put them on either side.
+    if hull is None:
+        hull = dualize(v).pieces
+    expected = {q for q, u in v.entries.items() if min(p.evaluate(q) for p in hull) > u}
+    assert _below_hull(v, hull) == expected
