@@ -32,7 +32,7 @@ from .errors import (
 from .exactmath import rational
 from .potential import check_cyclic_monotonicity, integrate_subdivision
 from .svg import render_subdivision
-from .valuation import _below_hull, dualize
+from .valuation import _dual
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -73,8 +73,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_dualize(args) -> int:
     v = serialize.valuation_from_dict(_read_json(args.infile))
-    dual = dualize(v)
-    below = _below_hull(v, dual.pieces)
+    dual, below = _dual(v)
     _emit(serialize.dumps(serialize.function_to_dict(dual, never_demanded=sorted(below))), args.out)
     return EXIT_OK
 

@@ -35,6 +35,7 @@ from .exactmath import (
     ccw_compare,
     cross2,
     dot,
+    first_independent,
     is_primitive,
     ivec_to_vec,
     rational_direction,
@@ -42,7 +43,6 @@ from .exactmath import (
     vsub,
 )
 from .polyhedra import (
-    _first_independent,
     HPolyhedron,
     Polygon2,
     PolygonEdge,
@@ -348,7 +348,7 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
     complex, on the bundle hull as its domain."""
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
-    if len(_first_independent([(*q, 1) for q in v.bundles()], 3)) == 2:
+    if len(first_independent([(*q, 1) for q in v.bundles()], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     dual = dualize_complex(price_complex(v))
     # The dual's own domain, the hull of the region labels, is the same set

@@ -144,8 +144,33 @@ def ccw_compare(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> int
     return -1 if cr > 0 else (1 if cr < 0 else 0)
 
 
+def first_independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
+    """Indices of the rows that the greedy pass keeps: each row in order is
+    kept when it is linearly independent of the rows kept before it, until
+    ``limit`` are kept.  Independence is a matroid, so the kept rows are the
+    lexicographically first maximal independent set.  The elimination is
+    fraction-free: each step is an integer combination of two rows."""
+    kept: list[int] = []
+    reduced: list[tuple[int, list[int]]] = []
+    for i, row in enumerate(rows):
+        work = list(row)
+        for lead, r in reduced:
+            f, p = work[lead], r[lead]
+            if f:
+                work = [p * x - f * y for x, y in zip(work, r)]
+        lead = next((j for j, x in enumerate(work) if x), None)
+        if lead is not None:
+            reduced.append((lead, work))
+            kept.append(i)
+            if len(kept) == limit:
+                break
+    return kept
+
+
 def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
-    """A maximal set of linearly independent difference vectors ``p_i - p_0``.
+    """A maximal set of linearly independent difference vectors ``p_i - p_0``:
+    the ones ``first_independent`` keeps, on the differences scaled to ints
+    by the lcm of their denominators.
 
     The length of the result is the dimension of the affine hull of the
     points.
@@ -153,17 +178,7 @@ def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[V
     if not points:
         return []
     base = [Fraction(c) for c in points[0]]
-    basis: list[list[Fraction]] = []
-    reduced: list[list[Fraction]] = []
-    for p in points[1:]:
-        vec = [Fraction(c) - b for c, b in zip(p, base)]
-        work = vec[:]
-        for row in reduced:
-            lead = next((i for i, x in enumerate(row) if x != 0), None)
-            if lead is not None and work[lead] != 0:
-                factor = work[lead] / row[lead]
-                work = [x - factor * y for x, y in zip(work, row)]
-        if any(x != 0 for x in work):
-            basis.append(vec)
-            reduced.append(work)
-    return [tuple(v) for v in basis]
+    diffs = [tuple(Fraction(c) - b for c, b in zip(p, base)) for p in points[1:]]
+    scale = lcm(*(c.denominator for d in diffs for c in d))
+    rows = [[c.numerator * (scale // c.denominator) for c in d] for d in diffs]
+    return [diffs[i] for i in first_independent(rows, len(base))]

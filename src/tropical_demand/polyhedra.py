@@ -27,19 +27,18 @@ walk is the sign of one integer expression; only the final vertices and
 edge lines are Fractions.  The 2-D active regions of a polyhedral function
 build their integer tie rows themselves and call the kernel directly, with
 no Fraction row in between: the 2-D complexes build every region that way,
-the 2-good concave dual reads its pieces off their vertices, and 2-D
-essential pieces are the regions it finds; the simplex remains for the
-market and for n-good regions.
+and 2-D essential pieces are the regions it finds; the simplex remains for
+the market and for n-good regions.
 The market solves its epigraph LP once: ``simplex_solve`` keeps the final
 phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
 face off it with warm-started Bland pivots instead of solving new LPs.
 
-The upper concave hull of lifted points (the dual of 1-good, collinear and
-3-good valuations, and the test oracle for 2 goods) and the convex hull of
-the bundles share one exact kernel, ``_extreme_rays``: incremental double
-description of a pointed cone {x : a.x >= 0} over integer rows, with
-gcd-reduced integer rays and bit-set zero sets for the adjacency test.  The
-hull's pieces are the vertices of the indirect utility's epigraph and the
+The upper concave hull of lifted points (the concave dual of every
+valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
+share one exact kernel, ``_extreme_rays``: incremental double description
+of a pointed cone {x : a.x >= 0} over integer rows, with gcd-reduced
+integer rays and bit-set zero sets for the adjacency test.  The hull's
+pieces are the vertices of the indirect utility's epigraph and the
 bundle hull's facets the rays of its recession cone; both are read off
 extreme rays.  Rational values and points are first scaled by the lcm of
 their denominators, so every test is the sign of an integer.
@@ -61,6 +60,7 @@ from .exactmath import (
     ZERO,
     ccw_compare,
     dot,
+    first_independent,
     independent_directions,
     rational_direction,
     rot90ccw,
@@ -631,29 +631,6 @@ def check_hull_cap(stage: str, count: int) -> None:
         raise InstanceTooLarge(f"{stage}: {count} bundles exceed the cap of {MAX_HULL_POINTS}")
 
 
-def _first_independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
-    """Indices of the rows that the greedy pass keeps: each row in order is
-    kept when it is linearly independent of the rows kept before it, until
-    ``limit`` are kept.  Independence is a matroid, so the kept rows are the
-    lexicographically first maximal independent set.  The elimination is
-    fraction-free: each step is an integer combination of two rows."""
-    kept: list[int] = []
-    reduced: list[tuple[int, list[int]]] = []
-    for i, row in enumerate(rows):
-        work = list(row)
-        for lead, r in reduced:
-            f, p = work[lead], r[lead]
-            if f:
-                work = [p * x - f * y for x, y in zip(work, r)]
-        lead = next((j for j, x in enumerate(work) if x), None)
-        if lead is not None:
-            reduced.append((lead, work))
-            kept.append(i)
-            if len(kept) == limit:
-                break
-    return kept
-
-
 def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
     """The primitive integer extreme rays of the pointed cone
     { x in R^dim : a . x >= 0 for every row a }, sorted.
@@ -672,7 +649,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
     the extreme rays of a pointed cone, made primitive, are unique, so the
     order in which rows are added changes only the speed.
     """
-    basis = _first_independent(rows, dim)
+    basis = first_independent(rows, dim)
     if len(basis) < dim:
         raise DegenerateInput(
             f"extreme rays: the {len(rows)} rows span a space of dimension "
@@ -743,8 +720,9 @@ def upper_concave_hull(
     point, and s >= 0: each is the piece u = (p.y + t) / (L*s), read back in
     bundle coordinates.  The rays with s = 0 are the facets of the bundle
     hull and are dropped.  Hull indices are exactly the points the majorant
-    touches, the rows some piece's ray is tight on.  At most 64 points and 3
-    goods.
+    touches, the rows some piece's ray is tight on; the others are the
+    bundles never demanded.  This is the only source of the concave dual's
+    pieces (``valuation.dualize``).  At most 64 points and 3 goods.
     """
     if not points:
         raise DegenerateInput("hull of no points")
@@ -762,7 +740,7 @@ def upper_concave_hull(
         return [piece], {0}
 
     base = bundles[0]
-    directions = independent_directions([tuple(Fraction(c) for c in q) for q in bundles])
+    directions = independent_directions(bundles)
     d = len(directions)
     scale = lcm(*(u.denominator for u in values))
     rows = [(0,) * (d + 1) + (1,)] + [
@@ -810,7 +788,7 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     Supports dim <= 3.  The points are scaled by the lcm of their
     denominators to integer points P, and the set is full-dimensional iff
     the lifted points (P, 1) have rank dim + 1, which the fraction-free
-    ``_first_independent`` decides.  A full-dimensional set reads each facet
+    ``first_independent`` decides.  A full-dimensional set reads each facet
     n.P <= c off an extreme ray (-n, c) of the cone
     { (m, c) : m.P + c >= 0 for every P }, whose rows are the points (P, 1).
     The facets are sorted by the lexicographically first affinely
@@ -838,7 +816,7 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     uniq = sorted(set(pts))
     scale = lcm(*(c.denominator for p in uniq for c in p))
     lifted = [(*(c.numerator * (scale // c.denominator) for c in p), 1) for p in uniq]
-    if len(_first_independent(lifted, dim + 1)) <= dim:
+    if len(first_independent(lifted, dim + 1)) <= dim:
         dirs = independent_directions(uniq)
         base = uniq[0]
         hs = []
@@ -853,7 +831,7 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     facets = []
     for ray in _extreme_rays(lifted, dim + 1):
         tight = [p for p in lifted if sum(a * x for a, x in zip(ray, p)) == 0]
-        facets.append((tuple(tight[i] for i in _first_independent(tight, dim)), ray))
+        facets.append((tuple(tight[i] for i in first_independent(tight, dim)), ray))
     hs = [
         HalfSpace(tuple(Fraction(-a) for a in ray[:-1]), Fraction(ray[-1], scale))
         for _, ray in sorted(facets)

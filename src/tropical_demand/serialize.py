@@ -46,10 +46,13 @@ def _vec_in(data, context: str) -> Vec:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: ``bool`` is a subclass of ``int`` in Python."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _ivec_in(data, context: str) -> IVec:
-    if not isinstance(data, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in data
-    ):
+    if not isinstance(data, list) or not all(_is_int(c) for c in data):
         raise ValidationError(f"{context}: expected an integer array")
     return tuple(data)
 
@@ -76,7 +79,7 @@ def valuation_to_dict(v: Valuation) -> dict:
 
 def valuation_from_dict(data) -> Valuation:
     _expect(isinstance(data, dict), "valuation: expected an object")
-    _expect(isinstance(data.get("goods"), int), "valuation: 'goods' must be an integer")
+    _expect(_is_int(data.get("goods")), "valuation: 'goods' must be an integer")
     entries_raw = data.get("entries")
     _expect(isinstance(entries_raw, list), "valuation: 'entries' must be an array")
     entries: dict[IVec, Fraction] = {}
@@ -110,7 +113,7 @@ def economy_to_dict(e: Economy) -> dict:
 
 def economy_from_dict(data) -> Economy:
     _expect(isinstance(data, dict), "economy: expected an object")
-    _expect(isinstance(data.get("goods"), int), "economy: 'goods' must be an integer")
+    _expect(_is_int(data.get("goods")), "economy: 'goods' must be an integer")
     endowment = _ivec_in(data.get("endowment"), "economy endowment")
     consumers_raw = data.get("consumers")
     _expect(isinstance(consumers_raw, list) and consumers_raw, "economy: 'consumers' must be a nonempty array")
@@ -146,13 +149,14 @@ def domain_to_dict(domain: HPolyhedron) -> dict:
 
 def domain_from_dict(data) -> HPolyhedron:
     _expect(isinstance(data, dict), "domain: expected an object")
-    _expect(isinstance(data.get("dim"), int), "domain: 'dim' must be an integer")
+    _expect(_is_int(data.get("dim")), "domain: 'dim' must be an integer")
     raw = data.get("halfspaces")
     _expect(isinstance(raw, list), "domain: 'halfspaces' must be an array")
     halfspaces = []
     for item in raw:
         _expect(isinstance(item, dict), "halfspace: expected an object")
         normal = _vec_in(item.get("normal"), "halfspace normal")
+        _expect(len(normal) == data["dim"], "halfspace normal: length must equal 'dim'")
         try:
             offset = rational(item.get("offset"))
         except Exception as exc:
@@ -241,16 +245,15 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
     for item in raw:
         _expect(isinstance(item, dict), "cell: expected an object")
         cell_id = item.get("id")
-        _expect(isinstance(cell_id, int), "cell: 'id' must be an integer")
+        _expect(_is_int(cell_id), "cell: 'id' must be an integer")
         _expect(cell_id not in cells, f"cell: duplicate id {cell_id}")
         dim = item.get("dim")
-        _expect(dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
+        _expect(_is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
+        for key in ("points", "rays"):
+            _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
         points = tuple(_vec_in(p, "cell point") for p in item.get("points", []))
         rays = tuple(_ivec_in(r, "cell ray") for r in item.get("rays", []))
-        incident = tuple(item.get("incident", []))
-        _expect(
-            all(isinstance(i, int) for i in incident), "cell: 'incident' must be integer ids"
-        )
+        incident = _ivec_in(item.get("incident", []), "cell incident")
         cells[cell_id] = Cell(dim=dim, points=points, rays=rays, incident=incident)
         if dim == 2:
             _expect("label" in item, f"region cell {cell_id} is missing its label")
@@ -263,8 +266,7 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
                 raise ValidationError(f"facet weight: {exc}") from exc
             normal = _ivec_in(item.get("normal"), "facet normal")
             _expect(
-                isinstance(item.get("from_region"), int)
-                and isinstance(item.get("to_region"), int),
+                _is_int(item.get("from_region")) and _is_int(item.get("to_region")),
                 f"cell {cell_id}: facet data needs from_region and to_region",
             )
             facet_data[cell_id] = FacetData(

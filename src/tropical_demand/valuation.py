@@ -22,9 +22,8 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .exactmath import IVec, dot, ivec_to_vec, vsub
+from .exactmath import IVec, dot, vsub
 from .polyhedra import (
-    _first_independent,
     _intersect_rows,
     _primitive_row,
     _tighten,
@@ -33,7 +32,6 @@ from .polyhedra import (
     HalfSpace,
     Polygon2,
     PolygonEdge,
-    check_hull_cap,
     convex_hull_halfspaces,
     feasible_point,
     interior_point,
@@ -234,63 +232,30 @@ def dualize(v: Valuation) -> PolyhedralFunction:
     """The lowest concave function above the lifted bundle values.
 
     Min-of-affine on the convex hull of the bundles; the slopes of the
-    pieces are the prices at which demand is maximally multi-valued.  For 2
-    goods with affinely full-dimensional bundles those prices are the 0-cells
-    of the price complex: every corner p of a piece's active polygon in the
-    indirect utility f gives the piece with slope p and intercept f(p).
-    Otherwise (1 or 3 goods, collinear bundles) ``upper_concave_hull``
-    enumerates the vertices (p, f(p)) of the epigraph of f by exact double
-    description.  Either way at most MAX_HULL_POINTS bundles.
+    pieces are the prices at which demand is maximally multi-valued.  The
+    pieces are the vertices (p, f(p)) of the epigraph of the indirect
+    utility f, which ``upper_concave_hull`` enumerates by exact double
+    description for 1, 2 and 3 goods alike.  At most MAX_HULL_POINTS
+    bundles.
     """
-    pieces = _dual_pieces(v)
-    domain = convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], v.goods)
-    return PolyhedralFunction("min", tuple(pieces), domain)
+    return _dual(v)[0]
 
 
-def _dual_pieces(v: Valuation) -> list[AffinePiece]:
-    """The pieces of the concave dual, sorted by (slope, intercept).
-
-    Two goods whose lifted bundles (q, 1) have rank 3, by fraction-free
-    elimination, read them off the corners of ``active_polygons`` of the
-    indirect utility, whose regions are built from integer tie rows; every
-    other valuation lifts the upper concave hull."""
+def _dual(v: Valuation) -> tuple[PolyhedralFunction, frozenset[IVec]]:
+    """The concave dual and the bundles strictly below it (never demanded),
+    from one lift of the upper concave hull: a bundle is on the hull iff
+    some piece's ray is tight on it, which is the hull's index set."""
     entries = sorted(v.entries.items())
-    check_hull_cap("upper concave hull", len(entries))
-    if v.goods != 2 or len(_first_independent([(*q, 1) for q, _ in entries], 3)) < 3:
-        return upper_concave_hull(entries)[0]
-    f = indirect_utility(v)
-    # p lies in piece k's region, so f(p) is that piece's value there.
-    pieces = {
-        AffinePiece(slope=p, intercept=f.pieces[k].evaluate(p))
-        for k, polygon, _, _ in f.active_polygons()
-        for p in polygon.vertices
-    }
-    return sorted(pieces, key=lambda p: (p.slope, p.intercept))
-
-
-def _below_hull(v: Valuation, hull: Sequence[AffinePiece]) -> frozenset[IVec]:
-    """Bundles strictly below the min of the upper-hull pieces: never demanded.
-
-    The slopes, intercepts and values are scaled by one lcm of all their
-    denominators, so each test compares integer dot products."""
-    scale = lcm(
-        *(c.denominator for p in hull for c in (*p.slope, p.intercept)),
-        *(u.denominator for u in v.entries.values()),
-    )
-    pieces = [
-        (tuple(_scale(c, scale) for c in p.slope), _scale(p.intercept, scale)) for p in hull
-    ]
-    return frozenset(
-        q
-        for q, u in v.entries.items()
-        if min(sum(a * x for a, x in zip(slope, q)) + t for slope, t in pieces) > _scale(u, scale)
-    )
+    pieces, hull = upper_concave_hull(entries)
+    below = frozenset(q for i, (q, _) in enumerate(entries) if i not in hull)
+    domain = convex_hull_halfspaces([q for q, _ in entries], v.goods)
+    return PolyhedralFunction("min", tuple(pieces), domain), below
 
 
 def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:
     """Split bundles into those on the concave hull and those strictly below
-    (never demanded at any price), against the pieces of the dual."""
-    below = _below_hull(v, _dual_pieces(v))
+    (never demanded at any price), off the hull that ``dualize`` lifts."""
+    below = _dual(v)[1]
     return frozenset(v.entries) - below, below
 
 

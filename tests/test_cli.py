@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import jsonschema
+import pytest
 
 from tropical_demand import cli, serialize
 from tropical_demand.cli import build_parser
@@ -187,11 +188,11 @@ def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_pat
         return hull(points)
 
     monkeypatch.setattr(valuation, "upper_concave_hull", counting_hull)
+    # Every valuation lifts the hull exactly once: 1 good, full-dimensional
+    # and collinear 2-good bundles, and 3 goods.
     cases = [
-        # Full-dimensional 2-good bundles: the dual comes off the price
-        # complex, and no hull is lifted.
-        (2, {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}, [[1, 1]], []),
-        # Collinear 2-good bundles and 3 goods lift the hull once.
+        (1, {(0,): 0, (1,): 1, (2,): 10, (3,): 12}, [[1]], [4]),
+        (2, {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}, [[1, 1]], [5]),
         (2, {(0, 0): 0, (1, 1): 1, (2, 2): 10, (3, 3): 12}, [[1, 1]], [4]),
         (3, {(0, 0, 0): 0, (2, 0, 0): 9, (0, 2, 0): 9, (2, 2, 2): 30, (1, 1, 1): 1}, [[1, 1, 1]], [5]),
     ]
@@ -303,6 +304,70 @@ def test_balance_structurally_invalid(tmp_path, capsys):
     }
     infile = write(tmp_path, "s.json", payload)
     assert cli.main(["balance", "--in", infile]) == cli.EXIT_VALIDATION
+
+
+ONE_GOOD = {
+    "goods": 1,
+    "entries": [{"bundle": [0], "value": "0"}, {"bundle": [1], "value": "5"}],
+}
+
+
+def price_complex_doc(tmp_path, payload) -> dict:
+    infile = write(tmp_path, "v.json", payload)
+    out = tmp_path / "pc.json"
+    assert cli.main(["complex", "--in", infile, "--which", "price", "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("field", ["points", "rays", "incident"])
+def test_balance_non_array_cell_field_is_validation_error(tmp_path, capsys, field):
+    doc = price_complex_doc(tmp_path, FIVE_BUNDLE)
+    doc["cells"][-1][field] = 5
+    assert cli.main(["balance", "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["id", "dim", "from_region", "to_region"])
+def test_balance_boolean_cell_integer_is_validation_error(tmp_path, field):
+    # Two bundles: one edge between regions 1 and 2, so true would pass for
+    # id 1 wherever the field holds 1.
+    two = {
+        "goods": 2,
+        "entries": [{"bundle": [0, 0], "value": "0"}, {"bundle": [1, 0], "value": "1"}],
+    }
+    doc = price_complex_doc(tmp_path, two)
+    edge, first, second = doc["cells"]
+    if field == "from_region":
+        # The same subdivision with the two regions' ids swapped.
+        edge["from_region"], edge["to_region"] = edge["to_region"], edge["from_region"]
+        first["id"], second["id"] = second["id"], first["id"]
+    cell = first if field == "id" else edge
+    assert cell[field] == 1
+    assert cli.main(["balance", "--in", write(tmp_path, "ok.json", doc)]) == 0
+    cell[field] = True
+    assert cli.main(["balance", "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
+
+
+def test_boolean_goods_is_validation_error(tmp_path):
+    assert cli.main(["dualize", "--in", write(tmp_path, "v.json", ONE_GOOD)]) == 0
+    infile = write(tmp_path, "v.json", {**ONE_GOOD, "goods": True})
+    assert cli.main(["dualize", "--in", infile]) == cli.EXIT_VALIDATION
+    economy = {"goods": 1, "endowment": [1], "consumers": [ONE_GOOD]}
+    assert cli.main(["equilibrium", "--in", write(tmp_path, "e.json", economy)]) == 0
+    infile = write(tmp_path, "e.json", {**economy, "goods": True})
+    assert cli.main(["equilibrium", "--in", infile]) == cli.EXIT_VALIDATION
+
+
+def test_integrate_malformed_domain_is_validation_error(tmp_path):
+    doc = price_complex_doc(tmp_path, FIVE_BUNDLE)
+    doc["domain"]["halfspaces"] = [{"normal": ["1", "0"], "offset": "100"}]
+    assert cli.main(["integrate", "--in", write(tmp_path, "ok.json", doc)]) == 0
+    # A boolean dim, and a normal whose length is not dim.
+    doc["domain"]["dim"] = True
+    assert cli.main(["integrate", "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
+    doc["domain"]["dim"] = 2
+    doc["domain"]["halfspaces"][0]["normal"].append("0")
+    assert cli.main(["integrate", "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
 
 
 def test_integrate_golden(tmp_path):

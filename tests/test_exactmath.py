@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
-from tropical_demand.exactmath import lattice_length, rational_direction
+from tropical_demand.exactmath import independent_directions, lattice_length, rational_direction
 
 F = Fraction
 
@@ -89,3 +89,49 @@ def test_field_laws(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
 
+
+
+def fraction_independent_directions(points):
+    """The greedy independent differences p_i - p_0 by Gaussian elimination
+    over Fractions: the oracle of the fraction-free routine."""
+    if not points:
+        return []
+    base = [F(c) for c in points[0]]
+    basis, reduced = [], []
+    for p in points[1:]:
+        vec = [F(c) - b for c, b in zip(p, base)]
+        work = vec[:]
+        for row in reduced:
+            lead = next((i for i, x in enumerate(row) if x != 0), None)
+            if lead is not None and work[lead] != 0:
+                factor = work[lead] / row[lead]
+                work = [x - factor * y for x, y in zip(work, row)]
+        if any(x != 0 for x in work):
+            basis.append(vec)
+            reduced.append(work)
+    return [tuple(v) for v in basis]
+
+
+small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+
+
+@st.composite
+def point_sets(draw):
+    """Rational points in 1-3 dims: in general position, or on an affine
+    line or plane spanned by at most two random directions."""
+    dim = draw(st.integers(1, 3))
+    vec = st.tuples(*[small] * dim)
+    span = draw(st.integers(0, 3))
+    if span == 3:
+        return draw(st.lists(vec, max_size=8))
+    base, dirs = draw(vec), draw(st.lists(vec, min_size=span, max_size=span))
+    coeffs = st.lists(st.tuples(*[small] * span), max_size=8)
+    return [
+        tuple(b + sum((t * d[i] for t, d in zip(ts, dirs)), F(0)) for i, b in enumerate(base))
+        for ts in draw(coeffs)
+    ]
+
+
+@given(point_sets())
+def test_independent_directions_match_fraction_elimination(points):
+    assert independent_directions(points) == fraction_independent_directions(points)

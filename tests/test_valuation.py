@@ -1,8 +1,9 @@
+import json
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropical_demand import (
@@ -16,16 +17,17 @@ from tropical_demand import (
     ValidationError,
     Valuation,
     check_monotone,
+    cli,
     demand,
     dualize,
     essential_pieces,
     hull_support,
     indirect_utility,
     inverse_demand_region,
+    serialize,
 )
-from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import halfplane_intersection, interior_point, upper_concave_hull
-from tropical_demand.valuation import _below_hull
+from tropical_demand.exactmath import dot, independent_directions
+from tropical_demand.polyhedra import halfplane_intersection, interior_point
 
 import fraction_regions
 from conftest import make_valuation, price_vectors, valuations
@@ -266,9 +268,18 @@ any_valuations = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(any_valuations)
 def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
-    # Full-dimensional 2-good sets read the dual off the region corners;
-    # the lifted hull's facet walk is the oracle, in the same order.
-    assert list(dualize(v).pieces) == upper_concave_hull(sorted(v.entries.items()))[0]
+    # Price/demand duality read the other way: for affinely full-dimensional
+    # 2-good bundles the dual's pieces are the corners p of the indirect
+    # utility's active polygons, each with intercept f(p).  That route is
+    # the oracle of the lifted hull, in the same order.
+    assume(len(independent_directions(list(v.entries))) == 2)
+    f = indirect_utility(v)
+    corners = {
+        AffinePiece(slope=p, intercept=f.pieces[k].evaluate(p))
+        for k, polygon, _, _ in f.active_polygons()
+        for p in polygon.vertices
+    }
+    assert list(dualize(v).pieces) == sorted(corners, key=lambda p: (p.slope, p.intercept))
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,24 +394,33 @@ def test_active_polygons_refuse_other_dimensions_before_building_rows(monkeypatc
             next(f.active_polygons())
 
 
-hull_pieces = st.lists(
-    st.builds(
-        AffinePiece, slope=st.tuples(small_fractions, small_fractions), intercept=small_fractions
-    ),
-    min_size=1,
-    max_size=6,
-)
+@st.composite
+def collinear_valuations(draw, goods: int):
+    """Bundles on one ray from the zero bundle, with tie-heavy values."""
+    step = draw(st.tuples(*[st.integers(0, 2)] * goods).filter(any))
+    ks = draw(st.lists(st.integers(1, 4), max_size=4, unique=True))
+    entries = {tuple(k * c for c in step): draw(st.integers(0, 3)) for k in ks}
+    return make_valuation({(0,) * goods: 0, **entries}, goods)
+
+
+def any_goods(goods: int):
+    return st.one_of(
+        valuations(max_bundles=12, rational=True, goods=goods),
+        valuations(max_bundles=12, max_value=3, goods=goods),  # ties
+        collinear_valuations(goods),
+    )
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.one_of(valuations(max_bundles=12, rational=True), valuations(max_bundles=12, max_value=3)),
-    st.one_of(st.none(), hull_pieces),
-)
-def test_below_hull_matches_fraction_evaluation(v, hull):
-    # The dual's own pieces put bundles on and below the hull; arbitrary
-    # rational pieces put them on either side.
-    if hull is None:
-        hull = dualize(v).pieces
-    expected = {q for q, u in v.entries.items() if min(p.evaluate(q) for p in hull) > u}
-    assert _below_hull(v, hull) == expected
+@given(st.integers(1, 3).flatmap(any_goods))
+def test_never_demanded_matches_fraction_evaluation(tmp_path_factory, v):
+    # A bundle is never demanded iff the dual's min lies strictly above its
+    # value; hull_support and the CLI read it off the lifted hull instead.
+    expected = {q for q, u in v.entries.items() if dualize(v).evaluate(q) > u}
+    on_hull, below = hull_support(v)
+    assert below == expected and on_hull == set(v.entries) - expected
+    d = tmp_path_factory.mktemp("dualize")
+    (d / "v.json").write_text(serialize.dumps(serialize.valuation_to_dict(v)))
+    assert cli.main(["dualize", "--in", str(d / "v.json"), "--out", str(d / "d.json")]) == 0
+    never = json.loads((d / "d.json").read_text())["never_demanded"]
+    assert never == sorted(list(q) for q in expected)
