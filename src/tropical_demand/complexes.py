@@ -19,7 +19,7 @@ what makes the subdivision integrable back to a potential.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -232,12 +232,13 @@ def _assemble(
     regions: list[tuple[int, Vec, Polygon2]],
     convention: str,
     domain: HPolyhedron,
+    lone: Sequence[Vec] = (),
 ) -> LabeledSubdivision:
     """Assign canonical ids (vertices, then edges, then regions) and wire
-    incidence."""
+    incidence; ``lone`` holds the points of 0-cells on no edge."""
     # Segments contribute both endpoints, rays their single endpoint; full
     # lines have no 0-cells.
-    vertex_points: set[Vec] = set()
+    vertex_points: set[Vec] = set(lone)
     for e in edges:
         if len(e.points) == 2:
             vertex_points.update(e.points)
@@ -350,11 +351,8 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
     if len(first_independent([(*q, 1) for q in v.bundles()], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
-    dual = dualize_complex(price_complex(v))
-    # The dual's own domain, the hull of the region labels, is the same set
-    # but can list its rows in another order, when a bundle that is no hull
-    # vertex lies on the hull's boundary.
-    return replace(dual, domain=convex_hull_halfspaces(v.bundles(), 2))
+    edges, regions, lone = _dual_cells(price_complex(v))
+    return _assemble(edges, regions, "min", convex_hull_halfspaces(v.bundles(), 2), lone)
 
 
 # ---------------------------------------------------------------------------
@@ -491,27 +489,35 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
     boundary edge of that dual region; a full line has no dual region to
     bound and is refused.  Each dual region is the hull of the corners its
     vertex's edges give, plus their rays; a lone vertex, with no edges,
-    gets the whole plane.
+    gets the whole plane, and a lone region becomes one vertex on its label.
+    The dual lies on the hull of the region labels, except that the dual of
+    a subdivision with a domain and at least one edge lies in the plane.
     """
+    edges, regions, lone = _dual_cells(s)
+    if s.domain.halfspaces and not lone:
+        domain = HPolyhedron(2, ())
+    else:
+        domain = convex_hull_halfspaces([s.region_labels[r] for r in s.regions()], 2)
+    convention = "min" if s.convention == "max" else "max"
+    return _assemble(edges, regions, convention, domain, lone)
+
+
+def _dual_cells(
+    s: LabeledSubdivision,
+) -> tuple[list[_EdgeDraft], list[tuple[int, Vec, Polygon2]], list[Vec]]:
+    """The dual edges and regions of ``dualize_complex``, and the points of
+    its vertices on no edge, to be assembled on a domain of the caller's
+    choice."""
     ok, violations = check_normal_labeling(s)
     if not ok:
         detail = "; ".join(v.message for v in violations[:3])
         raise NonConservative(f"subdivision is not normally labeled: {detail}")
-    convention = "min" if s.convention == "max" else "max"
     regions = s.regions()
     if regions and not s.edges():
         # The whole plane: no edge carries its label to a dual vertex.
         if len(s.cells) > 1:
             raise DegenerateInput("a region with no edges must be the only cell")
-        label = s.region_labels[regions[0]]
-        return LabeledSubdivision(
-            ambient_dim=2,
-            convention=convention,
-            domain=convex_hull_halfspaces([label], 2),
-            cells={0: Cell(dim=0, points=(label,), rays=(), incident=())},
-            region_labels={},
-            facet_data={},
-        )
+        return [], [], [s.region_labels[regions[0]]]
 
     # A boundary edge belongs to the lowest-numbered region that lists it.
     owner = {e: r for r in reversed(regions) for e in s.cells[r].incident}
@@ -550,12 +556,7 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
         kind = "unbounded" if vertex_rays else "bounded"
         poly = Polygon2(_hull_chain_ccw(corners[vertex]), vertex_rays, kind)
         dual_regions.append((vertex, s.cells[vertex].points[0], poly))
-
-    if s.domain.halfspaces:
-        dual_domain = HPolyhedron(2, ())
-    else:
-        dual_domain = convex_hull_halfspaces([s.region_labels[r] for r in regions], 2)
-    return _assemble(dual_edges, dual_regions, convention, dual_domain)
+    return dual_edges, dual_regions, []
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DegenerateInput
 
@@ -77,42 +77,32 @@ def vsub(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Vec:
 
 def is_primitive(v: IVec) -> bool:
     """True iff the gcd of the absolute coordinates is 1."""
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return g == 1
+    return gcd(*v) == 1
 
 
-def primitive_direction(v: IVec, orient: IVec | None = None) -> tuple[IVec, int]:
-    """Factor a nonzero lattice vector as ``v = w * n`` with n primitive, w > 0.
-
-    With no ``orient``, the sign of ``n`` is the sign of ``v`` itself, so the
-    identity ``w * n == v`` always holds.  When ``orient`` is given, the
-    reported normal is flipped if necessary so that ``n . orient > 0``; in
-    that case only ``v = +/- w * n`` is guaranteed.
-    """
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
+def primitive_direction(v: IVec) -> tuple[IVec, int]:
+    """Factor a nonzero lattice vector as ``v = w * n`` with n primitive, w > 0."""
+    g = gcd(*v)
     if g == 0:
         raise DegenerateInput("primitive_direction of the zero vector")
-    n = tuple(c // g for c in v)
-    if orient is not None:
-        side = sum(a * b for a, b in zip(n, orient))
-        if side == 0:
-            raise DegenerateInput("orientation hint is orthogonal to the direction")
-        if side < 0:
-            n = tuple(-c for c in n)
-    return n, g
+    return tuple(c // g for c in v), g
+
+
+def scaled_ints(vectors: Iterable[Sequence[Fraction | int]]) -> tuple[int, list[IVec]]:
+    """The vectors times the least common multiple L of all their
+    denominators, as int tuples, with L.  Each coordinate x becomes
+    ``x.numerator * (L // x.denominator)``; ints and Fractions both have a
+    numerator and a denominator, so either passes as it is."""
+    vectors = list(vectors)
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
 
 def rational_direction(v: Sequence[Fraction | int]) -> tuple[IVec, Fraction]:
     """Factor a nonzero rational vector as ``v = w * n``, n primitive integer, w > 0 rational."""
-    fracs = [Fraction(c) for c in v]
-    if all(c == 0 for c in fracs):
+    scale, (ints,) = scaled_ints([v])
+    if not any(ints):
         raise DegenerateInput("rational_direction of the zero vector")
-    scale = lcm(*(c.denominator for c in fracs)) if fracs else 1
-    ints = tuple(int(c * scale) for c in fracs)
     n, g = primitive_direction(ints)
     return n, Fraction(g, scale)
 
@@ -128,8 +118,9 @@ def rot90ccw(v: Sequence[Fraction | int]) -> tuple:
     return (-v[1], v[0])
 
 
-def cross2(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
-    return Fraction(u[0]) * v[1] - Fraction(u[1]) * v[0]
+def cross2(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
+    """The cross product u0*v1 - u1*v0: an int for int vectors."""
+    return u[0] * v[1] - u[1] * v[0]
 
 
 def ccw_compare(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> int:
@@ -170,7 +161,7 @@ def first_independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
 def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
     """A maximal set of linearly independent difference vectors ``p_i - p_0``:
     the ones ``first_independent`` keeps, on the differences scaled to ints
-    by the lcm of their denominators.
+    by ``scaled_ints``.
 
     The length of the result is the dimension of the affine hull of the
     points.
@@ -179,6 +170,4 @@ def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[V
         return []
     base = [Fraction(c) for c in points[0]]
     diffs = [tuple(Fraction(c) - b for c, b in zip(p, base)) for p in points[1:]]
-    scale = lcm(*(c.denominator for d in diffs for c in d))
-    rows = [[c.numerator * (scale // c.denominator) for c in d] for d in diffs]
-    return [diffs[i] for i in first_independent(rows, len(base))]
+    return [diffs[i] for i in first_independent(scaled_ints(diffs)[1], len(base))]

@@ -14,21 +14,23 @@ cross-multiplication, so it takes the same pivots as on the rational
 tableau; only the final point and the uniqueness probes' optima become
 Fractions.
 
-``halfplane_intersection`` keeps, per primitive integer normal, the
-tightest of its half-planes and hands them to one private kernel,
-``_intersect_rows``.  The kernel takes each row as an integer normal and an
-integer offset numerator and denominator, sorts the rows by the angle of
-their normals with exact cross products and walks them once with a deque.
-In one pass it decides whether the intersection has interior and, if so,
-returns its polygon (vertex chain plus recession rays, no bounding box)
-together with the half-planes that support each edge.  Its offsets are
-scaled once by a common multiple of their denominators, so each test in the
-walk is the sign of one integer expression; only the final vertices and
-edge lines are Fractions.  The 2-D active regions of a polyhedral function
-build their integer tie rows themselves and call the kernel directly, with
-no Fraction row in between: the 2-D complexes build every region that way,
-and 2-D essential pieces are the regions it finds; the simplex remains for
-the market and for n-good regions.
+Half-planes reach the 2-D kernel, ``_intersect_rows``, in one integer row
+format: (normal, num, den) for normal . x <= num/den, with any nonzero int
+normal and den > 0.  ``halfplane_intersection`` makes each ``HalfSpace``
+such a row (``_int_row``).  The kernel reduces each normal to primitive form
+and keeps the tightest rows per normal (``_tightest``, which
+``dedupe_halfspaces`` shares), sorts the rows by the angle of their normals
+with exact cross products and walks them once with a deque.  In one pass
+it decides whether the intersection has interior and, if so, returns its
+polygon (vertex chain plus recession rays, no bounding box) together with
+the half-planes that support each edge.  Its offsets are scaled once by a
+common multiple of their denominators, so each test in the walk is the
+sign of one integer expression; only the final vertices and edge lines are
+Fractions.  The 2-D active regions of a polyhedral function pass their
+integer tie rows to the kernel directly, with no Fraction row in between:
+the 2-D complexes build every region that way, and 2-D essential pieces
+are the regions it finds; the simplex remains for the market and for
+n-good regions.
 The market solves its epigraph LP once: ``simplex_solve`` keeps the final
 phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
 face off it with warm-started Bland pivots instead of solving new LPs.
@@ -41,7 +43,8 @@ integer rays and bit-set zero sets for the adjacency test.  The hull's
 pieces are the vertices of the indirect utility's epigraph and the
 bundle hull's facets the rays of its recession cone; both are read off
 extreme rays.  Rational values and points are first scaled by the lcm of
-their denominators, so every test is the sign of an integer.
+their denominators (``exactmath.scaled_ints``), so every test is the sign
+of an integer.
 """
 
 from __future__ import annotations
@@ -59,11 +62,12 @@ from .exactmath import (
     Vec,
     ZERO,
     ccw_compare,
+    cross2,
     dot,
     first_independent,
     independent_directions,
-    rational_direction,
     rot90ccw,
+    scaled_ints,
     vsub,
 )
 
@@ -282,24 +286,24 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
             ncols += 2
     nstruct = ncols
 
-    source = [(h.normal, h.offset) for h in lp.constraints] + list(lp.equalities)
-    scale = lcm(*(x.denominator for normal, b in source for x in (*normal, b)))
+    source = [(*h.normal, h.offset) for h in lp.constraints] + [(*a, b) for a, b in lp.equalities]
+    _, rows = scaled_ints(source)
     nslack = len(lp.constraints)
     ncols = nstruct + nslack
-    m = len(source)
+    m = len(rows)
     total = ncols + m
 
     # Phase 1: slack and artificial columns are unit columns; minimize the
     # sum of the artificials.
     tableau: list[list[int]] = []
-    for i, (normal, b) in enumerate(source):
+    for i, (*normal, b) in enumerate(rows):
         row = [0] * (total + 1)
         for j, coeff in enumerate(normal):
             for col, sign in col_of[j]:
-                row[col] += sign * coeff.numerator * (scale // coeff.denominator)
+                row[col] += sign * coeff
         if i < nslack:
             row[nstruct + i] = 1
-        row[total] = b.numerator * (scale // b.denominator)
+        row[total] = b
         if row[total] < 0:
             row = [-x for x in row]
         row[ncols + i] = 1
@@ -325,11 +329,11 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
 
     # Phase 2, on the objective scaled to ints by the lcm of its denominators.
     sign = 1 if lp.sense == "min" else -1
-    oscale = lcm(*(c.denominator for c in lp.objective))
+    _, (costs,) = scaled_ints([lp.objective])
     objective = [0] * (ncols + 1)
-    for j, c in enumerate(lp.objective):
+    for j, c in enumerate(costs):
         for col, s in col_of[j]:
-            objective[col] += sign * s * c.numerator * (oscale // c.denominator)
+            objective[col] += sign * s * c
     tableau2 = rows2 + [_price_out(objective, rows2, basis2, det)]
     status, det = _bland(tableau2, basis2, ncols, det)
     if status == "unbounded":
@@ -418,33 +422,28 @@ def interior_point(poly: HPolyhedron) -> Vec | None:
     return res.point[:n]
 
 
-def _primitive_row(h: HalfSpace) -> tuple[IVec, int, int]:
-    """A row as its primitive integer normal n and the offset num/den (den > 0)
-    of the same half-space written n . x <= num/den."""
-    n, w = rational_direction(h.normal)
-    c = h.offset / w
-    return n, c.numerator, c.denominator
+def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:
+    """A half-space as the int row (normal, num, den) of normal . x <= num/den:
+    the normal times the lcm L of its denominators, and the offset times L."""
+    scale, (normal,) = scaled_ints([h.normal])
+    return normal, h.offset.numerator * scale, h.offset.denominator
 
 
-def _tighten(best: dict[IVec, tuple[int, int, list[int]]], n: IVec, num: int, den: int, i: int):
-    """Fold row i, n . x <= num/den with den > 0, into ``best``: per normal,
-    in order of first appearance, the least offset and the rows attaining it.
-    Offsets are compared by cross-multiplication, so they need not be
-    reduced."""
-    old = best.get(n)
-    if old is None or num * old[1] < old[0] * den:
-        best[n] = (num, den, [i])
-    elif num * old[1] == old[0] * den:
-        old[2].append(i)
-
-
-def _tightest_rows(halfspaces: Sequence[HalfSpace]) -> dict[IVec, tuple[int, int, list[int]]]:
-    """Rows scaled to primitive integer normals: per normal, in order of first
-    appearance, the least offset num/den and the indices of the rows
-    attaining it."""
+def _tightest(rows: Sequence[tuple[IVec, int, int]]) -> dict[IVec, tuple[int, int, list[int]]]:
+    """Int rows n . x <= num/den (den > 0) on primitive normals, a row with
+    gcd(n) = g > 1 read as (n/g) . x <= num/(den*g): per normal, in order of
+    first appearance, the least offset num/den, compared by
+    cross-multiplication, and the indices of the rows attaining it."""
     best: dict[IVec, tuple[int, int, list[int]]] = {}
-    for i, h in enumerate(halfspaces):
-        _tighten(best, *_primitive_row(h), i)
+    for i, (n, num, den) in enumerate(rows):
+        g = gcd(*n)
+        if g != 1:
+            n, den = tuple([c // g for c in n]), den * g
+        old = best.get(n)
+        if old is None or num * old[1] < old[0] * den:
+            best[n] = (num, den, [i])
+        elif num * old[1] == old[0] * den:
+            old[2].append(i)
     return best
 
 
@@ -452,7 +451,7 @@ def dedupe_halfspaces(halfspaces: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
     """Scale-normalize and drop repeated or dominated copies of the same row."""
     return tuple(
         HalfSpace(tuple(Fraction(x) for x in n), Fraction(num, den))
-        for n, (num, den, _) in _tightest_rows(halfspaces).items()
+        for n, (num, den, _) in _tightest([_int_row(h) for h in halfspaces]).items()
     )
 
 
@@ -490,14 +489,10 @@ def reduce(poly: HPolyhedron) -> HPolyhedron:
 # ---------------------------------------------------------------------------
 
 
-def _cross(p, q):
-    return p[0] * q[1] - p[1] * q[0]
-
-
 def _meet(p, q, scale: int) -> Vec:
     """Intersection point of the boundary lines of two non-parallel rows
     whose integer offsets are ``scale`` times the true ones."""
-    det = _cross(p, q) * scale
+    det = cross2(p, q) * scale
     return (
         Fraction(p[2] * q[1] - q[2] * p[1], det),
         Fraction(p[0] * q[2] - q[0] * p[2], det),
@@ -509,7 +504,7 @@ def _excess_sign(row, p, q) -> int:
     ``q``: positive outside the row's half-plane, zero on its line.  The
     meet is (X, Y) / det, so the excess is (a*X + b*Y - c*det) / det, an
     integer over det when the three offsets share one scale."""
-    det = _cross(p, q)
+    det = cross2(p, q)
     x = p[2] * q[1] - q[2] * p[1]
     y = p[0] * q[2] - q[0] * p[2]
     num = row[0] * x + row[1] * y - row[2] * det
@@ -529,23 +524,23 @@ def halfplane_intersection(
     """Exact intersection of 2-D half-planes, or None when it has no interior
     (empty, a point, a segment, a ray or a line).
 
-    Rows are scaled to primitive integer normals, and of the rows sharing a
-    normal only the tightest are kept; ``_intersect_rows`` walks them.
-    Returns the polygon and its edges in chain order, each edge with the
-    input rows that support it and its unscaled offset.
+    Each row becomes an int row (``_int_row``) and ``_intersect_rows``
+    walks them.  Returns the polygon and its edges in chain order, each
+    edge with the input rows that support it and its unscaled offset.
     """
     if any(len(h.normal) != 2 for h in halfspaces):
         raise UnsupportedDimension("half-plane intersection is 2-D only")
-    return _intersect_rows(_tightest_rows(halfspaces))
+    return _intersect_rows([_int_row(h) for h in halfspaces])
 
 
 def _intersect_rows(
-    tightest: dict[IVec, tuple[int, int, list[int]]],
+    rows: Sequence[tuple[IVec, int, int]],
 ) -> tuple[Polygon2, tuple[PolygonEdge, ...]] | None:
-    """The half-plane intersection of rows n . x <= num/den, given per
-    distinct primitive integer normal n, in order of first appearance, as
-    (num, den, sources) with den > 0.
+    """The half-plane intersection of the int rows n . x <= num/den, in
+    source order, with n any nonzero int 2-vector and den > 0.
 
+    ``_tightest`` reduces each normal to primitive form and keeps, per
+    normal, the tightest rows, whose indices become the edge's sources.
     The offsets are scaled by one common multiple L of their denominators,
     so every row is (a, b, L*c) in ints.  The rows are sorted by the angle
     of their normals, with exact cross products, and walked once with a
@@ -561,6 +556,7 @@ def _intersect_rows(
     L; vertices and edge lines are made into Fractions only for the final
     deque.
     """
+    tightest = _tightest(rows)
     scale = lcm(*(den for _, den, _ in tightest.values()))
     rows = sorted(
         (
@@ -573,7 +569,7 @@ def _intersect_rows(
     if m == 0:
         return Polygon2((), (), "plane"), ()
 
-    if all(_cross(rows[0], row) == 0 for row in rows):
+    if all(cross2(rows[0], row) == 0 for row in rows):
         # One direction or two opposite ones: a half-plane or a strip.
         if m == 2 and rows[0][2] + rows[1][2] <= 0:
             return None
@@ -582,7 +578,7 @@ def _intersect_rows(
         edges = tuple(PolygonEdge(None, None, _line(row), tuple(row[3])) for row in rows)
         return Polygon2((), (d, (-d[0], -d[1])), "unpointed"), edges
 
-    gap = next((i for i in range(m) if _cross(rows[i], rows[(i + 1) % m]) <= 0), m - 1)
+    gap = next((i for i in range(m) if cross2(rows[i], rows[(i + 1) % m]) <= 0), m - 1)
     dq: deque = deque()
     closed = False
     for row in rows[gap + 1 :] + rows[: gap + 1]:
@@ -593,7 +589,7 @@ def _intersect_rows(
         while len(dq) >= 2 and _excess_sign(row, dq[0], dq[1]) >= 0:
             dq.popleft()
         if dq:
-            turn = _cross(dq[0], row)
+            turn = cross2(dq[0], row)
             if len(dq) == 1 and turn <= 0:
                 return None
             closed = closed or turn < 0
@@ -713,16 +709,18 @@ def upper_concave_hull(
 ) -> tuple[list[AffinePiece], set[int]]:
     """Minimal affine pieces whose pointwise min majorizes the lifted points.
 
-    The bundles get integer coordinates y on their affine hull, of
-    dimension d, and L is the lcm of the value denominators.  The pieces are
-    the vertices of the indirect utility's epigraph, read as the extreme
-    rays (p, t, s) with s > 0 of the cone with rows (y, 1, -L*u), one per
-    point, and s >= 0: each is the piece u = (p.y + t) / (L*s), read back in
-    bundle coordinates.  The rays with s = 0 are the facets of the bundle
-    hull and are dropped.  Hull indices are exactly the points the majorant
-    touches, the rows some piece's ray is tight on; the others are the
-    bundles never demanded.  This is the only source of the concave dual's
-    pieces (``valuation.dualize``).  At most 64 points and 3 goods.
+    The bundles q get integer coordinates y_i = e_i . (q - q_0) on their
+    affine hull, with e_1..e_d the differences q - q_0 that
+    ``first_independent`` keeps, and L is the lcm of the value denominators
+    (``scaled_ints``).  The pieces are the vertices of the indirect utility's
+    epigraph, read as the extreme rays (p, t, s) with s > 0 of the cone
+    with rows (y, 1, -L*u), one per point, and s >= 0: each is the piece
+    u = (p.y + t) / (L*s), read back in bundle coordinates.  The rays with
+    s = 0 are the facets of the bundle hull and are dropped.  Hull indices
+    are exactly the points the majorant touches, the rows some piece's ray
+    is tight on; the others are the bundles never demanded.  This is the
+    only source of the concave dual's pieces (``valuation.dualize``).  At
+    most 64 points and 3 goods.
     """
     if not points:
         raise DegenerateInput("hull of no points")
@@ -740,12 +738,13 @@ def upper_concave_hull(
         return [piece], {0}
 
     base = bundles[0]
-    directions = independent_directions(bundles)
+    diffs = [tuple(a - b for a, b in zip(q, base)) for q in bundles]
+    directions = [diffs[i] for i in first_independent(diffs, n)]
     d = len(directions)
-    scale = lcm(*(u.denominator for u in values))
+    scale, (lifted,) = scaled_ints([values])
     rows = [(0,) * (d + 1) + (1,)] + [
-        (*(int(dot(b, vsub(q, base))) for b in directions), 1, -int(u * scale))
-        for q, u in zip(bundles, values)
+        (*(sum(a * b for a, b in zip(e, diff)) for e in directions), 1, -u)
+        for diff, u in zip(diffs, lifted)
     ]
     rays = [r for r in _extreme_rays(rows, d + 2) if r[-1] > 0]
     pieces = []
@@ -814,8 +813,8 @@ def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int)
     if dim not in (2, 3):
         raise UnsupportedDimension("convex hulls supported up to dimension 3")
     uniq = sorted(set(pts))
-    scale = lcm(*(c.denominator for p in uniq for c in p))
-    lifted = [(*(c.numerator * (scale // c.denominator) for c in p), 1) for p in uniq]
+    scale, ints = scaled_ints(uniq)
+    lifted = [(*p, 1) for p in ints]
     if len(first_independent(lifted, dim + 1)) <= dim:
         dirs = independent_directions(uniq)
         base = uniq[0]

@@ -14,11 +14,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .complexes import LabeledSubdivision, edge_direction
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, NonConservative
-from .exactmath import Vec, ZERO, dot, vsub
+from .exactmath import Vec, ZERO, dot, scaled_ints, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
 
@@ -228,12 +227,6 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
 MAX_SAMPLE_PAIRS = 256
 
 
-def _scaled_to_ints(vectors: list[Vec]) -> list[tuple[int, ...]]:
-    """The vectors times the lcm of all their denominators, as exact ints."""
-    scale = lcm(*(c.denominator for v in vectors for c in v))
-    return [tuple(c.numerator * (scale // c.denominator) for c in v) for v in vectors]
-
-
 def check_cyclic_monotonicity(
     data: CorrespondenceSample, direction: str = "demand"
 ) -> tuple[bool, tuple[int, ...] | None]:
@@ -273,8 +266,8 @@ def check_cyclic_monotonicity(
         raise DegenerateInput(
             f"dimension mismatch: {len(a_vecs[0])} vs {len(b_vecs[0])}"
         )
-    a = _scaled_to_ints(a_vecs)
-    b = _scaled_to_ints(b_vecs)
+    _, a = scaled_ints(a_vecs)
+    _, b = scaled_ints(b_vecs)
     weights: list[list[int]] = []
     for ai, bi in zip(a, b):
         own = sum(x * y for x, y in zip(ai, bi))

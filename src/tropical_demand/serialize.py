@@ -37,9 +37,11 @@ def _vec_out(v) -> list[str]:
     return [format_rational(Fraction(c)) for c in v]
 
 
-def _vec_in(data, context: str) -> Vec:
+def _vec_in(data, context: str, length: int | None = None) -> Vec:
     if not isinstance(data, list):
         raise ValidationError(f"{context}: expected an array")
+    if length is not None and len(data) != length:
+        raise ValidationError(f"{context}: expected {length} coordinates")
     try:
         return tuple(rational(c) for c in data)
     except Exception as exc:
@@ -51,9 +53,11 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _ivec_in(data, context: str) -> IVec:
+def _ivec_in(data, context: str, length: int | None = None) -> IVec:
     if not isinstance(data, list) or not all(_is_int(c) for c in data):
         raise ValidationError(f"{context}: expected an integer array")
+    if length is not None and len(data) != length:
+        raise ValidationError(f"{context}: expected {length} coordinates")
     return tuple(data)
 
 
@@ -155,8 +159,7 @@ def domain_from_dict(data) -> HPolyhedron:
     halfspaces = []
     for item in raw:
         _expect(isinstance(item, dict), "halfspace: expected an object")
-        normal = _vec_in(item.get("normal"), "halfspace normal")
-        _expect(len(normal) == data["dim"], "halfspace normal: length must equal 'dim'")
+        normal = _vec_in(item.get("normal"), "halfspace normal", data["dim"])
         try:
             offset = rational(item.get("offset"))
         except Exception as exc:
@@ -231,12 +234,20 @@ def subdivision_to_dict(s: LabeledSubdivision) -> dict:
     }
 
 
+# The (points, rays) counts of the vertices and edges that complexes
+# assemble: a vertex is one point; an edge a segment, a ray or a line
+# through an anchor point.
+_CELL_SHAPES = {0: {(1, 0)}, 1: {(2, 0), (1, 1), (1, 2)}}
+
+
 def subdivision_from_dict(data) -> LabeledSubdivision:
     _expect(isinstance(data, dict), "subdivision: expected an object")
-    _expect(data.get("ambient_dim") == 2, "subdivision: ambient_dim must be 2")
+    ambient_dim = data.get("ambient_dim")
+    _expect(_is_int(ambient_dim) and ambient_dim == 2, "subdivision: ambient_dim must be 2")
     convention = data.get("convention")
     _expect(convention in ("max", "min"), "subdivision: convention must be 'max' or 'min'")
     domain = domain_from_dict(data.get("domain"))
+    _expect(domain.dim == 2, "subdivision: the domain's 'dim' must be 2")
     raw = data.get("cells")
     _expect(isinstance(raw, list), "subdivision: 'cells' must be an array")
     cells: dict[int, Cell] = {}
@@ -251,20 +262,24 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
         _expect(_is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
         for key in ("points", "rays"):
             _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
-        points = tuple(_vec_in(p, "cell point") for p in item.get("points", []))
-        rays = tuple(_ivec_in(r, "cell ray") for r in item.get("rays", []))
+        points = tuple(_vec_in(p, "cell point", 2) for p in item.get("points", []))
+        rays = tuple(_ivec_in(r, "cell ray", 2) for r in item.get("rays", []))
         incident = _ivec_in(item.get("incident", []), "cell incident")
+        if dim in _CELL_SHAPES and (len(points), len(rays)) not in _CELL_SHAPES[dim]:
+            raise ValidationError(
+                f"cell {cell_id}: a {dim}-cell cannot have {len(points)} points and {len(rays)} rays"
+            )
         cells[cell_id] = Cell(dim=dim, points=points, rays=rays, incident=incident)
         if dim == 2:
             _expect("label" in item, f"region cell {cell_id} is missing its label")
-            region_labels[cell_id] = _vec_in(item["label"], "region label")
+            region_labels[cell_id] = _vec_in(item["label"], "region label", 2)
         if "weight" in item or "normal" in item:
             _expect(dim == 1, f"cell {cell_id}: facet data on a non-edge")
             try:
                 weight = rational(item.get("weight"))
             except Exception as exc:
                 raise ValidationError(f"facet weight: {exc}") from exc
-            normal = _ivec_in(item.get("normal"), "facet normal")
+            normal = _ivec_in(item.get("normal"), "facet normal", 2)
             _expect(
                 _is_int(item.get("from_region")) and _is_int(item.get("to_region")),
                 f"cell {cell_id}: facet data needs from_region and to_region",

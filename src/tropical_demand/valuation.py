@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
@@ -22,11 +21,10 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
-from .exactmath import IVec, dot, vsub
+from .exactmath import IVec, dot, scaled_ints, vsub
 from .polyhedra import (
+    _int_row,
     _intersect_rows,
-    _primitive_row,
-    _tighten,
     AffinePiece,
     HPolyhedron,
     HalfSpace,
@@ -98,10 +96,8 @@ class PolyhedralFunction:
     def _scaled(self) -> tuple[int, int, list[IVec], list[int]]:
         """Every slope times one lcm S of the slope denominators and every
         intercept times one lcm T of the intercept denominators, as ints."""
-        slope_scale = lcm(*(c.denominator for p in self.pieces for c in p.slope))
-        intercept_scale = lcm(*(p.intercept.denominator for p in self.pieces))
-        slopes = [tuple(_scale(c, slope_scale) for c in p.slope) for p in self.pieces]
-        intercepts = [_scale(p.intercept, intercept_scale) for p in self.pieces]
+        slope_scale, slopes = scaled_ints(p.slope for p in self.pieces)
+        intercept_scale, (intercepts,) = scaled_ints([[p.intercept for p in self.pieces]])
         return slope_scale, intercept_scale, slopes, intercepts
 
     def _tie_rows(self, k: int) -> list[tuple[int, IVec, int]] | None:
@@ -157,36 +153,28 @@ class PolyhedralFunction:
         half-plane intersection of ``active_region(k)``, built from the
         integer rows of ``_tie_rows``.
 
-        A row normal . x <= offset in ints stands for the half-plane
-        n . x <= offset * S / (T * g), with g the gcd of the normal and n the
-        primitive normal / g.  The rows sharing n keep only the tightest,
-        compared by cross-multiplication, and the domain rows follow, so
-        the walk gets the rows, offsets and sources that
-        ``halfplane_intersection`` would.  2-D only.
+        A tie row normal . x <= offset in ints stands for the half-plane
+        normal . x <= offset * S / T, so the walk gets the int row
+        (normal, offset * S, T), and the domain rows follow as int rows
+        (``polyhedra._int_row``).  The walk itself reduces the normals and
+        keeps the tightest row per normal, so it gets the rows, offsets and
+        sources that ``halfplane_intersection`` would.  2-D only.
         """
         normals = [p.slope for p in self.pieces] + [h.normal for h in self.domain.halfspaces]
         if self.domain.dim != 2 or any(len(n) != 2 for n in normals):
             raise UnsupportedDimension("active polygons are 2-D only")
         slope_scale, intercept_scale, _, _ = self._scaled
-        domain = [_primitive_row(h) for h in self.domain.halfspaces]
+        domain = [_int_row(h) for h in self.domain.halfspaces]
         for k in range(len(self.pieces)):
             rows = self._tie_rows(k)
             if rows is None:
                 continue
-            best: dict = {}
-            for i, (_, (a, b), offset) in enumerate(rows):
-                g = gcd(a, b)
-                _tighten(best, (a // g, b // g), offset * slope_scale, intercept_scale * g, i)
-            for i, row in enumerate(domain, len(rows)):
-                _tighten(best, *row, i)
-            region = _intersect_rows(best)
+            region = _intersect_rows(
+                [(normal, offset * slope_scale, intercept_scale) for _, normal, offset in rows]
+                + domain
+            )
             if region is not None:
                 yield (k, *region, tuple(j for j, _, _ in rows))
-
-
-def _scale(x: Fraction, scale: int) -> int:
-    """x times a common multiple of its denominator, as an int."""
-    return x.numerator * (scale // x.denominator)
 
 
 @dataclass(frozen=True)

@@ -370,6 +370,46 @@ def test_integrate_malformed_domain_is_validation_error(tmp_path):
     assert cli.main(["integrate", "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
 
 
+def _first(doc, dim):
+    return next(cell for cell in doc["cells"] if cell["dim"] == dim)
+
+
+def _facet(doc):
+    return next(cell for cell in doc["cells"] if "normal" in cell)
+
+
+def _segment(doc):
+    return next(cell for cell in doc["cells"] if cell["dim"] == 1 and len(cell["points"]) == 2)
+
+
+MALFORMED_SUBDIVISIONS = {
+    # Crashed with an IndexError before the parser checked cell shapes.
+    "edge without points or rays": lambda doc: _first(doc, 1).update(points=[], rays=[]),
+    "vertex without points": lambda doc: _first(doc, 0).update(points=[]),
+    # Accepted before.
+    "3-D domain": lambda doc: doc["domain"].update(dim=3),
+    "3-coordinate facet normal": lambda doc: _facet(doc)["normal"].append(0),
+    "float ambient_dim": lambda doc: doc.update(ambient_dim=2.0),
+    "vertex with two points": lambda doc: _first(doc, 0)["points"].append(["9", "9"]),
+    "vertex with a ray": lambda doc: _first(doc, 0)["rays"].append([1, 0]),
+    "segment with a ray": lambda doc: _segment(doc)["rays"].append([1, 0]),
+    "ray without its point": lambda doc: _first(doc, 1).update(points=[], rays=[[1, 0]]),
+    "3-coordinate point": lambda doc: _first(doc, 0)["points"][0].append("0"),
+    "3-coordinate ray": lambda doc: _first(doc, 2)["rays"][0].append(0),
+    "3-coordinate label": lambda doc: _first(doc, 2)["label"].append("0"),
+}
+
+
+@pytest.mark.parametrize("command", ["balance", "integrate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_SUBDIVISIONS))
+def test_malformed_subdivision_is_validation_error(tmp_path, capsys, command, case):
+    doc = price_complex_doc(tmp_path, FIVE_BUNDLE)
+    assert cli.main([command, "--in", write(tmp_path, "ok.json", doc)]) == 0
+    MALFORMED_SUBDIVISIONS[case](doc)
+    assert cli.main([command, "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
+    assert "error" in capsys.readouterr().err
+
+
 def test_integrate_golden(tmp_path):
     infile = write(tmp_path, "v.json", FIVE_BUNDLE)
     pc = tmp_path / "pc.json"

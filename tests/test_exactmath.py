@@ -6,7 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
-from tropical_demand.exactmath import independent_directions, lattice_length, rational_direction
+from tropical_demand.exactmath import (
+    independent_directions,
+    lattice_length,
+    rational_direction,
+    scaled_ints,
+)
 
 F = Fraction
 
@@ -45,18 +50,13 @@ def test_zero_denominator_rejected():
 
 def test_primitive_direction_examples():
     assert primitive_direction((2, -2)) == ((1, -1), 2)
-    assert primitive_direction((-7, -7), orient=(-1, -1)) == ((-1, -1), 7)
+    assert primitive_direction((-7, -7)) == ((-1, -1), 7)
     assert primitive_direction((0, 3)) == ((0, 1), 3)
 
 
 def test_primitive_direction_zero_vector():
     with pytest.raises(DegenerateInput):
         primitive_direction((0, 0))
-
-
-def test_primitive_direction_orient_flips_sign():
-    n, w = primitive_direction((4, 0), orient=(-1, 0))
-    assert n == (-1, 0) and w == 4
 
 
 def test_is_primitive():
@@ -135,3 +135,18 @@ def point_sets(draw):
 @given(point_sets())
 def test_independent_directions_match_fraction_elimination(points):
     assert independent_directions(points) == fraction_independent_directions(points)
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=40), max_size=3),
+        max_size=4,
+    )
+)
+def test_scaled_ints_clears_denominators_by_their_least_common_multiple(vectors):
+    scale, ints = scaled_ints(vectors)
+    assert all(type(c) is int for v in ints for c in v)
+    assert [tuple(F(c, scale) for c in v) for v in ints] == [tuple(map(F, v)) for v in vectors]
+    # No proper divisor scale / p clears every denominator.
+    for p in (p for p in range(2, 41) if scale % p == 0 and all(p % q for q in range(2, p))):
+        assert any((F(c) * (scale // p)).denominator != 1 for v in vectors for c in v)

@@ -1,7 +1,8 @@
 import contextlib
+import functools
 import itertools
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -929,6 +930,82 @@ def test_halfplane_intersection_agrees_with_lp(rows):
         assert all(dedupe_halfspaces([rows[i]]) == (edge.line,) for i in edge.sources)
         for end in (edge.start, edge.end):
             assert end is None or edge.line.tight_at(end)
+
+
+positive_rationals = st.builds(F, st.integers(1, 99), st.integers(1, 99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfplane_sets(), st.data())
+def test_halfplane_intersection_does_not_depend_on_row_scale(rows, data):
+    # Each row times a positive rational is the same half-plane.
+    factors = data.draw(st.lists(positive_rationals, min_size=len(rows), max_size=len(rows)))
+    scaled = [
+        HalfSpace(tuple(k * c for c in h.normal), k * h.offset) for h, k in zip(rows, factors)
+    ]
+    assert halfplane_intersection(scaled) == halfplane_intersection(rows)
+
+
+def _content(v) -> Fraction:
+    """The greatest positive rational w with every coordinate of v an
+    integer multiple of w, by Fraction gcds."""
+    return functools.reduce(
+        lambda w, c: F(gcd(w.numerator * c.denominator, c.numerator * w.denominator),
+                       w.denominator * c.denominator),
+        v,
+        F(0),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(halfplane_sets(), st.data())
+def test_intersect_rows_reduces_non_primitive_normals(rows, data):
+    primitive = []
+    for h in rows:
+        w = _content(h.normal)
+        c = h.offset / w
+        primitive.append((tuple(int(x / w) for x in h.normal), c.numerator, c.denominator))
+    multiples = st.tuples(st.integers(1, 12), st.integers(1, 12))
+    factors = data.draw(st.lists(multiples, min_size=len(rows), max_size=len(rows)))
+    scaled = [
+        (tuple(k * x for x in n), num * k * m, den * m)
+        for (n, num, den), (k, m) in zip(primitive, factors)
+    ]
+    assert polyhedra._intersect_rows(scaled) == polyhedra._intersect_rows(primitive)
+
+
+@st.composite
+def halfspace_sets(draw):
+    """Rational half-spaces in 1 to 3 dimensions, each followed by no copy,
+    a positive rational multiple, or a shifted parallel row."""
+    dim = draw(st.integers(1, 3))
+    coords = rationals_over_coprime_denominators(4)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        normal = draw(st.tuples(*[coords] * dim).filter(any))
+        offset = draw(rationals_over_coprime_denominators(6))
+        rows.append(HalfSpace(normal, offset))
+        kind = draw(st.sampled_from(("none", "multiple", "shift")))
+        if kind == "multiple":
+            k = draw(positive_rationals)
+            rows.append(HalfSpace(tuple(k * c for c in normal), k * offset))
+        elif kind == "shift":
+            rows.append(HalfSpace(normal, offset + draw(rationals_over_coprime_denominators(2))))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(halfplane_sets(), halfspace_sets()))
+def test_dedupe_halfspaces_matches_a_fraction_reference(rows):
+    # Per primitive normal, in order of first appearance, the least
+    # offset, all in Fractions.
+    best: dict = {}
+    for h in rows:
+        w = _content(h.normal)
+        n = tuple(int(c / w) for c in h.normal)
+        best[n] = min(best.get(n, h.offset / w), h.offset / w)
+    expected = tuple(HalfSpace(tuple(F(c) for c in n), c) for n, c in best.items())
+    assert dedupe_halfspaces(rows) == expected
 
 
 def test_halfplane_intersection_without_interior():
