@@ -157,17 +157,3 @@ def first_independent(rows: Sequence[Sequence[int]], limit: int) -> list[int]:
                 break
     return kept
 
-
-def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
-    """A maximal set of linearly independent difference vectors ``p_i - p_0``:
-    the ones ``first_independent`` keeps, on the differences scaled to ints
-    by ``scaled_ints``.
-
-    The length of the result is the dimension of the affine hull of the
-    points.
-    """
-    if not points:
-        return []
-    base = [Fraction(c) for c in points[0]]
-    diffs = [tuple(Fraction(c) - b for c, b in zip(p, base)) for p in points[1:]]
-    return [diffs[i] for i in first_independent(scaled_ints(diffs)[1], len(base))]

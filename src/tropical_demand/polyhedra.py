@@ -37,14 +37,15 @@ face off it with warm-started Bland pivots instead of solving new LPs.
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
-share one exact kernel, ``_extreme_rays``: incremental double description
-of a pointed cone {x : a.x >= 0} over integer rows, with gcd-reduced
-integer rays and bit-set zero sets for the adjacency test.  The hull's
-pieces are the vertices of the indirect utility's epigraph and the
-bundle hull's facets the rays of its recession cone; both are read off
-extreme rays.  Rational values and points are first scaled by the lcm of
-their denominators (``exactmath.scaled_ints``), so every test is the sign
-of an integer.
+come off one lift (``_lift``): one run of ``_extreme_rays``, incremental
+double description of a pointed cone {x : a.x >= 0} over integer rows,
+which returns each gcd-reduced integer ray with its zero set, the bit set
+of the rows it is tight on.  The rays (p, t, s) with s > 0 are the dual's
+pieces, the vertices of the indirect utility's epigraph, and their zero
+sets the bundles on the hull; the rays with s = 0 are the bundle hull's
+facets (``_hull``).  Rational values and points are first scaled by the
+lcm of their denominators (``exactmath.scaled_ints``), so every test is
+the sign of an integer.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, InstanceTooLarge, UnsupportedDimension
@@ -65,10 +67,9 @@ from .exactmath import (
     cross2,
     dot,
     first_independent,
-    independent_directions,
+    ivec_to_vec,
     rot90ccw,
     scaled_ints,
-    vsub,
 )
 
 
@@ -627,9 +628,10 @@ def check_hull_cap(stage: str, count: int) -> None:
         raise InstanceTooLarge(f"{stage}: {count} bundles exceed the cap of {MAX_HULL_POINTS}")
 
 
-def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
+def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IVec, int]]:
     """The primitive integer extreme rays of the pointed cone
-    { x in R^dim : a . x >= 0 for every row a }, sorted.
+    { x in R^dim : a . x >= 0 for every row a }, sorted, each with its zero
+    set: the bit set of the rows it is tight on, bit k for ``rows[k]``.
 
     Incremental double description (Motzkin et al. 1953; Fukuda and Prodon
     1996).  The first ``dim`` independent rows form a nonsingular basis B,
@@ -638,12 +640,13 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
     splits the current rays into r+ (a.r > 0), r0 and r- (a.r < 0); the
     r- leave, and every adjacent pair (r+, r-) gives the ray
     |a.r-| * r+ + (a.r+) * r-, gcd-reduced, on the new face.  Each ray
-    carries its zero set, the processed rows it is tight on, as a bit set.
-    Two extreme rays are adjacent iff their common zero set has at least
-    dim - 2 rows and lies in no other ray's zero set (Fukuda and Prodon,
-    Prop. 7).  Every test is an integer sign or a bit-set inclusion, and
-    the extreme rays of a pointed cone, made primitive, are unique, so the
-    order in which rows are added changes only the speed.
+    carries its zero set over the processed rows; a new ray is tight
+    exactly where both its parents are, and on the new row.  Two extreme
+    rays are adjacent iff their common zero set has at least dim - 2 rows
+    and lies in no other ray's zero set (Fukuda and Prodon, Prop. 7).
+    Every test is an integer sign or a bit-set inclusion, and the extreme
+    rays of a pointed cone, made primitive, are unique, so the order in
+    which rows are added changes only the speed.
     """
     basis = first_independent(rows, dim)
     if len(basis) < dim:
@@ -701,138 +704,143 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IVec]:
                 g = gcd(*w)
                 kept.append((tuple(x // g for x in w), common | bit))
         rays = kept
-    return sorted(ray for ray, _ in rays)
+    return sorted(rays)
+
+
+def _units(n: int) -> list[IVec]:
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+
+def _lift(
+    points: Sequence[IVec], heights: Sequence[int]
+) -> tuple[IVec, list[IVec], list[IVec], list[tuple[IVec, int, int, int]]]:
+    """The one lift of distinct integer points q at integer heights h.
+
+    The points get integer coordinates y on their affine hull: y = q when
+    they span R^n, else y_i = e_i . (q - q_0) with e_1..e_d the differences
+    q - q_0 that ``first_independent`` keeps.  ``_extreme_rays`` then runs
+    once on the cone with rows (0, ..., 0, 1) and (y, 1, -h), one per point
+    (bit k + 1 of a zero set is point k).  A ray (p, t, s) is the affine
+    function m . q + b = p . y + t read back in R^n, at least s*h on every
+    point and equal exactly on its zero set: with s > 0 an upper facet of
+    the lifted points, with s = 0 and m != 0 a facet of their hull.
+    Returns the origin (0 or q_0), the directions (unit vectors or e), the
+    coordinates y, and every ray as (m, b, s, zero set).
+    """
+    n = len(points[0])
+    diffs = [tuple(map(sub, q, points[0])) for q in points]
+    kept = first_independent(diffs, n)
+    if len(kept) == n:
+        origin, directions, ys = (0,) * n, _units(n), list(points)
+    else:
+        origin, directions = points[0], [diffs[i] for i in kept]
+        ys = [tuple(sum(map(mul, e, diff)) for e in directions) for diff in diffs]
+    d = len(directions)
+    rows = [(0,) * (d + 1) + (1,)] + [(*y, 1, -h) for y, h in zip(ys, heights)]
+    rays = []
+    for (*p, t, s), zeros in _extreme_rays(rows, d + 2):
+        m = tuple(sum(a * e[i] for a, e in zip(p, directions)) for i in range(n))
+        rays.append((m, t - sum(map(mul, m, origin)), s, zeros))
+    return origin, directions, ys, rays
+
+
+def _normals(dirs: Sequence[IVec], dim: int) -> list[IVec]:
+    """A basis of the normals to the span of the int ``dirs`` in R^1, R^2 or
+    R^3: the unit vectors when there are none, else the quarter turn of the
+    one direction in the plane, or the independent cross products in space."""
+    if not dirs:
+        return _units(dim)
+    if dim == 2:
+        return [rot90ccw(dirs[0])]
+    u = dirs[0]
+    crosses = [
+        (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+        for v in dirs[1:] or _units(3)
+    ]
+    return [crosses[i] for i in first_independent(crosses, dim)]
+
+
+def _hull(lift, scale: int) -> HPolyhedron:
+    """The H-representation of the convex hull of a lift's points, taken
+    over ``scale`` (the points are q / scale).
+
+    First the equations of the affine hull (``_normals``), each as a pair
+    of opposite rows, then the facets -m . q <= b of the rays with s = 0.
+    The facets are sorted by the lexicographically first affinely
+    independent d-subset of the points on each, the points sorted in the
+    lift coordinates (y, 1): the order in which a walk over every subset of
+    the sorted points would first meet them.  On a line the upper end comes
+    first.  The rows are then scale-normalized and deduplicated.
+    """
+    origin, directions, ys, rays = lift
+    n, d = len(origin), len(directions)
+    rows = []
+    if d < n:
+        for normal in _normals(directions, n):
+            c = sum(map(mul, normal, origin))
+            rows += [(normal, c), (tuple(-x for x in normal), -c)]
+    facets = []
+    for m, b, s, zeros in rays:
+        if s == 0 and any(m):
+            tight = sorted((*y, 1) for k, y in enumerate(ys) if zeros >> (k + 1) & 1)
+            key = tuple(tight[i] for i in first_independent(tight, d))
+            facets.append((key, tuple(-x for x in m), b))
+    facets.sort(reverse=d == 1)
+    rows += [(normal, c) for _, normal, c in facets]
+    hs = [HalfSpace(ivec_to_vec(a), Fraction(c, scale)) for a, c in rows]
+    return HPolyhedron(n, dedupe_halfspaces(hs))
 
 
 def upper_concave_hull(
     points: Sequence[tuple[IVec, Fraction]],
-) -> tuple[list[AffinePiece], set[int]]:
-    """Minimal affine pieces whose pointwise min majorizes the lifted points.
+) -> tuple[list[AffinePiece], set[int], HPolyhedron]:
+    """Minimal affine pieces whose pointwise min majorizes the lifted points,
+    the indices of the points they touch, and the bundles' convex hull.
 
-    The bundles q get integer coordinates y_i = e_i . (q - q_0) on their
-    affine hull, with e_1..e_d the differences q - q_0 that
-    ``first_independent`` keeps, and L is the lcm of the value denominators
-    (``scaled_ints``).  The pieces are the vertices of the indirect utility's
-    epigraph, read as the extreme rays (p, t, s) with s > 0 of the cone
-    with rows (y, 1, -L*u), one per point, and s >= 0: each is the piece
-    u = (p.y + t) / (L*s), read back in bundle coordinates.  The rays with
-    s = 0 are the facets of the bundle hull and are dropped.  Hull indices
-    are exactly the points the majorant touches, the rows some piece's ray
-    is tight on; the others are the bundles never demanded.  This is the
+    The bundles, sorted, are lifted once (``_lift``) at heights L*u, with L
+    the lcm of the value denominators (``scaled_ints``).  The pieces are the
+    vertices of the indirect utility's epigraph, the rays (m, b, s) with
+    s > 0: each is the piece u = (m . q + b) / (L*s).  The hull indices are
+    the union of those rays' zero sets; the other points are the bundles
+    never demanded.  The rays with s = 0 give the domain (``_hull``), the
+    same rows as ``convex_hull_halfspaces`` of the bundles.  This is the
     only source of the concave dual's pieces (``valuation.dualize``).  At
     most 64 points and 3 goods.
     """
     if not points:
         raise DegenerateInput("hull of no points")
     check_hull_cap("upper concave hull", len(points))
-    bundles = [q for q, _ in points]
-    values = [Fraction(v) for _, v in points]
-    n = len(bundles[0])
-    if n > 3:
+    if len(points[0][0]) > 3:
         raise UnsupportedDimension("hull enumeration supports up to 3 goods")
+    order = sorted(range(len(points)), key=lambda i: points[i][0])
+    bundles = [points[i][0] for i in order]
     if len(set(bundles)) != len(bundles):
         raise DegenerateInput("duplicate bundle keys")
-
-    if len(bundles) == 1:
-        piece = AffinePiece(slope=tuple(ZERO for _ in range(n)), intercept=values[0])
-        return [piece], {0}
-
-    base = bundles[0]
-    diffs = [tuple(a - b for a, b in zip(q, base)) for q in bundles]
-    directions = [diffs[i] for i in first_independent(diffs, n)]
-    d = len(directions)
-    scale, (lifted,) = scaled_ints([values])
-    rows = [(0,) * (d + 1) + (1,)] + [
-        (*(sum(a * b for a, b in zip(e, diff)) for e in directions), 1, -u)
-        for diff, u in zip(diffs, lifted)
-    ]
-    rays = [r for r in _extreme_rays(rows, d + 2) if r[-1] > 0]
-    pieces = []
-    for *p, t, s in rays:
-        c = s * scale
-        slope = tuple(
-            sum((Fraction(a, c) * b[i] for a, b in zip(p, directions)), ZERO) for i in range(n)
-        )
-        pieces.append(AffinePiece(slope=slope, intercept=Fraction(t, c) - dot(slope, base)))
+    scale, (heights,) = scaled_ints([[points[i][1] for i in order]])
+    lift = _lift(bundles, heights)
+    pieces, touched = [], 0
+    for m, b, s, zeros in lift[3]:
+        if s > 0:
+            c = s * scale
+            pieces.append(AffinePiece(tuple(Fraction(x, c) for x in m), Fraction(b, c)))
+            touched |= zeros
     pieces.sort(key=lambda p: (p.slope, p.intercept))
-
-    hull = {
-        i
-        for i, row in enumerate(rows[1:])
-        if any(sum(a * x for a, x in zip(row, r)) == 0 for r in rays)
-    }
-    return pieces, hull
-
-
-def _normals(dirs: Sequence[Vec], dim: int) -> list[Vec]:
-    """A basis of the normals to the span of ``dirs`` in R^2 or R^3: the unit
-    vectors when there are none, else the quarter turn of the one direction
-    in the plane, or the independent cross products in space."""
-    units = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
-    if not dirs:
-        return units
-    if dim == 2:
-        return [rot90ccw(dirs[0])]
-    u = dirs[0]
-    crosses = [
-        (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-        for v in dirs[1:] or units
-    ]
-    return independent_directions([(ZERO,) * 3, *crosses])
+    hull = {i for k, i in enumerate(order) if touched >> (k + 1) & 1}
+    return pieces, hull, _hull(lift, 1)
 
 
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
-    Supports dim <= 3.  The points are scaled by the lcm of their
-    denominators to integer points P, and the set is full-dimensional iff
-    the lifted points (P, 1) have rank dim + 1, which the fraction-free
-    ``first_independent`` decides.  A full-dimensional set reads each facet
-    n.P <= c off an extreme ray (-n, c) of the cone
-    { (m, c) : m.P + c >= 0 for every P }, whose rows are the points (P, 1).
-    The facets are sorted by the lexicographically first affinely
-    independent dim-subset of the sorted points on each, the order in which
-    a walk over every dim-subset would first meet them, and deduplicated.
-    A lower-dimensional set gets the equations of its affine hull, each as a
-    pair of opposite rows, and then its hull within the affine hull, built
-    in the coordinates ``y_i = d_i . (p - p_0)`` along its independent
-    directions (``independent_directions``) and read back in R^dim.
+    Supports dim <= 3.  The distinct points, sorted, are scaled by the lcm
+    of their denominators to integer points, lifted at height 0
+    (``_lift``) and read by ``_hull``: a full-dimensional set gets its
+    facets, a lower-dimensional one (a point, a line, or a plane in R^3)
+    the equations of its affine hull and then its facets within it.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
+    if not points:
         raise DegenerateInput("hull of no points")
-    if dim == 1:
-        xs = [p[0] for p in pts]
-        return HPolyhedron(
-            1,
-            (
-                HalfSpace((Fraction(1),), max(xs)),
-                HalfSpace((Fraction(-1),), -min(xs)),
-            ),
-        )
-    if dim not in (2, 3):
+    if dim not in (1, 2, 3):
         raise UnsupportedDimension("convex hulls supported up to dimension 3")
-    uniq = sorted(set(pts))
-    scale, ints = scaled_ints(uniq)
-    lifted = [(*p, 1) for p in ints]
-    if len(first_independent(lifted, dim + 1)) <= dim:
-        dirs = independent_directions(uniq)
-        base = uniq[0]
-        hs = []
-        for n in _normals(dirs, dim):
-            hs += [HalfSpace(n, dot(n, base)), HalfSpace(tuple(-c for c in n), -dot(n, base))]
-        if dirs:
-            ys = [tuple(dot(d, vsub(p, base)) for d in dirs) for p in uniq]
-            for h in convex_hull_halfspaces(ys, len(dirs)).halfspaces:
-                n = tuple(sum(a * d[i] for a, d in zip(h.normal, dirs)) for i in range(dim))
-                hs.append(HalfSpace(n, h.offset + dot(n, base)))
-        return HPolyhedron(dim, dedupe_halfspaces(hs))
-    facets = []
-    for ray in _extreme_rays(lifted, dim + 1):
-        tight = [p for p in lifted if sum(a * x for a, x in zip(ray, p)) == 0]
-        facets.append((tuple(tight[i] for i in first_independent(tight, dim)), ray))
-    hs = [
-        HalfSpace(tuple(Fraction(-a) for a in ray[:-1]), Fraction(ray[-1], scale))
-        for _, ray in sorted(facets)
-    ]
-    return HPolyhedron(dim, dedupe_halfspaces(hs))
+    scale, ints = scaled_ints(sorted(set(tuple(Fraction(c) for c in p) for p in points)))
+    return _hull(_lift(ints, [0] * len(ints)), scale)

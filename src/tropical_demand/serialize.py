@@ -264,6 +264,7 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
             _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
         points = tuple(_vec_in(p, "cell point", 2) for p in item.get("points", []))
         rays = tuple(_ivec_in(r, "cell ray", 2) for r in item.get("rays", []))
+        _expect(all(any(r) for r in rays), f"cell {cell_id}: a ray must not be zero")
         incident = _ivec_in(item.get("incident", []), "cell incident")
         if dim in _CELL_SHAPES and (len(points), len(rays)) not in _CELL_SHAPES[dim]:
             raise ValidationError(
@@ -280,6 +281,8 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
             except Exception as exc:
                 raise ValidationError(f"facet weight: {exc}") from exc
             normal = _ivec_in(item.get("normal"), "facet normal", 2)
+            _expect(weight > 0, f"cell {cell_id}: facet weight must be positive")
+            _expect(any(normal), f"cell {cell_id}: facet normal must not be zero")
             _expect(
                 _is_int(item.get("from_region")) and _is_int(item.get("to_region")),
                 f"cell {cell_id}: facet data needs from_region and to_region",

@@ -30,7 +30,6 @@ from .polyhedra import (
     HalfSpace,
     Polygon2,
     PolygonEdge,
-    convex_hull_halfspaces,
     feasible_point,
     interior_point,
     reduce,
@@ -222,8 +221,9 @@ def dualize(v: Valuation) -> PolyhedralFunction:
     Min-of-affine on the convex hull of the bundles; the slopes of the
     pieces are the prices at which demand is maximally multi-valued.  The
     pieces are the vertices (p, f(p)) of the epigraph of the indirect
-    utility f, which ``upper_concave_hull`` enumerates by exact double
-    description for 1, 2 and 3 goods alike.  At most MAX_HULL_POINTS
+    utility f, and the domain the facets of the bundle hull: both are rays
+    of the one cone that ``upper_concave_hull`` lifts, by exact double
+    description, for 1, 2 and 3 goods alike.  At most MAX_HULL_POINTS
     bundles.
     """
     return _dual(v)[0]
@@ -231,12 +231,12 @@ def dualize(v: Valuation) -> PolyhedralFunction:
 
 def _dual(v: Valuation) -> tuple[PolyhedralFunction, frozenset[IVec]]:
     """The concave dual and the bundles strictly below it (never demanded),
-    from one lift of the upper concave hull: a bundle is on the hull iff
-    some piece's ray is tight on it, which is the hull's index set."""
+    all from one lift of the upper concave hull: its pieces, its domain, and
+    its hull indices (a bundle is on the hull iff some piece's ray is tight
+    on it)."""
     entries = sorted(v.entries.items())
-    pieces, hull = upper_concave_hull(entries)
+    pieces, hull, domain = upper_concave_hull(entries)
     below = frozenset(q for i, (q, _) in enumerate(entries) if i not in hull)
-    domain = convex_hull_halfspaces([q for q, _ in entries], v.goods)
     return PolyhedralFunction("min", tuple(pieces), domain), below
 
 

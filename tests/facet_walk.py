@@ -4,8 +4,9 @@ kernel in ``tropical_demand.polyhedra``.
 Every m-subset of lattice points in R^m spans a candidate hyperplane whose
 normal is the vector of integer cofactors of its difference vectors, kept
 when all points lie on one side.  ``upper_concave_hull`` and ``hull_rows``
-are the walk-built forms of the kernel's two callers, with the same
-scaling, sorting and deduplication.
+are the walk-built forms of the kernel's two readers, with the same
+scaling, sorting and deduplication.  ``independent_directions`` gives the
+directions that span a point set's affine hull, as Fractions.
 """
 
 from __future__ import annotations
@@ -15,8 +16,23 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from tropical_demand.exactmath import IVec, ZERO, dot, independent_directions, vsub
+from tropical_demand.exactmath import IVec, Vec, ZERO, dot, first_independent, scaled_ints, vsub
 from tropical_demand.polyhedra import AffinePiece, HalfSpace, dedupe_halfspaces
+
+
+def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
+    """A maximal set of linearly independent difference vectors ``p_i - p_0``:
+    the ones ``first_independent`` keeps, on the differences scaled to ints
+    by ``scaled_ints``.
+
+    The length of the result is the dimension of the affine hull of the
+    points.
+    """
+    if not points:
+        return []
+    base = [Fraction(c) for c in points[0]]
+    diffs = [tuple(Fraction(c) - b for c, b in zip(p, base)) for p in points[1:]]
+    return [diffs[i] for i in first_independent(scaled_ints(diffs)[1], len(base))]
 
 
 def _det(rows: Sequence[Sequence[int]]) -> int:

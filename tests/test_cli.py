@@ -10,7 +10,8 @@ import pytest
 
 from tropical_demand import cli, serialize
 from tropical_demand.cli import build_parser
-from tropical_demand.exactmath import independent_directions
+
+from facet_walk import independent_directions
 
 F = Fraction
 
@@ -177,19 +178,40 @@ def test_dualize_lower_dimensional_three_good_sets(tmp_path):
         assert len(domain.halfspaces) == 6
 
 
-def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
-    from tropical_demand import valuation
+LOWER_DIMENSIONAL = json.loads((ROOT / "tests" / "golden" / "dualize_lower_dimensional.json").read_text())
 
-    calls = []
-    hull = valuation.upper_concave_hull
+
+@pytest.mark.parametrize("case", LOWER_DIMENSIONAL, ids=lambda case: case["name"])
+def test_dualize_lower_dimensional_golden_bytes(tmp_path, case):
+    # The exact bytes of `dualize` on bundle sets that do not span the goods
+    # space: a lone zero bundle in 1-3 goods, 1 good, collinear 2- and
+    # 3-good sets, and coplanar 3-good sets, one with many bundles per facet
+    # and one whose facets sort differently in bundle and plane coordinates.
+    infile = write(tmp_path, "v.json", case["valuation"])
+    out = tmp_path / "dual.json"
+    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+    assert out.read_bytes() == case["dualize"].encode()
+
+
+def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
+    from tropical_demand import polyhedra, valuation
+
+    calls, kernels = [], []
+    hull, kernel = valuation.upper_concave_hull, polyhedra._extreme_rays
 
     def counting_hull(points):
         calls.append(len(points))
         return hull(points)
 
+    def counting_kernel(rows, dim):
+        kernels.append(len(rows))
+        return kernel(rows, dim)
+
     monkeypatch.setattr(valuation, "upper_concave_hull", counting_hull)
-    # Every valuation lifts the hull exactly once: 1 good, full-dimensional
-    # and collinear 2-good bundles, and 3 goods.
+    monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
+    # Every valuation lifts the hull exactly once, and the double description
+    # runs once, since the domain comes off the same lift: 1 good,
+    # full-dimensional and collinear 2-good bundles, and 3 goods.
     cases = [
         (1, {(0,): 0, (1,): 1, (2,): 10, (3,): 12}, [[1]], [4]),
         (2, {(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34}, [[1, 1]], [5]),
@@ -198,6 +220,7 @@ def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_pat
     ]
     for goods, entries, never_demanded, hulls in cases:
         calls.clear()
+        kernels.clear()
         payload = {
             "goods": goods,
             "entries": [{"bundle": list(q), "value": str(u)} for q, u in entries.items()],
@@ -207,6 +230,8 @@ def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_pat
         assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["never_demanded"] == never_demanded
         assert calls == hulls
+        # One kernel call, on one row per bundle and the row s >= 0.
+        assert kernels == [n + 1 for n in hulls]
 
 
 def test_dualize_duplicate_bundle_is_validation_error(tmp_path, capsys):
@@ -397,6 +422,12 @@ MALFORMED_SUBDIVISIONS = {
     "3-coordinate point": lambda doc: _first(doc, 0)["points"][0].append("0"),
     "3-coordinate ray": lambda doc: _first(doc, 2)["rays"][0].append(0),
     "3-coordinate label": lambda doc: _first(doc, 2)["label"].append("0"),
+    # Degenerate facet data: accepted before, and `balance` then gave a
+    # verdict (exit 1) while `integrate` exited 0.
+    "zero rays": lambda doc: [cell.update(rays=[[0, 0]] * len(cell["rays"])) for cell in doc["cells"]],
+    "zero facet normal": lambda doc: _facet(doc).update(normal=[0, 0]),
+    "negative facet weight": lambda doc: _facet(doc).update(weight="-1"),
+    "zero facet weight": lambda doc: _facet(doc).update(weight="0"),
 }
 
 

@@ -30,13 +30,13 @@ from tropical_demand.complexes import (
 from tropical_demand.exactmath import (
     cross2,
     dot,
-    independent_directions,
     ivec_to_vec,
     lattice_length,
     vsub,
 )
 
 from conftest import make_valuation, price_vectors, valuations
+from facet_walk import independent_directions
 
 F = Fraction
 

@@ -6,12 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
-from tropical_demand.exactmath import (
-    independent_directions,
-    lattice_length,
-    rational_direction,
-    scaled_ints,
-)
+from tropical_demand.exactmath import lattice_length, rational_direction, scaled_ints
+
+from facet_walk import independent_directions
 
 F = Fraction
 

@@ -22,7 +22,7 @@ from tropical_demand import (
 )
 from tropical_demand import polyhedra
 from tropical_demand.equilibrium import _epigraph_lp
-from tropical_demand.exactmath import dot, independent_directions
+from tropical_demand.exactmath import dot
 from tropical_demand.polyhedra import (
     _optimum_is_unique,
     _pivot,
@@ -34,6 +34,7 @@ from tropical_demand.polyhedra import (
 
 import facet_walk
 import fraction_simplex
+from facet_walk import independent_directions
 from conftest import economies, make_valuation, valuations
 
 F = Fraction
@@ -79,7 +80,7 @@ def test_solve_linear_system():
 
 def test_hull_of_five_bundle_valuation():
     points = [((0, 0), F(0)), ((2, 0), F(16)), ((1, 1), F(24)), ((0, 2), F(28)), ((2, 2), F(34))]
-    pieces, hull = upper_concave_hull(points)
+    pieces, hull, _ = upper_concave_hull(points)
     got = {(p.slope, p.intercept) for p in pieces}
     assert got == {
         ((F(1), F(9)), F(14)),
@@ -91,7 +92,7 @@ def test_hull_of_five_bundle_valuation():
 
 
 def test_hull_single_point():
-    pieces, hull = upper_concave_hull([((0, 0), F(0))])
+    pieces, hull, _ = upper_concave_hull([((0, 0), F(0))])
     assert len(pieces) == 1
     assert pieces[0].slope == (F(0), F(0)) and pieces[0].intercept == 0
     assert hull == {0}
@@ -103,7 +104,7 @@ def test_hull_one_dimensional_chord():
     points = [((0,), F(0)), ((1,), F(1)), ((2,), F(4))]
     chord_mid = (points[0][1] + points[2][1]) / 2
     assert points[1][1] < chord_mid
-    pieces, hull = upper_concave_hull(points)
+    pieces, hull, _ = upper_concave_hull(points)
     assert hull == {0, 2}
     assert min(p.evaluate((F(1),)) for p in pieces) == 2
 
@@ -115,7 +116,7 @@ def test_hull_duplicate_bundles_rejected():
 
 def test_hull_collinear_bundles_in_two_goods():
     points = [((0, 0), F(0)), ((1, 1), F(5)), ((2, 2), F(6))]
-    pieces, hull = upper_concave_hull(points)
+    pieces, hull, _ = upper_concave_hull(points)
     assert hull == {0, 1, 2}
     for q, u in points:
         assert min(p.evaluate(q) for p in pieces) == u
@@ -143,7 +144,7 @@ def lifted_points(draw, full_dimensional=False):
 @settings(max_examples=60, deadline=None)
 @given(lifted_points())
 def test_hull_majorizes_with_equality_exactly_on_hull(points):
-    pieces, hull = upper_concave_hull(points)
+    pieces, hull, _ = upper_concave_hull(points)
     for i, (q, u) in enumerate(points):
         envelope = min(p.evaluate(q) for p in pieces)
         assert envelope >= u
@@ -164,7 +165,7 @@ def test_hull_pieces_match_subset_interpolation(points):
         slope, intercept = tuple(sol[:n]), sol[n]
         if all(dot(slope, q) + intercept >= u for q, u in points):
             expected.add((slope, intercept))
-    pieces, _ = upper_concave_hull(points)
+    pieces, _, _ = upper_concave_hull(points)
     assert [(p.slope, p.intercept) for p in pieces] == sorted(expected)
 
 
@@ -214,8 +215,30 @@ def walk_points(draw):
 @example(sorted({(0, 0, 0): F(0), (1, 2, 1): F(3), (2, 4, 2): F(3), (3, 6, 3): F(1, 2)}.items()))
 def test_hull_matches_the_facet_walk(points):
     # Same pieces in the same order, and the same hull indices, as the
-    # walk over every (d+1)-subset of the lifted points.
-    assert upper_concave_hull(points) == facet_walk.upper_concave_hull(points)
+    # walk over every (d+1)-subset of the lifted points; on bundles that
+    # span R^2 or R^3, the domain has the rows of the walk over every
+    # d-subset of the bundles.
+    pieces, hull, domain = upper_concave_hull(points)
+    assert (pieces, hull) == facet_walk.upper_concave_hull(points)
+    bundles = [q for q, _ in points]
+    if len(bundles[0]) > 1 and len(independent_directions(bundles)) == len(bundles[0]):
+        assert domain.halfspaces == facet_walk.hull_rows(bundles)
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_points(), st.randoms(use_true_random=False))
+def test_hull_domain_is_the_bundle_hull_in_any_input_order(points, rnd):
+    # The domain read off the lift is convex_hull_halfspaces of the
+    # bundles, row for row, on lines and planes too; shuffling the points
+    # changes neither it, nor the pieces, nor the bundles on the hull.
+    pieces, hull, domain = upper_concave_hull(points)
+    bundles = [q for q, _ in points]
+    assert domain == convex_hull_halfspaces(bundles, len(bundles[0]))
+    shuffled = points[:]
+    rnd.shuffle(shuffled)
+    again, hull_again, domain_again = upper_concave_hull(shuffled)
+    assert (again, domain_again) == (pieces, domain)
+    assert {shuffled[i][0] for i in hull_again} == {bundles[i] for i in hull}
 
 
 @st.composite
@@ -262,16 +285,48 @@ def test_extreme_rays_do_not_depend_on_row_order(points, rnd):
     shuffled = rows[:]
     rnd.shuffle(shuffled)
     rays = polyhedra._extreme_rays(rows, d + 2)
-    assert rays == polyhedra._extreme_rays(shuffled, d + 2)
-    assert all(sum(a * x for a, x in zip(row, r)) >= 0 for r in rays for row in rows)
+    assert _tight_rows(rows, rays) == _tight_rows(shuffled, polyhedra._extreme_rays(shuffled, d + 2))
+    assert all(sum(a * x for a, x in zip(row, r)) >= 0 for r, _ in rays for row in rows)
+
+
+def _tight_rows(rows, rays):
+    """Each ray with the rows its zero set names."""
+    return [(ray, sorted(row for k, row in enumerate(rows) if zeros >> k & 1)) for ray, zeros in rays]
+
+
+@settings(max_examples=100, deadline=None)
+@given(walk_points(), st.randoms(use_true_random=False))
+def test_extreme_rays_return_the_rows_each_ray_is_tight_on(points, rnd):
+    # The cone of the lifted points in coordinates y on their affine hull
+    # (a point, a line, a plane or a full-dimensional set), rows shuffled:
+    # each ray's zero set is exactly the rows it is tight on.
+    bundles = [q for q, _ in points]
+    dirs = independent_directions(bundles)
+    scale = lcm(*(F(u).denominator for _, u in points))
+    rows = [(0,) * (len(dirs) + 1) + (1,)] + [
+        (*(int(dot(e, [a - b for a, b in zip(q, bundles[0])])) for e in dirs), 1, -int(u * scale))
+        for q, u in points
+    ]
+    rnd.shuffle(rows)
+    for ray, zeros in polyhedra._extreme_rays(rows, len(dirs) + 2):
+        assert zeros == sum(1 << k for k, row in enumerate(rows) if dot(row, ray) == 0)
 
 
 def test_extreme_rays_of_a_simplicial_and_a_square_cone():
-    assert polyhedra._extreme_rays([(1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
+    # Each ray comes with the bit set of the rows it is tight on.
+    assert polyhedra._extreme_rays([(1, 0), (0, 1)], 2) == [((0, 1), 0b01), ((1, 0), 0b10)]
     # x + y >= 0 is redundant; the cone over the unit square has 4 rays.
-    assert polyhedra._extreme_rays([(1, 1), (1, 0), (0, 1)], 2) == [(0, 1), (1, 0)]
+    assert polyhedra._extreme_rays([(1, 1), (1, 0), (0, 1)], 2) == [
+        ((0, 1), 0b010),
+        ((1, 0), 0b100),
+    ]
     square = [(1, 0, 0), (0, 1, 0), (-1, 0, 1), (0, -1, 1)]
-    assert polyhedra._extreme_rays(square, 3) == [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)]
+    assert polyhedra._extreme_rays(square, 3) == [
+        ((0, 0, 1), 0b0011),
+        ((0, 1, 1), 0b1001),
+        ((1, 0, 1), 0b0110),
+        ((1, 1, 1), 0b1100),
+    ]
 
 
 @pytest.mark.parametrize(

@@ -26,11 +26,12 @@ from tropical_demand import (
     inverse_demand_region,
     serialize,
 )
-from tropical_demand.exactmath import dot, independent_directions
+from tropical_demand.exactmath import dot
 from tropical_demand.polyhedra import halfplane_intersection, interior_point
 
 import fraction_regions
 from conftest import make_valuation, price_vectors, valuations
+from facet_walk import independent_directions
 
 F = Fraction
 
