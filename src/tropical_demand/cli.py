@@ -5,7 +5,10 @@ All take --in FILE and write JSON to --out FILE (stdout when omitted);
 `complex` can additionally emit an SVG.  Exit codes: 0 success / verdict
 true, 1 verdict false (unbalanced, no equilibrium, non-monotone,
 non-conservative), 2 JSON parse error, 3 validation error, 4 unsupported
-dimension, 5 resource cap exceeded.
+dimension, 5 resource cap exceeded.  The caps are fixed module constants,
+not options: ``polyhedra.MAX_HULL_POINTS`` bundles per hull,
+``potential.MAX_SAMPLE_PAIRS`` sample pairs and
+``equilibrium.MAX_ALLOCATIONS`` allocations.
 """
 
 from __future__ import annotations
@@ -112,10 +115,8 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
-    if args.cap < 1:
-        raise ValidationError(f"allocation enumeration: the cap must be at least 1, got {args.cap}")
     economy = serialize.economy_from_dict(_read_json(args.infile))
-    report = duality_test(economy, cap=args.cap)
+    report = duality_test(economy)
     _emit(serialize.dumps(serialize.equilibrium_report_to_dict(report)), args.out)
     return EXIT_OK if report.exists else EXIT_FALSE
 
@@ -161,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equilibrium", help="duality test for Walrasian equilibrium")
     common(p)
-    p.add_argument("--cap", type=int, default=10**6, help="allocation enumeration cap")
 
     p = sub.add_parser("cyclemono", help="cyclic monotonicity of sampled demand data")
     common(p)

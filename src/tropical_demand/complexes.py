@@ -403,10 +403,6 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
     return (not violations), violations
 
 
-def _incident_edges(s: LabeledSubdivision, vertex_id: int) -> list[int]:
-    return [e for e in s.edges() if vertex_id in s.cells[e].incident]
-
-
 def _direction_from_vertex(s: LabeledSubdivision, edge_id: int, vertex_id: int) -> Vec:
     cell = s.cells[edge_id]
     vpoint = s.cells[vertex_id].points[0]
@@ -422,10 +418,15 @@ def check_balancing(s: LabeledSubdivision) -> BalanceReport:
     Vertices incident to any boundary facet (no facet data) are reported as
     skipped, not checked.
     """
+    # Each vertex's incident edges in id order, built in one pass.
+    edges_at: dict[int, list[int]] = {}
+    for e in s.edges():
+        for vertex_id in set(s.cells[e].incident):
+            edges_at.setdefault(vertex_id, []).append(e)
     per_vertex: dict[int, VertexBalance] = {}
     skipped: list[int] = []
     for vertex_id in s.vertices():
-        incident = _incident_edges(s, vertex_id)
+        incident = edges_at.get(vertex_id, [])
         if not incident or any(e not in s.facet_data for e in incident):
             skipped.append(vertex_id)
             continue

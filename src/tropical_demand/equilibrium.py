@@ -20,19 +20,20 @@ from .exactmath import IVec, Vec, ZERO, dot
 from .polyhedra import HalfSpace, LinearProgram, _optimum_is_unique, simplex_solve
 from .valuation import DemandSet, Valuation, demand
 
+MAX_ALLOCATIONS = 10**6
+
 
 @dataclass(frozen=True)
 class Economy:
     """Consumers with finite valuations plus a social endowment.
 
-    The optional per-consumer endowment split only affects transfer
-    bookkeeping in reports; the equilibrium verdict never depends on it.
+    With quasi-linear utility, how the endowment is split among owners moves
+    only transfers, never the verdict, so the economy holds no split.
     """
 
     goods: int
     consumers: tuple[Valuation, ...]
     endowment: IVec
-    ownership: tuple[IVec, ...] | None = None
 
     def __post_init__(self):
         if not self.consumers:
@@ -44,15 +45,6 @@ class Economy:
             not isinstance(c, int) or c < 0 for c in self.endowment
         ):
             raise ValidationError("endowment must be a nonnegative lattice vector")
-        if self.ownership is not None:
-            if len(self.ownership) != len(self.consumers):
-                raise ValidationError("ownership split needs one share per consumer")
-            for share in self.ownership:
-                if len(share) != self.goods or any(c < 0 for c in share):
-                    raise ValidationError("ownership shares must be nonnegative")
-            total = tuple(sum(share[l] for share in self.ownership) for l in range(self.goods))
-            if total != tuple(self.endowment):
-                raise ValidationError("ownership shares must sum to the endowment")
 
 
 @dataclass(frozen=True)
@@ -166,9 +158,7 @@ def _minus(r: IVec, q: IVec) -> IVec:
     return tuple(b - a for a, b in zip(q, r))
 
 
-def max_aggregate_utility(
-    e: Economy, cap: int = 10**6
-) -> tuple[Fraction, tuple[Allocation, ...]]:
+def max_aggregate_utility(e: Economy) -> tuple[Fraction, tuple[Allocation, ...]]:
     """The aggregate valuation at the endowment, a max-plus convolution of
     the consumers' valuations, and every allocation that attains it.
 
@@ -179,13 +169,15 @@ def max_aggregate_utility(
     holds the zero bundle, so no maximum is over an empty set.  Backtracking
     from ``best[0][w]`` in support order lists the maximizers in product
     order (the first consumer's bundle varies slowest).  The size of that
-    product is still capped, since every allocation may be a maximizer.
+    product is still capped at ``MAX_ALLOCATIONS``, since every allocation
+    may be a maximizer.
     """
     supports = [[(q, v.entries[q]) for q in v.bundles()] for v in e.consumers]
     size = prod(len(s) for s in supports)
-    if size > cap:
+    if size > MAX_ALLOCATIONS:
         raise InstanceTooLarge(
-            f"allocation enumeration: {size} allocations exceed the cap of {cap}; prune supports"
+            f"allocation enumeration: {size} allocations exceed the cap of "
+            f"{MAX_ALLOCATIONS}; prune supports"
         )
     w = tuple(e.endowment)
     leftovers = [{w}]
@@ -256,7 +248,7 @@ def _market_clears(e: Economy, p: Vec, a: Allocation) -> bool:
     return dot(p, leftover) == 0
 
 
-def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
+def duality_test(e: Economy) -> EquilibriumReport:
     """Compare min aggregate indirect utility with max aggregate utility.
 
     ``exists`` is decided by the gap alone.  The gap is the sum over consumers
@@ -267,7 +259,7 @@ def duality_test(e: Economy, cap: int = 10**6) -> EquilibriumReport:
     demand sets at the minimizing prices document why the market cannot
     clear.
     """
-    max_value, argmax = max_aggregate_utility(e, cap=cap)  # refuses over-cap economies first
+    max_value, argmax = max_aggregate_utility(e)  # refuses over-cap economies first
     min_value, prices, unique = min_aggregate_indirect(e)
     gap = min_value - max_value
     exists = gap == 0

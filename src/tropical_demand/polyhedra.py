@@ -448,12 +448,16 @@ def _tightest(rows: Sequence[tuple[IVec, int, int]]) -> dict[IVec, tuple[int, in
     return best
 
 
+def _tightest_halfspaces(rows: Sequence[tuple[IVec, int, int]]) -> tuple[HalfSpace, ...]:
+    """The rows ``_tightest`` keeps, each made a ``HalfSpace`` once."""
+    return tuple(
+        HalfSpace(ivec_to_vec(n), Fraction(num, den)) for n, (num, den, _) in _tightest(rows).items()
+    )
+
+
 def dedupe_halfspaces(halfspaces: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
     """Scale-normalize and drop repeated or dominated copies of the same row."""
-    return tuple(
-        HalfSpace(tuple(Fraction(x) for x in n), Fraction(num, den))
-        for n, (num, den, _) in _tightest([_int_row(h) for h in halfspaces]).items()
-    )
+    return _tightest_halfspaces([_int_row(h) for h in halfspaces])
 
 
 def reduce(poly: HPolyhedron) -> HPolyhedron:
@@ -770,7 +774,8 @@ def _hull(lift, scale: int) -> HPolyhedron:
     independent d-subset of the points on each, the points sorted in the
     lift coordinates (y, 1): the order in which a walk over every subset of
     the sorted points would first meet them.  On a line the upper end comes
-    first.  The rows are then scale-normalized and deduplicated.
+    first.  The int rows are then scale-normalized and deduplicated
+    (``_tightest_halfspaces``), with no ``HalfSpace`` in between.
     """
     origin, directions, ys, rays = lift
     n, d = len(origin), len(directions)
@@ -787,8 +792,7 @@ def _hull(lift, scale: int) -> HPolyhedron:
             facets.append((key, tuple(-x for x in m), b))
     facets.sort(reverse=d == 1)
     rows += [(normal, c) for _, normal, c in facets]
-    hs = [HalfSpace(ivec_to_vec(a), Fraction(c, scale)) for a, c in rows]
-    return HPolyhedron(n, dedupe_halfspaces(hs))
+    return HPolyhedron(n, _tightest_halfspaces([(a, c, scale) for a, c in rows]))
 
 
 def upper_concave_hull(

@@ -22,9 +22,9 @@ from .complexes import (
     LabeledSubdivision,
 )
 from .equilibrium import Economy, EquilibriumReport
-from .errors import ValidationError
+from .errors import DegenerateInput, ValidationError
 from .exactmath import IVec, Vec, format_rational, rational
-from .polyhedra import AffinePiece, HPolyhedron, HalfSpace
+from .polyhedra import AffinePiece, HPolyhedron, HalfSpace, _int_row
 from .potential import CorrespondenceSample
 from .valuation import PolyhedralFunction, Valuation
 
@@ -42,9 +42,13 @@ def _vec_in(data, context: str, length: int | None = None) -> Vec:
         raise ValidationError(f"{context}: expected an array")
     if length is not None and len(data) != length:
         raise ValidationError(f"{context}: expected {length} coordinates")
+    return tuple(_rational_in(c, context) for c in data)
+
+
+def _rational_in(x, context: str) -> Fraction:
     try:
-        return tuple(rational(c) for c in data)
-    except Exception as exc:
+        return rational(x)
+    except DegenerateInput as exc:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
@@ -92,27 +96,16 @@ def valuation_from_dict(data) -> Valuation:
         bundle = _ivec_in(item.get("bundle"), "valuation entry bundle")
         if bundle in entries:
             raise ValidationError(f"duplicate bundle {list(bundle)}")
-        try:
-            entries[bundle] = rational(item.get("value"))
-        except Exception as exc:
-            raise ValidationError(f"valuation entry value: {exc}") from exc
-    try:
-        return Valuation(goods=data["goods"], entries=entries)
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise ValidationError(str(exc)) from exc
+        entries[bundle] = _rational_in(item.get("value"), "valuation entry value")
+    return Valuation(goods=data["goods"], entries=entries)
 
 
 def economy_to_dict(e: Economy) -> dict:
-    out = {
+    return {
         "goods": e.goods,
         "endowment": list(e.endowment),
         "consumers": [valuation_to_dict(v) for v in e.consumers],
     }
-    if e.ownership is not None:
-        out["ownership"] = [list(share) for share in e.ownership]
-    return out
 
 
 def economy_from_dict(data) -> Economy:
@@ -122,18 +115,7 @@ def economy_from_dict(data) -> Economy:
     consumers_raw = data.get("consumers")
     _expect(isinstance(consumers_raw, list) and consumers_raw, "economy: 'consumers' must be a nonempty array")
     consumers = tuple(valuation_from_dict(c) for c in consumers_raw)
-    ownership = None
-    if data.get("ownership") is not None:
-        _expect(isinstance(data["ownership"], list), "economy: 'ownership' must be an array")
-        ownership = tuple(_ivec_in(s, "ownership share") for s in data["ownership"])
-    try:
-        return Economy(
-            goods=data["goods"], consumers=consumers, endowment=endowment, ownership=ownership
-        )
-    except ValidationError:
-        raise
-    except Exception as exc:
-        raise ValidationError(str(exc)) from exc
+    return Economy(goods=data["goods"], consumers=consumers, endowment=endowment)
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +142,7 @@ def domain_from_dict(data) -> HPolyhedron:
     for item in raw:
         _expect(isinstance(item, dict), "halfspace: expected an object")
         normal = _vec_in(item.get("normal"), "halfspace normal", data["dim"])
-        try:
-            offset = rational(item.get("offset"))
-        except Exception as exc:
-            raise ValidationError(f"halfspace offset: {exc}") from exc
+        offset = _rational_in(item.get("offset"), "halfspace offset")
         halfspaces.append(HalfSpace(normal=normal, offset=offset))
     return HPolyhedron(dim=data["dim"], halfspaces=tuple(halfspaces))
 
@@ -192,10 +171,7 @@ def function_from_dict(data) -> PolyhedralFunction:
     for item in raw:
         _expect(isinstance(item, dict), "piece: expected an object")
         slope = _vec_in(item.get("slope"), "piece slope")
-        try:
-            intercept = rational(item.get("intercept"))
-        except Exception as exc:
-            raise ValidationError(f"piece intercept: {exc}") from exc
+        intercept = _rational_in(item.get("intercept"), "piece intercept")
         pieces.append(AffinePiece(slope=slope, intercept=intercept))
     domain = domain_from_dict(data.get("domain"))
     return PolyhedralFunction(convention=convention, pieces=tuple(pieces), domain=domain)
@@ -250,6 +226,7 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
     _expect(domain.dim == 2, "subdivision: the domain's 'dim' must be 2")
     raw = data.get("cells")
     _expect(isinstance(raw, list), "subdivision: 'cells' must be an array")
+    rows = [_int_row(h) for h in domain.halfspaces]
     cells: dict[int, Cell] = {}
     region_labels: dict[int, Vec] = {}
     facet_data: dict[int, FacetData] = {}
@@ -270,16 +247,20 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
             raise ValidationError(
                 f"cell {cell_id}: a {dim}-cell cannot have {len(points)} points and {len(rays)} rays"
             )
+        if dim == 0:
+            # n . (x/a, y/b) <= num/den, cross-multiplied: a, b, den > 0.
+            ((x, y),) = points
+            a, b = x.denominator, y.denominator
+            for (n0, n1), num, den in rows:
+                if (n0 * x.numerator * b + n1 * y.numerator * a) * den > num * a * b:
+                    raise ValidationError(f"cell {cell_id}: vertex lies outside the domain")
         cells[cell_id] = Cell(dim=dim, points=points, rays=rays, incident=incident)
         if dim == 2:
             _expect("label" in item, f"region cell {cell_id} is missing its label")
             region_labels[cell_id] = _vec_in(item["label"], "region label", 2)
         if "weight" in item or "normal" in item:
             _expect(dim == 1, f"cell {cell_id}: facet data on a non-edge")
-            try:
-                weight = rational(item.get("weight"))
-            except Exception as exc:
-                raise ValidationError(f"facet weight: {exc}") from exc
+            weight = _rational_in(item.get("weight"), "facet weight")
             normal = _ivec_in(item.get("normal"), "facet normal", 2)
             _expect(weight > 0, f"cell {cell_id}: facet weight must be positive")
             _expect(any(normal), f"cell {cell_id}: facet normal must not be zero")

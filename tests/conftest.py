@@ -23,11 +23,11 @@ def five_bundle_valuation() -> Valuation:
 
 @pytest.fixture
 def no_equilibrium_economy() -> Economy:
-    # Two consumers, two goods, both owned by consumer 1; substitutes meet
-    # complements and the market cannot clear.
+    # Two consumers, two goods; substitutes meet complements and the market
+    # cannot clear.
     c1 = make_valuation({(0, 0): 0, (1, 0): 30, (0, 1): 50, (1, 1): 60})
     c2 = make_valuation({(0, 0): 0, (1, 0): 10, (0, 1): 30, (1, 1): 70})
-    return Economy(goods=2, consumers=(c1, c2), endowment=(1, 1), ownership=((1, 1), (0, 0)))
+    return Economy(goods=2, consumers=(c1, c2), endowment=(1, 1))
 
 
 # ---------------------------------------------------------------------------

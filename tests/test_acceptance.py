@@ -62,7 +62,6 @@ TWO_CONSUMER = Economy(
         Valuation(goods=2, entries={(0, 0): F(0), (1, 0): F(10), (0, 1): F(30), (1, 1): F(70)}),
     ),
     endowment=(1, 1),
-    ownership=((1, 1), (0, 0)),
 )
 
 

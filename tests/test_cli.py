@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from tropical_demand import cli, serialize
+from tropical_demand import cli, equilibrium, serialize
 from tropical_demand.cli import build_parser
 
 from facet_walk import independent_directions
@@ -32,7 +32,6 @@ FIVE_BUNDLE = {
 ECONOMY = {
     "goods": 2,
     "endowment": [1, 1],
-    "ownership": [[1, 1], [0, 0]],
     "consumers": [
         {
             "goods": 2,
@@ -82,6 +81,13 @@ def test_bundled_data_files_match_goldens():
     assert data == FIVE_BUNDLE
     econ = json.loads((ROOT / "data" / "no_equilibrium_economy.json").read_text())
     assert econ == ECONOMY
+
+
+def test_bundled_data_files_match_their_schemas():
+    data = json.loads((ROOT / "data" / "five_bundle_valuation.json").read_text())
+    validate(data, "valuation.schema.json")
+    econ = json.loads((ROOT / "data" / "no_equilibrium_economy.json").read_text())
+    validate(econ, "economy.schema.json")
 
 
 def test_dualize_golden(tmp_path):
@@ -428,6 +434,10 @@ MALFORMED_SUBDIVISIONS = {
     "zero facet normal": lambda doc: _facet(doc).update(normal=[0, 0]),
     "negative facet weight": lambda doc: _facet(doc).update(weight="-1"),
     "zero facet weight": lambda doc: _facet(doc).update(weight="0"),
+    # Accepted before, with both commands exiting 0.
+    "vertex outside the domain": lambda doc: doc["domain"].update(
+        halfspaces=[{"normal": ["1", "0"], "offset": "-100"}]
+    ),
 }
 
 
@@ -439,6 +449,29 @@ def test_malformed_subdivision_is_validation_error(tmp_path, capsys, command, ca
     MALFORMED_SUBDIVISIONS[case](doc)
     assert cli.main([command, "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["balance", "integrate"])
+def test_vertices_are_tested_against_the_domain_exactly(tmp_path, command):
+    # One vertex, (1/2, 1/3), where all three bundles tie.  The rows
+    # x/3 <= 1/6 and y/2 <= 1/6 hold there with equality; moving either
+    # row in by 1/300 puts the vertex outside.
+    three = {
+        "goods": 2,
+        "entries": [
+            {"bundle": [0, 0], "value": "0"},
+            {"bundle": [2, 0], "value": "1"},
+            {"bundle": [0, 3], "value": "1"},
+        ],
+    }
+    doc = price_complex_doc(tmp_path, three)
+    assert [c["points"] for c in doc["cells"] if c["dim"] == 0] == [[["1/2", "1/3"]]]
+    for offsets, code in ((("1/6", "1/6"), 0), (("49/300", "1/6"), 3), (("1/6", "49/300"), 3)):
+        doc["domain"]["halfspaces"] = [
+            {"normal": ["1/3", "0"], "offset": offsets[0]},
+            {"normal": ["0", "1/2"], "offset": offsets[1]},
+        ]
+        assert cli.main([command, "--in", write(tmp_path, "d.json", doc)]) == code
 
 
 def test_integrate_golden(tmp_path):
@@ -511,23 +544,40 @@ def test_equilibrium_single_consumer_exists(tmp_path):
     assert doc["certificate"]["status"] == "found"
 
 
-def test_equilibrium_oversized(tmp_path, capsys):
+def test_equilibrium_oversized(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
     infile = write(tmp_path, "e.json", ECONOMY)
-    assert cli.main(["equilibrium", "--in", infile, "--cap", "3"]) == cli.EXIT_CAP
+    assert cli.main(["equilibrium", "--in", infile]) == cli.EXIT_CAP
 
 
-def test_equilibrium_oversized_names_stage_and_cap(tmp_path, capsys):
+def test_equilibrium_oversized_names_stage_and_cap(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
     infile = write(tmp_path, "e.json", ECONOMY)
-    assert cli.main(["equilibrium", "--in", infile, "--cap", "3"]) == cli.EXIT_CAP
+    assert cli.main(["equilibrium", "--in", infile]) == cli.EXIT_CAP
     err = capsys.readouterr().err
-    assert "allocation enumeration: 16 allocations exceed the cap of 3" in err
+    assert "allocation enumeration: 16 allocations exceed the cap of 3; prune supports" in err
 
 
-def test_equilibrium_cap_below_one_is_validation_error(tmp_path, capsys):
+def test_equilibrium_has_no_cap_option(tmp_path, capsys):
+    # The allocation cap is the constant equilibrium.MAX_ALLOCATIONS.
     infile = write(tmp_path, "e.json", ECONOMY)
-    for cap in ("0", "-1"):
-        assert cli.main(["equilibrium", "--in", infile, "--cap", cap]) == cli.EXIT_VALIDATION
-        assert f"cap must be at least 1, got {cap}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["equilibrium", "--in", infile, "--cap", "3"])
+    assert exc.value.code == 2
+    assert "--cap" in capsys.readouterr().err
+
+
+def test_equilibrium_ignores_an_ownership_key(tmp_path):
+    # Quasi-linear utility: an endowment split moves only transfers, so the
+    # parser reads no split, well-formed or not.
+    reports = []
+    for ownership in (None, [[1, 1], [0, 0]], "not a split"):
+        economy = ECONOMY if ownership is None else {**ECONOMY, "ownership": ownership}
+        out = tmp_path / "report.json"
+        assert cli.main(["equilibrium", "--in", write(tmp_path, "e.json", economy),
+                         "--out", str(out)]) == 1
+        reports.append(out.read_bytes())
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_dualize_over_bundle_cap(tmp_path, capsys):
@@ -734,7 +784,10 @@ def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, monkeypatch):
     dualize = cli.cmd_dualize
     monkeypatch.setattr(cli, "cmd_dualize", lambda args: handled.append(1) or dualize(args))
     assert cli.main(["dualize", "--in", valuation, "--out", str(tmp_path / "d.json")]) == 0
-    assert cli.main(["equilibrium", "--in", economy, "--cap", "3"]) == cli.EXIT_CAP
+    cap = equilibrium.MAX_ALLOCATIONS
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
+    assert cli.main(["equilibrium", "--in", economy]) == cli.EXIT_CAP
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", cap)
     assert cli.main(["equilibrium", "--in", economy, "--out", str(tmp_path / "r.json")]) == 1
     assert cli.main(["complex", "--in", valuation, "--which", "price",
                      "--out", str(tmp_path / "c2.json")]) == 0

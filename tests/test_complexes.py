@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings
 
+from tropical_demand import serialize
 from tropical_demand import (
     DegenerateInput,
     HalfSpace,
@@ -424,6 +425,19 @@ def test_random_demand_complexes_are_balanced(v):
     ok, violations = check_normal_labeling(s)
     assert ok, violations
     assert check_balancing(s).overall
+
+
+@settings(max_examples=20, deadline=None)
+@given(valuations(max_bundles=8, rational=True))
+def test_emitted_complexes_parse_back(v):
+    # The parser refuses a vertex outside the domain; every complex the
+    # package builds keeps its vertices in its domain, exactly.
+    builds = [price_complex]
+    if len(independent_directions(list(v.entries))) == 2:
+        builds.append(demand_complex)
+    for build in builds:
+        doc = serialize.subdivision_to_dict(build(v))
+        assert serialize.subdivision_to_dict(serialize.subdivision_from_dict(doc)) == doc
 
 
 @settings(max_examples=30, deadline=None)

@@ -12,7 +12,6 @@ from tropical_demand import (
     DomainError,
     Economy,
     InstanceTooLarge,
-    ValidationError,
     aggregate_indirect,
     demand,
     duality_test,
@@ -114,9 +113,10 @@ def test_max_aggregate_utility_zero_endowment(five_bundle_valuation):
     assert [a.bundles for a in allocations] == [((0, 0),)]
 
 
-def test_max_aggregate_utility_cap(no_equilibrium_economy):
+def test_max_aggregate_utility_cap(no_equilibrium_economy, monkeypatch):
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
     with pytest.raises(InstanceTooLarge):
-        max_aggregate_utility(no_equilibrium_economy, cap=3)
+        max_aggregate_utility(no_equilibrium_economy)
 
 
 def test_max_aggregate_utility_argmax_order_golden():
@@ -276,8 +276,9 @@ def test_duality_test_refuses_over_cap_before_the_lp(no_equilibrium_economy, mon
 
     monkeypatch.setattr(equilibrium, "simplex_solve", counting)
     monkeypatch.setattr(polyhedra, "simplex_solve", counting)
+    monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
     with pytest.raises(InstanceTooLarge, match="16 allocations exceed the cap of 3"):
-        duality_test(no_equilibrium_economy, cap=3)
+        duality_test(no_equilibrium_economy)
     assert calls == []
 
 
@@ -334,12 +335,6 @@ def test_economy_potential_golden(no_equilibrium_economy):
 def test_economy_potential_zero_at_equilibrium(five_bundle_valuation):
     e = Economy(goods=2, consumers=(five_bundle_valuation,), endowment=(2, 2))
     assert economy_potential(e, vec(0, 0), Allocation(((2, 2),))) == 0
-
-
-def test_ownership_split_validation():
-    c = make_valuation({(0, 0): 0, (1, 1): 5})
-    with pytest.raises(ValidationError):
-        Economy(goods=2, consumers=(c,), endowment=(1, 1), ownership=((2, 0),))
 
 
 # ---------------------------------------------------------------------------
