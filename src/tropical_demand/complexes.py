@@ -2,8 +2,9 @@
 
 The price complex is the subdivision induced by the indirect utility: 2-cells
 where one bundle is demanded, 1-cells where two tie, 0-cells where three or
-more meet.  The demand complex is its cell-wise dual, ``dualize_complex``,
-on the bundle hull; no concave hull is lifted to build either.
+more meet.  The demand complex is its cell-wise dual: the regular subdivision
+that the values induce on the bundle hull, read off the one lift of the
+bundles (``polyhedra._lift``) that also gives the concave dual's pieces.
 Region labels encode the active piece; each interior facet stores a weight
 and a primitive integer normal with the invariant
 
@@ -40,12 +41,15 @@ from .exactmath import (
     ivec_to_vec,
     rational_direction,
     rot90ccw,
+    scaled_ints,
     vsub,
 )
 from .polyhedra import (
     HPolyhedron,
     Polygon2,
     PolygonEdge,
+    _hull,
+    _lift,
     check_hull_cap,
     convex_hull_halfspaces,
 )
@@ -345,14 +349,50 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
 
 def demand_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of the bundle hull into the cells demanded together,
-    labeled by their indifference prices: the cell-wise dual of the price
-    complex, on the bundle hull as its domain."""
+    labeled by their indifference prices.
+
+    The sorted bundles are lifted once (``_lift``) at heights L*u, with L
+    the lcm of the value denominators, as for the concave dual.  Each ray
+    (m, b, s) with s > 0 is an upper facet of the lifted bundles: the
+    bundles of its zero set are demanded together at the price m / (L*s),
+    so it gives the region labeled by that price, the hull chain of those
+    bundles.  A side shared by two regions is the facet from the lex-smaller
+    price to the larger, weighted by the lattice length of their difference;
+    a side of one region only lies on the domain, the bundle hull, which
+    the rays with s = 0 give (``_hull``).  One bundle gives one lone vertex.
+    Capped at MAX_HULL_POINTS bundles, under the price complex's name: this
+    is the cell-wise dual of the price complex (``dualize_complex``).
+    """
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
-    if len(first_independent([(*q, 1) for q in v.bundles()], 3)) == 2:
+    bundles = v.bundles()
+    if len(first_independent([(*q, 1) for q in bundles], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
-    edges, regions, lone = _dual_cells(price_complex(v))
-    return _assemble(edges, regions, "min", convex_hull_halfspaces(v.bundles(), 2), lone)
+    check_hull_cap("price complex", len(bundles))
+    scale, (heights,) = scaled_ints([[v.entries[q] for q in bundles]])
+    lift = _lift(bundles, heights)
+    domain = _hull(lift, 1)
+    if len(bundles) == 1:
+        return _assemble([], [], "min", domain, bundles)
+
+    regions = []
+    sides: dict[tuple[Vec, Vec], list[Vec]] = {}
+    for m, _, s, zeros in lift[3]:
+        if s > 0:
+            price = tuple(Fraction(x, s * scale) for x in m)
+            chain = _hull_chain_ccw([q for k, q in enumerate(bundles) if zeros >> (k + 1) & 1])
+            regions.append((price, price, Polygon2(chain, (), "bounded")))
+            for side in zip(chain, chain[1:] + chain[:1]):
+                sides.setdefault(tuple(sorted(side)), []).append(price)
+    edges = []
+    for points, prices in sides.items():
+        if len(prices) == 2:
+            low, high = sorted(prices)
+            prim, weight = rational_direction(vsub(low, high))
+            edges.append(_EdgeDraft(points, (), (low, high), weight, prim, None))
+        else:
+            edges.append(_EdgeDraft(points, (), None, None, None, prices[0]))
+    return _assemble(edges, regions, "min", domain)
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +403,8 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
 def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingViolation]]:
     """Verify every interior facet factors its label difference as stated."""
     violations: list[LabelingViolation] = []
+    # One point per region per call, for the facets that reach it.
+    representative = functools.cache(functools.partial(_region_representative, s))
     for edge_id, fd in sorted(s.facet_data.items()):
         cell = s.cells.get(edge_id)
         if cell is None or cell.dim != 1:
@@ -392,8 +434,7 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
                 LabelingViolation(edge_id, "normal is not perpendicular to the facet")
             )
             continue
-        rep_from = _region_representative(s, fd.from_region)
-        rep_to = _region_representative(s, fd.to_region)
+        rep_from, rep_to = representative(fd.from_region), representative(fd.to_region)
         if rep_from is not None and rep_to is not None:
             side = dot(fd.normal, vsub(rep_to, rep_from))
             if side < 0:
@@ -494,31 +535,18 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
     The dual lies on the hull of the region labels, except that the dual of
     a subdivision with a domain and at least one edge lies in the plane.
     """
-    edges, regions, lone = _dual_cells(s)
-    if s.domain.halfspaces and not lone:
-        domain = HPolyhedron(2, ())
-    else:
-        domain = convex_hull_halfspaces([s.region_labels[r] for r in s.regions()], 2)
-    convention = "min" if s.convention == "max" else "max"
-    return _assemble(edges, regions, convention, domain, lone)
-
-
-def _dual_cells(
-    s: LabeledSubdivision,
-) -> tuple[list[_EdgeDraft], list[tuple[int, Vec, Polygon2]], list[Vec]]:
-    """The dual edges and regions of ``dualize_complex``, and the points of
-    its vertices on no edge, to be assembled on a domain of the caller's
-    choice."""
     ok, violations = check_normal_labeling(s)
     if not ok:
         detail = "; ".join(v.message for v in violations[:3])
         raise NonConservative(f"subdivision is not normally labeled: {detail}")
+    convention = "min" if s.convention == "max" else "max"
     regions = s.regions()
     if regions and not s.edges():
         # The whole plane: no edge carries its label to a dual vertex.
         if len(s.cells) > 1:
             raise DegenerateInput("a region with no edges must be the only cell")
-        return [], [], [s.region_labels[regions[0]]]
+        label = s.region_labels[regions[0]]
+        return _assemble([], [], convention, convex_hull_halfspaces([label], 2), [label])
 
     # A boundary edge belongs to the lowest-numbered region that lists it.
     owner = {e: r for r in reversed(regions) for e in s.cells[r].incident}
@@ -557,7 +585,11 @@ def _dual_cells(
         kind = "unbounded" if vertex_rays else "bounded"
         poly = Polygon2(_hull_chain_ccw(corners[vertex]), vertex_rays, kind)
         dual_regions.append((vertex, s.cells[vertex].points[0], poly))
-    return dual_edges, dual_regions, []
+    if s.domain.halfspaces:
+        domain = HPolyhedron(2, ())
+    else:
+        domain = convex_hull_halfspaces([s.region_labels[r] for r in regions], 2)
+    return _assemble(dual_edges, dual_regions, convention, domain)
 
 
 # ---------------------------------------------------------------------------

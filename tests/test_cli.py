@@ -76,9 +76,12 @@ def validate(instance, schema_name):
     jsonschema.validators.validator_for(schema)(schema, registry=registry).validate(instance)
 
 
+DEMAND_COMPLEX = json.loads((ROOT / "tests" / "golden" / "complex_demand.json").read_text())
+
+
 def test_bundled_data_files_match_goldens():
     data = json.loads((ROOT / "data" / "five_bundle_valuation.json").read_text())
-    assert data == FIVE_BUNDLE
+    assert data == FIVE_BUNDLE == DEMAND_COMPLEX[0]["valuation"]
     econ = json.loads((ROOT / "data" / "no_equilibrium_economy.json").read_text())
     assert econ == ECONOMY
 
@@ -286,6 +289,17 @@ def test_complex_demand_golden(tmp_path):
     doc = json.loads(out.read_text())
     dims = [c["dim"] for c in doc["cells"]]
     assert dims.count(2) == 4 and dims.count(0) == 5
+
+
+@pytest.mark.parametrize("case", DEMAND_COMPLEX, ids=lambda case: case["name"])
+def test_complex_demand_golden_bytes(tmp_path, case):
+    # The exact bytes of `complex --which demand` on the bundled valuation
+    # and on a square whose bundle (1,1) lies in the middle of a hull edge,
+    # where the domain lists the bundle hull's rows, not the region labels'.
+    infile = write(tmp_path, "v.json", case["valuation"])
+    out = tmp_path / "dc.json"
+    assert cli.main(["complex", "--in", infile, "--which", "demand", "--out", str(out)]) == 0
+    assert out.read_bytes() == case["complex"].encode()
 
 
 def test_complex_three_goods_unsupported(tmp_path, capsys):
@@ -635,8 +649,8 @@ def test_complex_price_over_bundle_cap(tmp_path, capsys):
 
 
 def test_complex_demand_over_bundle_cap(tmp_path, capsys):
-    # The demand complex is the dual of the price complex, so the price
-    # complex's cap refuses it.
+    # The demand complex is the dual of the price complex, so it is refused
+    # under the price complex's cap and name, before anything is lifted.
     bundles = [(i, j) for i in range(9) for j in range(9)][:65]
     payload = {
         "goods": 2,

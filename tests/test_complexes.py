@@ -1,10 +1,12 @@
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from tropical_demand import serialize
+from tropical_demand import complexes, polyhedra, serialize, valuation
 from tropical_demand import (
     DegenerateInput,
     HalfSpace,
@@ -35,8 +37,10 @@ from tropical_demand.exactmath import (
     lattice_length,
     vsub,
 )
+from tropical_demand.errors import ToolkitError
 
-from conftest import make_valuation, price_vectors, valuations
+import dual_route
+from conftest import make_valuation, price_vectors, small_rationals, valuations
 from facet_walk import independent_directions
 
 F = Fraction
@@ -195,6 +199,84 @@ def test_demand_complex_domain_is_the_bundle_hull():
 def test_demand_complex_is_normally_labeled(five_bundle_valuation):
     ok, violations = check_normal_labeling(demand_complex(five_bundle_valuation))
     assert ok and not violations
+
+
+def test_demand_complex_lifts_once_and_builds_no_price_complex(monkeypatch):
+    # The complex comes off one double description; the price complex, its
+    # walks, the labeling check and a second hull are never reached.
+    kernels = []
+    kernel = polyhedra._extreme_rays
+
+    def counting_kernel(rows, dim):
+        kernels.append(len(rows))
+        return kernel(rows, dim)
+
+    def refuse(*args):
+        raise AssertionError("not on the demand complex's route")
+
+    monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
+    for module, name in [
+        (complexes, "price_complex"),
+        (complexes, "check_normal_labeling"),
+        (complexes, "convex_hull_halfspaces"),
+        (polyhedra, "convex_hull_halfspaces"),
+        (polyhedra, "_intersect_rows"),
+        (valuation, "_intersect_rows"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    for entries in [
+        {(0, 0): 0, (2, 0): 16, (1, 1): 24, (0, 2): 28, (2, 2): 34},
+        {(0, 0): 0, (1, 1): 0, (2, 0): 0, (2, 2): 0},
+        {(0, 0): 3},
+    ]:
+        kernels.clear()
+        demand_complex(make_valuation(entries))
+        assert kernels == [len(entries) + 1]
+
+
+def _complex_or_error(build, v):
+    try:
+        return serialize.dumps(serialize.subdivision_to_dict(build(v)))
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def demand_valuations(draw):
+    """2-good valuations with rational, tie-heavy or all-equal values, one
+    bundle, or a box's corners with some of its side midpoints, each in the
+    middle of a hull edge, and maybe its center, at tie-heavy values."""
+    kind = draw(st.sampled_from(["rational", "ties", "all equal", "one bundle", "box"]))
+    if kind == "rational":
+        return draw(valuations(max_bundles=12, rational=True))
+    if kind == "ties":
+        return draw(valuations(max_bundles=12, max_value=2))
+    if kind == "all equal":
+        return make_valuation(dict.fromkeys(draw(valuations(max_bundles=12)).entries, 0))
+    if kind == "one bundle":
+        return make_valuation({(0, 0): draw(small_rationals)})
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    corners = [(2 * a, 0), (0, 2 * b), (2 * a, 2 * b)]
+    middles = [(a, 0), (0, b), (2 * a, b), (a, 2 * b), (a, b)]
+    extra = corners + draw(st.lists(st.sampled_from(middles), unique=True))
+    return make_valuation({(0, 0): 0, **{q: draw(st.integers(0, 2)) for q in extra}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(demand_valuations())
+def test_demand_complex_matches_the_dual_of_the_price_complex(v):
+    assert _complex_or_error(demand_complex, v) == _complex_or_error(dual_route.demand_complex, v)
+
+
+def test_demand_complex_of_64_strictly_concave_bundles_matches_the_dual_route():
+    # Strictly concave values put every bundle on a vertex of the
+    # subdivision, the most regions the cap allows.
+    rng = random.Random(0)
+    others = rng.sample([(x, y) for x in range(41) for y in range(41) if x or y], 63)
+    v = make_valuation({q: -(q[0] ** 2 + q[1] ** 2) for q in [(0, 0), *others]})
+    dc = demand_complex(v)
+    assert {dc.cells[i].points[0] for i in dc.vertices()} == set(v.entries)
+    assert _complex_or_error(demand_complex, v) == _complex_or_error(dual_route.demand_complex, v)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +525,8 @@ def test_emitted_complexes_parse_back(v):
 @settings(max_examples=30, deadline=None)
 @given(valuations(max_bundles=8, rational=True))
 def test_random_price_and_demand_complexes_are_dual(v):
-    # The demand complex is built as the dual of the price complex; check it
-    # along a second route.  Its regions are the pieces of the concave dual,
+    # The demand complex is read off the lift of the bundles; check it along
+    # a second route.  Its regions are the pieces of the concave dual,
     # each region is the ccw chain, from its least point, of the extreme
     # points of the demand set at its price, and its domain is the bundle
     # hull.  Dualizing it again gives back the price complex.
