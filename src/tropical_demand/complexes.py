@@ -3,8 +3,10 @@
 The price complex is the subdivision induced by the indirect utility: 2-cells
 where one bundle is demanded, 1-cells where two tie, 0-cells where three or
 more meet.  The demand complex is its cell-wise dual: the regular subdivision
-that the values induce on the bundle hull, read off the one lift of the
-bundles (``polyhedra._lift``) that also gives the concave dual's pieces.
+that the values induce on the bundle hull.  Both are read off the one lift of
+the bundles (``polyhedra._lift``) that also gives the concave dual's pieces:
+each upper facet of the lifted bundles is a cell of the demand complex and a
+vertex of the price complex, at the price where its bundles tie.
 Region labels encode the active piece; each interior facet stores a weight
 and a primitive integer normal with the invariant
 
@@ -34,11 +36,11 @@ from .exactmath import (
     Vec,
     ZERO,
     ccw_compare,
-    cross2,
     dot,
     first_independent,
     is_primitive,
     ivec_to_vec,
+    primitive_direction,
     rational_direction,
     rot90ccw,
     scaled_ints,
@@ -47,13 +49,12 @@ from .exactmath import (
 from .polyhedra import (
     HPolyhedron,
     Polygon2,
-    PolygonEdge,
     _hull,
     _lift,
     check_hull_cap,
     convex_hull_halfspaces,
 )
-from .valuation import Valuation, indirect_utility
+from .valuation import Valuation
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,10 @@ def _hull_chain_ccw(points: Sequence[Vec]) -> tuple[Vec, ...]:
     def half(iterable):
         chain: list[Vec] = []
         for p in iterable:
-            while len(chain) >= 2 and cross2(vsub(chain[-1], chain[-2]), vsub(p, chain[-2])) <= 0:
+            while len(chain) >= 2:
+                a, b = chain[-2], chain[-1]
+                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) > 0:
+                    break
                 chain.pop()
             chain.append(p)
         return chain
@@ -167,23 +171,6 @@ def _hull_chain_ccw(points: Sequence[Vec]) -> tuple[Vec, ...]:
     lower = half(pts)
     upper = half(reversed(pts))
     return tuple(lower[:-1] + upper[:-1])
-
-
-def _edge_geometry(edge: PolygonEdge) -> tuple[tuple[Vec, ...], tuple[IVec, ...]]:
-    """Cell points and rays of a region edge: a segment's sorted endpoints, a
-    ray's endpoint and direction, or a line's point nearest the origin and
-    both directions."""
-    n = edge.line.normal
-    d = (-int(n[1]), int(n[0]))
-    back = (-d[0], -d[1])
-    if edge.start is not None and edge.end is not None:
-        return tuple(sorted((edge.start, edge.end))), ()
-    if edge.start is not None:
-        return (edge.start,), (d,)
-    if edge.end is not None:
-        return (edge.end,), (back,)
-    anchor = tuple(edge.line.offset / dot(n, n) * x for x in n)
-    return (anchor,), tuple(sorted((d, back)))
 
 
 def _region_representative(s: LabeledSubdivision, region_id: int) -> Vec | None:
@@ -306,45 +293,128 @@ def _assemble(
     )
 
 
+def _lifted_cells(
+    v: Valuation, bundles: list[IVec]
+) -> tuple[tuple, list[tuple[Vec, tuple[IVec, ...]]]]:
+    """The one lift (``_lift``) of the sorted bundles at heights L*u, with L
+    the lcm of the value denominators, and its cells: each ray (m, b, s)
+    with s > 0, an upper facet of the lifted bundles, as its price
+    m / (L*s) and the strict hull chain of the bundles of its zero set,
+    which are demanded together at that price."""
+    scale, (heights,) = scaled_ints([[v.entries[q] for q in bundles]])
+    lift = _lift(bundles, heights)
+    cells = [
+        (
+            tuple(Fraction(x, s * scale) for x in m),
+            _hull_chain_ccw([q for k, q in enumerate(bundles) if zeros >> (k + 1) & 1]),
+        )
+        for m, _, s, zeros in lift[3]
+        if s > 0
+    ]
+    return lift, cells
+
+
+def _inner_normal(a: IVec, b: IVec) -> IVec:
+    """The primitive normal of the side a -> b of a ccw chain, into the chain."""
+    return primitive_direction((a[1] - b[1], b[0] - a[0]))[0]
+
+
+def _facet(a: IVec, b: IVec, points: tuple[Vec, ...], rays: tuple[IVec, ...]) -> _EdgeDraft:
+    """The price complex's edge between the regions of bundles a and b, from
+    the lex-larger to the smaller, weighted by their difference's lattice
+    length."""
+    high, low = max(a, b), min(a, b)
+    normal, weight = primitive_direction((high[0] - low[0], high[1] - low[1]))
+    return _EdgeDraft(points, rays, (high, low), Fraction(weight), normal, None)
+
+
 # ---------------------------------------------------------------------------
 # public constructions
 # ---------------------------------------------------------------------------
 
 
 def price_complex(v: Valuation) -> LabeledSubdivision:
-    """Subdivision of price space into regions of constant demand.
+    """Subdivision of price space into regions of constant demand, labeled by
+    the bundle demanded.
 
-    Each region and its edges come from ``active_polygons`` of the indirect
-    utility, one half-plane intersection of integer tie rows per piece, and
-    the region is labeled by the piece's bundle.  An edge of region k lies
-    on the tie line of every piece its rows come from; two pieces tied with
-    k along one line differ by a multiple of its equation, so exactly one
-    kept piece l lies across.  The edge is the facet (k, l), read off the
-    region that comes first in piece order, with the weight and primitive
-    normal factored from the label difference.  The domain is the plane, so
-    no edge lies on a boundary.  Capped at MAX_HULL_POINTS bundles, which
-    also caps the demand complex, its dual.
+    It is the cell-wise dual of the regular subdivision that the values
+    induce on the bundles, read off the one lift (``_lift``) of the sorted
+    bundles at heights L*u that the demand complex reads too.  Each ray
+    (m, b, s) with s > 0 is a price vertex m / (L*s), where the bundles of
+    its zero set are demanded together; their strict hull chain gives the
+    cell's sides.  Every side is the facet between the regions of its two
+    ends, from the lex-larger bundle to the smaller, weighted by the lattice
+    length of their difference: a side two cells share is the segment
+    between their prices, and a side on the bundle hull is the ray from its
+    cell's price along its primitive inner normal.  A corner of a chain gets
+    a region, its cells' prices in ccw order around it: a walk from the hull
+    side it starts to the one it ends, between two rays, or once round when
+    no hull side meets it, from the least price.  Collinear bundles give one
+    full line through each price, across the bundles' line, and strips and
+    half-planes between them; one bundle gives the whole plane.  The domain
+    is the plane.  Capped at MAX_HULL_POINTS bundles, which also caps the
+    demand complex, its dual.
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
-    check_hull_cap("price complex", len(v.entries))
-    f = indirect_utility(v)
-    labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
-    regions = {k: (polygon, edges, tied) for k, polygon, edges, tied in f.active_polygons()}
+    bundles = v.bundles()
+    check_hull_cap("price complex", len(bundles))
+    plane = HPolyhedron(2, ())
+    if len(bundles) == 1:
+        q = bundles[0]
+        return _assemble([], [(q, ivec_to_vec(q), Polygon2((), (), "plane"))], "max", plane)
+    lift, cells = _lifted_cells(v, bundles)
 
-    edges: list[_EdgeDraft] = []
-    for k, (_, region_edges, tied) in regions.items():
-        for edge in region_edges:
-            l = next((tied[i] for i in edge.sources if tied[i] in regions), None)
-            if l is None:
-                raise DegenerateInput(f"an edge of the region of piece {k} has no region across")
-            if l < k:
-                continue
-            prim, weight = rational_direction(vsub(labels[k], labels[l]))
-            edges.append(_EdgeDraft(*_edge_geometry(edge), (k, l), weight, prim, None))
+    if len(lift[1]) == 1:
+        # Each cell is a segment (low, high) of the bundles' line, and its
+        # price lies on that line, where the tie line across it meets it.
+        r = _inner_normal((0, 0), lift[1][0])
+        back = (-r[0], -r[1])
+        line = tuple(sorted((r, back)))
+        edges, strips = [], {}
+        for price, (low, high) in cells:
+            edges.append(_facet(high, low, (price,), line))
+            for q in (low, high):
+                # A half-plane lies left of its first ray.
+                sides = (r, back) if q == bundles[-1] else (back, r)
+                strips[q] = (q, ivec_to_vec(q), Polygon2((), sides, "unpointed"))
+        return _assemble(edges, list(strips.values()), "max", plane)
 
-    polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
-    return _assemble(edges, polygons, f.convention, f.domain)
+    # fan[q, b]: the cell whose ccw chain runs q -> b, and its corner before q.
+    fan: dict[tuple[IVec, IVec], tuple[Vec, IVec]] = {}
+    for price, chain in cells:
+        for a, q, b in zip(chain[-1:] + chain[:-1], chain, chain[1:] + chain[:1]):
+            fan[q, b] = price, a
+    edges, start = [], {}
+    for (a, b), (price, _) in fan.items():
+        across = fan.get((b, a))
+        if across is None:
+            # a -> b lies on the bundle hull; the walk round a starts here.
+            start[a] = b
+            edges.append(_facet(a, b, (price,), (_inner_normal(a, b),)))
+        else:
+            start.setdefault(a, b)
+            if a > b:
+                edges.append(_facet(a, b, tuple(sorted((price, across[0]))), ()))
+    regions = []
+    for q, first in start.items():
+        b, chain = first, []
+        while True:
+            price, a = fan[q, b]
+            chain.append(price)
+            if (q, a) not in fan:
+                # a -> q lies on the bundle hull: the walk ends between two rays.
+                polygon = Polygon2(
+                    tuple(chain), (_inner_normal(q, first), _inner_normal(a, q)), "unbounded"
+                )
+                break
+            b = a
+            if b == first:
+                i = chain.index(min(chain))
+                polygon = Polygon2(tuple(chain[i:] + chain[:i]), (), "bounded")
+                break
+        regions.append((q, ivec_to_vec(q), polygon))
+    return _assemble(edges, regions, "max", plane)
 
 
 def demand_complex(v: Valuation) -> LabeledSubdivision:
@@ -369,21 +439,17 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
     if len(first_independent([(*q, 1) for q in bundles], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     check_hull_cap("price complex", len(bundles))
-    scale, (heights,) = scaled_ints([[v.entries[q] for q in bundles]])
-    lift = _lift(bundles, heights)
+    lift, cells = _lifted_cells(v, bundles)
     domain = _hull(lift, 1)
     if len(bundles) == 1:
         return _assemble([], [], "min", domain, bundles)
 
     regions = []
     sides: dict[tuple[Vec, Vec], list[Vec]] = {}
-    for m, _, s, zeros in lift[3]:
-        if s > 0:
-            price = tuple(Fraction(x, s * scale) for x in m)
-            chain = _hull_chain_ccw([q for k, q in enumerate(bundles) if zeros >> (k + 1) & 1])
-            regions.append((price, price, Polygon2(chain, (), "bounded")))
-            for side in zip(chain, chain[1:] + chain[:1]):
-                sides.setdefault(tuple(sorted(side)), []).append(price)
+    for price, chain in cells:
+        regions.append((price, price, Polygon2(chain, (), "bounded")))
+        for side in zip(chain, chain[1:] + chain[:1]):
+            sides.setdefault(tuple(sorted(side)), []).append(price)
     edges = []
     for points, prices in sides.items():
         if len(prices) == 2:

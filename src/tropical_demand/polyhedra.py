@@ -27,10 +27,10 @@ the half-planes that support each edge.  Its offsets are scaled once by a
 common multiple of their denominators, so each test in the walk is the
 sign of one integer expression; only the final vertices and edge lines are
 Fractions.  The 2-D active regions of a polyhedral function pass their
-integer tie rows to the kernel directly, with no Fraction row in between:
-the 2-D complexes build every region that way, and 2-D essential pieces
-are the regions it finds; the simplex remains for the market and for
-n-good regions.
+integer tie rows to the kernel directly, with no Fraction row in between,
+and 2-D essential pieces are the regions it finds; the 2-D complexes need
+no walk, since both come off the one lift below.  The simplex remains for
+the market and for n-good regions.
 The market solves its epigraph LP once: ``simplex_solve`` keeps the final
 phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
 face off it with warm-started Bland pivots instead of solving new LPs.

@@ -77,11 +77,12 @@ def validate(instance, schema_name):
 
 
 DEMAND_COMPLEX = json.loads((ROOT / "tests" / "golden" / "complex_demand.json").read_text())
+PRICE_COMPLEX = json.loads((ROOT / "tests" / "golden" / "complex_price.json").read_text())
 
 
 def test_bundled_data_files_match_goldens():
     data = json.loads((ROOT / "data" / "five_bundle_valuation.json").read_text())
-    assert data == FIVE_BUNDLE == DEMAND_COMPLEX[0]["valuation"]
+    assert data == FIVE_BUNDLE == DEMAND_COMPLEX[0]["valuation"] == PRICE_COMPLEX[0]["valuation"]
     econ = json.loads((ROOT / "data" / "no_equilibrium_economy.json").read_text())
     assert econ == ECONOMY
 
@@ -280,6 +281,19 @@ def test_complex_price_golden(tmp_path):
     text = svg.read_text()
     assert text.startswith("<svg") and "steelblue" in text
     serialize.subdivision_from_dict(doc)
+
+
+@pytest.mark.parametrize("case", PRICE_COMPLEX, ids=lambda case: case["name"])
+def test_complex_price_golden_bytes(tmp_path, case):
+    # The exact bytes of `complex --which price --svg` on the bundled
+    # valuation, on collinear bundles (full lines between strips and
+    # half-planes), on one bundle (the whole plane) and on two.
+    infile = write(tmp_path, "v.json", case["valuation"])
+    out, svg = tmp_path / "pc.json", tmp_path / "pc.svg"
+    argv = ["complex", "--in", infile, "--which", "price", "--out", str(out), "--svg", str(svg)]
+    assert cli.main(argv) == 0
+    assert out.read_bytes() == case["complex"].encode()
+    assert svg.read_bytes() == case["svg"].encode()
 
 
 def test_complex_demand_golden(tmp_path):

@@ -40,6 +40,7 @@ from tropical_demand.exactmath import (
 from tropical_demand.errors import ToolkitError
 
 import dual_route
+import walk_route
 from conftest import make_valuation, price_vectors, small_rationals, valuations
 from facet_walk import independent_directions
 
@@ -127,6 +128,41 @@ def test_price_complex_balanced_at_all_four_vertices(five_bundle_valuation):
     assert len(report.per_vertex) == 4 and not report.skipped_boundary
     for vb in report.per_vertex.values():
         assert vb.residual == (0, 0)
+
+
+def test_price_complex_lifts_once_and_walks_no_rows(monkeypatch):
+    # The complex comes off one double description of the bundles; no
+    # half-plane walk, active polygon or indirect utility is reached.  One
+    # bundle needs no lift: its region is the whole plane.
+    kernels = []
+    kernel = polyhedra._extreme_rays
+
+    def counting_kernel(rows, dim):
+        kernels.append(len(rows))
+        return kernel(rows, dim)
+
+    def refuse(*args):
+        raise AssertionError("not on the price complex's route")
+
+    monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
+    for module, name in [
+        (polyhedra, "_intersect_rows"),
+        (valuation, "_intersect_rows"),
+        (valuation.PolyhedralFunction, "active_polygons"),
+        (valuation, "indirect_utility"),
+        (complexes, "indirect_utility"),
+    ]:
+        monkeypatch.setattr(module, name, refuse, raising=False)
+    for entries in [
+        {(0, 0): 0, (2, 0): 16, (1, 1): 24, (0, 2): 28, (2, 2): 34},
+        {(0, 0): 0, (1, 1): 0, (2, 0): 0, (2, 2): 0},
+        {(0, 0): 0, (1, 0): 100, (2, 0): 150},
+        {(0, 0): 0, (2, 6): 2},
+        {(0, 0): 3},
+    ]:
+        kernels.clear()
+        price_complex(make_valuation(entries))
+        assert kernels == ([len(entries) + 1] if len(entries) > 1 else [])
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +313,39 @@ def test_demand_complex_of_64_strictly_concave_bundles_matches_the_dual_route():
     dc = demand_complex(v)
     assert {dc.cells[i].points[0] for i in dc.vertices()} == set(v.entries)
     assert _complex_or_error(demand_complex, v) == _complex_or_error(dual_route.demand_complex, v)
+
+
+@st.composite
+def price_valuations(draw):
+    """The demand complex's draws, two bundles, or bundles on one lattice
+    line through the zero bundle at rational or tie-heavy values."""
+    kind = draw(st.sampled_from(["demand", "two bundles", "collinear"]))
+    if kind == "demand":
+        return draw(demand_valuations())
+    if kind == "two bundles":
+        q = draw(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(any))
+        return make_valuation({(0, 0): 0, q: draw(small_rationals)})
+    d = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, 2), (3, 1)]))
+    steps = draw(st.lists(st.integers(1, 8), min_size=1, max_size=7, unique=True))
+    values = draw(st.sampled_from([small_rationals, st.integers(0, 2)]))
+    return make_valuation({(0, 0): 0, **{(t * d[0], t * d[1]): draw(values) for t in steps}})
+
+
+@settings(max_examples=200, deadline=None)
+@given(price_valuations())
+def test_price_complex_matches_the_walk_route(v):
+    assert _complex_or_error(price_complex, v) == _complex_or_error(walk_route.price_complex, v)
+
+
+def test_price_complex_of_64_strictly_concave_bundles_matches_the_walk_route():
+    # Strictly concave values give every bundle a region, the most the cap
+    # allows, and the most walks the oracle runs.
+    rng = random.Random(0)
+    others = rng.sample([(x, y) for x in range(41) for y in range(41) if x or y], 63)
+    v = make_valuation({q: -(q[0] ** 2 + q[1] ** 2) for q in [(0, 0), *others]})
+    pc = price_complex(v)
+    assert set(pc.region_labels.values()) == {ivec_to_vec(q) for q in v.entries}
+    assert _complex_or_error(price_complex, v) == _complex_or_error(walk_route.price_complex, v)
 
 
 # ---------------------------------------------------------------------------
