@@ -63,9 +63,7 @@ from .polyhedra import (
     LinearProgram,
     LPResult,
     Polygon2,
-    PolygonEdge,
     convex_hull_halfspaces,
-    halfplane_intersection,
     reduce,
     simplex_solve,
     upper_concave_hull,

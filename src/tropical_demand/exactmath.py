@@ -118,11 +118,6 @@ def rot90ccw(v: Sequence[Fraction | int]) -> tuple:
     return (-v[1], v[0])
 
 
-def cross2(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
-    """The cross product u0*v1 - u1*v0: an int for int vectors."""
-    return u[0] * v[1] - u[1] * v[0]
-
-
 def ccw_compare(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> int:
     """Compare nonzero 2-vectors by angle in [0, 2pi) from the positive
     x-axis, exactly: by half-plane first, then by the sign of the cross

@@ -1,9 +1,9 @@
 """Exact polyhedral primitives.
 
 Half-space representations, an exact two-phase simplex solver with Bland's
-anti-cycling rule, irredundancy reduction, an LP-free 2-D half-plane
-intersection, and upper concave hulls of lifted lattice points.  Everything
-is a pure function on immutable inputs.  Inputs and results are Fractions.
+anti-cycling rule, irredundancy reduction, and upper concave hulls of
+lifted lattice points.  Everything is a pure function on immutable inputs.
+Inputs and results are Fractions.
 
 The simplex runs on a tableau of ints over one positive common denominator.
 The constraint rows are scaled once by the lcm of all their denominators,
@@ -12,28 +12,18 @@ the old denominator (integer-preserving pivoting, as in Edmonds 1967 and
 Bareiss 1968).  Bland's rule tests only signs and compares ratios by
 cross-multiplication, so it takes the same pivots as on the rational
 tableau; only the final point and the uniqueness probes' optima become
-Fractions.
+Fractions.  The market solves its epigraph LP once: ``simplex_solve`` keeps
+the final phase-2 tableau on its result, and ``_optimum_is_unique`` reads
+the optimal face off it with warm-started Bland pivots instead of solving
+new LPs.
 
-Half-planes reach the 2-D kernel, ``_intersect_rows``, in one integer row
-format: (normal, num, den) for normal . x <= num/den, with any nonzero int
-normal and den > 0.  ``halfplane_intersection`` makes each ``HalfSpace``
-such a row (``_int_row``).  The kernel reduces each normal to primitive form
-and keeps the tightest rows per normal (``_tightest``, which
-``dedupe_halfspaces`` shares), sorts the rows by the angle of their normals
-with exact cross products and walks them once with a deque.  In one pass
-it decides whether the intersection has interior and, if so, returns its
-polygon (vertex chain plus recession rays, no bounding box) together with
-the half-planes that support each edge.  Its offsets are scaled once by a
-common multiple of their denominators, so each test in the walk is the
-sign of one integer expression; only the final vertices and edge lines are
-Fractions.  The 2-D active regions of a polyhedral function pass their
-integer tie rows to the kernel directly, with no Fraction row in between,
-and 2-D essential pieces are the regions it finds; the 2-D complexes need
-no walk, since both come off the one lift below.  The simplex remains for
-the market and for n-good regions.
-The market solves its epigraph LP once: ``simplex_solve`` keeps the final
-phase-2 tableau on its result, and ``_optimum_is_unique`` reads the optimal
-face off it with warm-started Bland pivots instead of solving new LPs.
+Int rows (normal, num, den) stand for normal . x <= num/den
+(``_int_row``); ``_tightest`` reduces each normal to primitive form and
+keeps the tightest rows per normal, which ``dedupe_halfspaces`` and the
+hull's facets (``_tightest_halfspaces``) share.  No half-plane walk is
+needed: the 2-D complexes both come off the one lift below, and the
+simplex serves the market, irredundancy and every active region's
+interior test.
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
@@ -50,8 +40,6 @@ the sign of an integer.
 
 from __future__ import annotations
 
-import functools
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -63,8 +51,6 @@ from .exactmath import (
     IVec,
     Vec,
     ZERO,
-    ccw_compare,
-    cross2,
     dot,
     first_independent,
     ivec_to_vec,
@@ -161,21 +147,6 @@ class Polygon2:
     vertices: tuple[Vec, ...]
     rays: tuple[IVec, ...]
     kind: str
-
-
-@dataclass(frozen=True)
-class PolygonEdge:
-    """One boundary edge of a 2-D region, run with the region on its left.
-
-    start and end are None where the edge runs to infinity.  line is the
-    supporting half-plane scaled to a primitive integer normal, and sources
-    indexes every input half-plane that equals it after scaling.
-    """
-
-    start: Vec | None
-    end: Vec | None
-    line: HalfSpace
-    sources: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -487,136 +458,6 @@ def reduce(poly: HPolyhedron) -> HPolyhedron:
         else:
             i += 1
     return HPolyhedron(poly.dim, tuple(kept))
-
-
-# ---------------------------------------------------------------------------
-# 2-D half-plane intersection
-# ---------------------------------------------------------------------------
-
-
-def _meet(p, q, scale: int) -> Vec:
-    """Intersection point of the boundary lines of two non-parallel rows
-    whose integer offsets are ``scale`` times the true ones."""
-    det = cross2(p, q) * scale
-    return (
-        Fraction(p[2] * q[1] - q[2] * p[1], det),
-        Fraction(p[0] * q[2] - q[0] * p[2], det),
-    )
-
-
-def _excess_sign(row, p, q) -> int:
-    """An int with the sign of ``row``'s excess at the meet of ``p`` and
-    ``q``: positive outside the row's half-plane, zero on its line.  The
-    meet is (X, Y) / det, so the excess is (a*X + b*Y - c*det) / det, an
-    integer over det when the three offsets share one scale."""
-    det = cross2(p, q)
-    x = p[2] * q[1] - q[2] * p[1]
-    y = p[0] * q[2] - q[0] * p[2]
-    num = row[0] * x + row[1] * y - row[2] * det
-    return num if det > 0 else -num
-
-
-def _line(row) -> HalfSpace:
-    return HalfSpace((Fraction(row[0]), Fraction(row[1])), Fraction(row[4], row[5]))
-
-
-_BY_ANGLE = functools.cmp_to_key(lambda p, q: ccw_compare(p[:2], q[:2]))
-
-
-def halfplane_intersection(
-    halfspaces: Sequence[HalfSpace],
-) -> tuple[Polygon2, tuple[PolygonEdge, ...]] | None:
-    """Exact intersection of 2-D half-planes, or None when it has no interior
-    (empty, a point, a segment, a ray or a line).
-
-    Each row becomes an int row (``_int_row``) and ``_intersect_rows``
-    walks them.  Returns the polygon and its edges in chain order, each
-    edge with the input rows that support it and its unscaled offset.
-    """
-    if any(len(h.normal) != 2 for h in halfspaces):
-        raise UnsupportedDimension("half-plane intersection is 2-D only")
-    return _intersect_rows([_int_row(h) for h in halfspaces])
-
-
-def _intersect_rows(
-    rows: Sequence[tuple[IVec, int, int]],
-) -> tuple[Polygon2, tuple[PolygonEdge, ...]] | None:
-    """The half-plane intersection of the int rows n . x <= num/den, in
-    source order, with n any nonzero int 2-vector and den > 0.
-
-    ``_tightest`` reduces each normal to primitive form and keeps, per
-    normal, the tightest rows, whose indices become the edge's sources.
-    The offsets are scaled by one common multiple L of their denominators,
-    so every row is (a, b, L*c) in ints.  The rows are sorted by the angle
-    of their normals, with exact cross products, and walked once with a
-    deque.  The walk starts after a gap of at least pi between consecutive
-    normals when there is one, which makes the region unbounded.  While the
-    walked normals span at most pi, the deque is a chain whose two ends run
-    to infinity.  The first row turning more than pi from the front closes
-    it into a bounded polygon; after that, a row that contains the closing
-    vertex is redundant.  Each new row pops the end vertices it does not
-    strictly contain.  When one line is left and the new row turns by pi or
-    more from it, no interior remains.  Every containment test is the sign
-    of one integer expression (``_excess_sign``), which does not depend on
-    L; vertices and edge lines are made into Fractions only for the final
-    deque.
-    """
-    tightest = _tightest(rows)
-    scale = lcm(*(den for _, den, _ in tightest.values()))
-    rows = sorted(
-        (
-            (n[0], n[1], num * (scale // den), src, num, den)
-            for n, (num, den, src) in tightest.items()
-        ),
-        key=_BY_ANGLE,
-    )
-    m = len(rows)
-    if m == 0:
-        return Polygon2((), (), "plane"), ()
-
-    if all(cross2(rows[0], row) == 0 for row in rows):
-        # One direction or two opposite ones: a half-plane or a strip.
-        if m == 2 and rows[0][2] + rows[1][2] <= 0:
-            return None
-        n = next(iter(tightest))  # the first row's direction
-        d = (-n[1], n[0])
-        edges = tuple(PolygonEdge(None, None, _line(row), tuple(row[3])) for row in rows)
-        return Polygon2((), (d, (-d[0], -d[1])), "unpointed"), edges
-
-    gap = next((i for i in range(m) if cross2(rows[i], rows[(i + 1) % m]) <= 0), m - 1)
-    dq: deque = deque()
-    closed = False
-    for row in rows[gap + 1 :] + rows[: gap + 1]:
-        if closed and _excess_sign(row, dq[-1], dq[0]) <= 0:
-            continue
-        while len(dq) >= 2 and _excess_sign(row, dq[-2], dq[-1]) >= 0:
-            dq.pop()
-        while len(dq) >= 2 and _excess_sign(row, dq[0], dq[1]) >= 0:
-            dq.popleft()
-        if dq:
-            turn = cross2(dq[0], row)
-            if len(dq) == 1 and turn <= 0:
-                return None
-            closed = closed or turn < 0
-        dq.append(row)
-
-    lines = list(dq)
-    if closed:
-        starts = [_meet(lines[i - 1], lines[i], scale) for i in range(len(lines))]
-        s = starts.index(min(starts))
-        lines, starts = lines[s:] + lines[:s], starts[s:] + starts[:s]
-        ends = starts[1:] + starts[:1]
-        polygon = Polygon2(tuple(starts), (), "bounded")
-    else:
-        starts = [None] + [_meet(lines[i - 1], lines[i], scale) for i in range(1, len(lines))]
-        ends = starts[1:] + [None]
-        first, last = lines[0], lines[-1]
-        rays = ((first[1], -first[0]), (-last[1], last[0]))
-        polygon = Polygon2(tuple(starts[1:]), rays, "unbounded")
-    edges = tuple(
-        PolygonEdge(a, b, _line(row), tuple(row[3])) for row, a, b in zip(lines, starts, ends)
-    )
-    return polygon, edges
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from operator import sub
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DegenerateInput,
     EmptyCell,
     UnknownBundle,
-    UnsupportedDimension,
     ValidationError,
 )
 from .exactmath import IVec, dot, scaled_ints, vsub
 from .polyhedra import (
-    _int_row,
-    _intersect_rows,
     AffinePiece,
     HPolyhedron,
     HalfSpace,
-    Polygon2,
-    PolygonEdge,
     feasible_point,
     interior_point,
     reduce,
@@ -91,89 +84,38 @@ class PolyhedralFunction:
         target = self.evaluate(x)
         return [p for p in self.pieces if p.evaluate(x) == target]
 
-    @cached_property
-    def _scaled(self) -> tuple[int, int, list[IVec], list[int]]:
-        """Every slope times one lcm S of the slope denominators and every
-        intercept times one lcm T of the intercept denominators, as ints."""
-        slope_scale, slopes = scaled_ints(p.slope for p in self.pieces)
-        intercept_scale, (intercepts,) = scaled_ints([[p.intercept for p in self.pieces]])
-        return slope_scale, intercept_scale, slopes, intercepts
-
-    def _tie_rows(self, k: int) -> list[tuple[int, IVec, int]] | None:
-        """The set where piece k attains the function, as the rows
-        (normal / S) . x <= offset / T in ints, one per other non-parallel
-        piece j in piece order, each as (j, normal, offset).
+    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
+        """Rows of the set where piece k attains the function, one per other
+        non-parallel piece in piece order, and the piece tied with k along
+        each of them; the domain rows follow them.  The pieces are compared
+        in ints, every slope times one lcm S of the slope denominators and
+        every intercept times one lcm T of the intercept denominators, and
+        each kept row (normal / S) . x <= offset / T becomes Fractions once.
 
         None when a parallel piece beats k everywhere.
         """
-        _, _, slopes, intercepts = self._scaled
+        slope_scale, slopes = scaled_ints(p.slope for p in self.pieces)
+        intercept_scale, (intercepts,) = scaled_ints([[p.intercept for p in self.pieces]])
         slope, intercept = slopes[k], intercepts[k]
-        rows = []
+        sign = 1 if self.convention == "max" else -1
+        rows, tied = [], []
         for j, (other, b) in enumerate(zip(slopes, intercepts)):
             if j == k:
                 continue
-            if self.convention == "max":
-                normal, offset = tuple(map(sub, other, slope)), intercept - b
-            else:
-                normal, offset = tuple(map(sub, slope, other)), b - intercept
+            normal = tuple(sign * (x - y) for x, y in zip(other, slope))
+            offset = sign * (intercept - b)
             if not any(normal):
                 if offset < 0:
                     return None
                 continue
-            rows.append((j, normal, offset))
-        return rows
-
-    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
-        """Rows of the set where piece k attains the function, one per other
-        non-parallel piece in piece order, and the piece tied with k along
-        each of them; the domain rows follow them.  The rows are those of
-        ``_tie_rows`` made into Fractions.
-
-        None when a parallel piece beats k everywhere.
-        """
-        rows = self._tie_rows(k)
-        if rows is None:
-            return None
-        slope_scale, intercept_scale, _, _ = self._scaled
-        halfspaces = tuple(
-            HalfSpace(
-                normal=tuple(Fraction(x, slope_scale) for x in normal),
-                offset=Fraction(offset, intercept_scale),
+            rows.append(
+                HalfSpace(
+                    normal=tuple(Fraction(x, slope_scale) for x in normal),
+                    offset=Fraction(offset, intercept_scale),
+                )
             )
-            for _, normal, offset in rows
-        )
-        return (*halfspaces, *self.domain.halfspaces), tuple(j for j, _, _ in rows)
-
-    def active_polygons(
-        self,
-    ) -> Iterator[tuple[int, Polygon2, tuple[PolygonEdge, ...], tuple[int, ...]]]:
-        """In piece order, each piece k whose active set has interior, with its
-        polygon and edges and the pieces tied with k along its rows: the
-        half-plane intersection of ``active_region(k)``, built from the
-        integer rows of ``_tie_rows``.
-
-        A tie row normal . x <= offset in ints stands for the half-plane
-        normal . x <= offset * S / T, so the walk gets the int row
-        (normal, offset * S, T), and the domain rows follow as int rows
-        (``polyhedra._int_row``).  The walk itself reduces the normals and
-        keeps the tightest row per normal, so it gets the rows, offsets and
-        sources that ``halfplane_intersection`` would.  2-D only.
-        """
-        normals = [p.slope for p in self.pieces] + [h.normal for h in self.domain.halfspaces]
-        if self.domain.dim != 2 or any(len(n) != 2 for n in normals):
-            raise UnsupportedDimension("active polygons are 2-D only")
-        slope_scale, intercept_scale, _, _ = self._scaled
-        domain = [_int_row(h) for h in self.domain.halfspaces]
-        for k in range(len(self.pieces)):
-            rows = self._tie_rows(k)
-            if rows is None:
-                continue
-            region = _intersect_rows(
-                [(normal, offset * slope_scale, intercept_scale) for _, normal, offset in rows]
-                + domain
-            )
-            if region is not None:
-                yield (k, *region, tuple(j for j, _, _ in rows))
+            tied.append(j)
+        return (*rows, *self.domain.halfspaces), tuple(tied)
 
 
 @dataclass(frozen=True)
@@ -290,12 +232,9 @@ def essential_pieces(f: PolyhedralFunction) -> frozenset[AffinePiece]:
 
     Dropping the others does not change the function; this is the canonical
     piece set used when comparing polyhedral functions built along
-    different routes.  In 2-D a region has interior iff its half-plane
-    intersection is not None; other dimensions solve one interior-point LP
-    per piece.
+    different routes.  Each piece's active region is tested for interior
+    by one ``interior_point`` LP, in every dimension.
     """
-    if f.domain.dim == 2:
-        return frozenset(f.pieces[k] for k, *_ in f.active_polygons())
     keep = []
     for k, piece in enumerate(f.pieces):
         active = f.active_region(k)

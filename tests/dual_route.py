@@ -1,7 +1,7 @@
 """The dual route to the 2-D demand complex, kept as the oracle of
 ``complexes.demand_complex``.
 
-The price complex is built by its half-plane walks, one per bundle
+The price complex is built by the Fraction half-plane walks, one per bundle
 (``walk_route.price_complex``, itself the oracle of the lift route to the
 price complex), and dualized cell by cell (``dualize_complex``), so no
 cell of this route comes off the lift of the bundles at their values.  The

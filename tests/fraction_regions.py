@@ -1,26 +1,45 @@
-"""The Fraction route to the 2-D active regions, kept as the oracle of
-``PolyhedralFunction.active_polygons`` in ``tropical_demand.valuation``.
+"""The Fraction route to the 2-D active regions: the one half-plane walk
+left in the project.  It is the oracle of ``PolyhedralFunction.active_region``
+in ``tropical_demand.valuation``, of ``essential_pieces`` (one interior-point
+LP per piece) and of the lifted hull's pieces, and ``walk_route`` builds the
+price complex's oracle from its polygons, so no oracle of a complex goes
+through the lift it checks.
 
 Each piece k gets one ``HalfSpace`` per other non-parallel piece, built from
 ``Fraction`` slope and intercept differences, followed by the domain rows.
 The rows are scaled to primitive integer normals one by one
 (``rational_direction``), the tightest row per normal is kept by comparing
 ``Fraction`` offsets, and the offsets are scaled by the lcm of their reduced
-denominators before the angle sort and the deque walk.  The integer route
-must yield the same pieces, polygons, edges and tied pieces.
+denominators before the angle sort and the deque walk.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterator, Sequence
 
 from tropical_demand.exactmath import IVec, Vec, ccw_compare, rational_direction, vsub
-from tropical_demand.polyhedra import HalfSpace, Polygon2, PolygonEdge
+from tropical_demand.polyhedra import HalfSpace, Polygon2
 from tropical_demand.valuation import PolyhedralFunction
+
+
+@dataclass(frozen=True)
+class PolygonEdge:
+    """One boundary edge of a 2-D region, run with the region on its left.
+
+    start and end are None where the edge runs to infinity.  line is the
+    supporting half-plane scaled to a primitive integer normal, and sources
+    indexes every input half-plane that equals it after scaling.
+    """
+
+    start: Vec | None
+    end: Vec | None
+    line: HalfSpace
+    sources: tuple[int, ...]
 
 
 def active_region(

@@ -31,7 +31,6 @@ from tropical_demand.complexes import (
     edge_direction,
 )
 from tropical_demand.exactmath import (
-    cross2,
     dot,
     ivec_to_vec,
     lattice_length,
@@ -131,9 +130,9 @@ def test_price_complex_balanced_at_all_four_vertices(five_bundle_valuation):
 
 
 def test_price_complex_lifts_once_and_walks_no_rows(monkeypatch):
-    # The complex comes off one double description of the bundles; no
-    # half-plane walk, active polygon or indirect utility is reached.  One
-    # bundle needs no lift: its region is the whole plane.
+    # The complex comes off one double description of the bundles; no LP
+    # and no indirect utility is reached.  One bundle needs no lift: its
+    # region is the whole plane.
     kernels = []
     kernel = polyhedra._extreme_rays
 
@@ -146,13 +145,10 @@ def test_price_complex_lifts_once_and_walks_no_rows(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
     for module, name in [
-        (polyhedra, "_intersect_rows"),
-        (valuation, "_intersect_rows"),
-        (valuation.PolyhedralFunction, "active_polygons"),
+        (polyhedra, "simplex_solve"),
         (valuation, "indirect_utility"),
-        (complexes, "indirect_utility"),
     ]:
-        monkeypatch.setattr(module, name, refuse, raising=False)
+        monkeypatch.setattr(module, name, refuse)
     for entries in [
         {(0, 0): 0, (2, 0): 16, (1, 1): 24, (0, 2): 28, (2, 2): 34},
         {(0, 0): 0, (1, 1): 0, (2, 0): 0, (2, 2): 0},
@@ -238,8 +234,8 @@ def test_demand_complex_is_normally_labeled(five_bundle_valuation):
 
 
 def test_demand_complex_lifts_once_and_builds_no_price_complex(monkeypatch):
-    # The complex comes off one double description; the price complex, its
-    # walks, the labeling check and a second hull are never reached.
+    # The complex comes off one double description; the price complex, any
+    # LP, the labeling check and a second hull are never reached.
     kernels = []
     kernel = polyhedra._extreme_rays
 
@@ -256,8 +252,7 @@ def test_demand_complex_lifts_once_and_builds_no_price_complex(monkeypatch):
         (complexes, "check_normal_labeling"),
         (complexes, "convex_hull_halfspaces"),
         (polyhedra, "convex_hull_halfspaces"),
-        (polyhedra, "_intersect_rows"),
-        (valuation, "_intersect_rows"),
+        (polyhedra, "simplex_solve"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for entries in [
@@ -618,6 +613,8 @@ def test_random_price_and_demand_complexes_are_dual(v):
         chain = dc.cells[region].points
         assert set(chain) == corners and chain[0] == min(chain)
         turns = zip(chain, chain[1:] + chain[:1], chain[2:] + chain[:2])
-        assert all(cross2(vsub(b, a), vsub(c, b)) > 0 for a, b, c in turns)
+        assert all(
+            (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0 for a, b, c in turns
+        )
     assert dc.domain == convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], 2)
     assert canonical_form(dualize_complex(dc)) == canonical_form(price_complex(v))

@@ -11,7 +11,9 @@ from tropical_demand import (
     DegenerateInput,
     DomainError,
     Economy,
+    HalfSpace,
     InstanceTooLarge,
+    LinearProgram,
     aggregate_indirect,
     demand,
     duality_test,
@@ -25,7 +27,8 @@ from tropical_demand.equilibrium import _build_certificate
 from tropical_demand.exactmath import dot
 from tropical_demand.polyhedra import simplex_solve
 
-from conftest import economies, make_valuation
+import fraction_simplex
+from conftest import economies, make_valuation, valuations
 
 F = Fraction
 
@@ -411,3 +414,87 @@ def test_weak_duality_and_test_equivalence(e):
 def test_lp_matches_candidate_enumeration(e):
     value, _, _ = min_aggregate_indirect(e)
     assert value == _min_indirect_by_candidate_enumeration(e)
+
+
+# ---------------------------------------------------------------------------
+# the min side against the concave closure of the aggregate valuation
+# ---------------------------------------------------------------------------
+
+
+def _aggregate_valuation(e: Economy) -> dict[tuple[int, ...], Fraction]:
+    """U, the max-plus convolution of the consumers' valuations: for each
+    point x of the Minkowski sum of the supports, the most the consumers get
+    from bundles that sum to x, over the whole product of the supports."""
+    best: dict[tuple[int, ...], Fraction] = {}
+    for combo in itertools.product(*(v.entries.items() for v in e.consumers)):
+        x = tuple(sum(q[l] for q, _ in combo) for l in range(e.goods))
+        total = sum((u for _, u in combo), F(0))
+        if x not in best or total > best[x]:
+            best[x] = total
+    return best
+
+
+def _concave_closure(U: dict[tuple[int, ...], Fraction], w: tuple[int, ...]) -> Fraction:
+    """The concave closure of U with free disposal at w: the (L+1)-row LP
+    max sum_x lambda_x U(x) subject to sum_x lambda_x x <= w, sum_x lambda_x
+    = 1 and lambda >= 0, solved by the Fraction simplex.  A good that no
+    point of U holds gives no row."""
+    points = sorted(U)
+    rows = tuple(
+        HalfSpace(tuple(F(x[l]) for x in points), F(w[l]))
+        for l in range(len(w))
+        if any(x[l] for x in points)
+    )
+    lp = LinearProgram(
+        objective=tuple(U[x] for x in points),
+        sense="max",
+        constraints=rows,
+        equalities=((tuple(F(1) for _ in points), F(1)),),
+        nonneg=tuple(True for _ in points),
+    )
+    res = fraction_simplex.simplex_solve(lp)
+    assert res.status == "optimal"
+    return res.value
+
+
+@st.composite
+def closure_economies(draw):
+    """1-3 consumers with up to six bundles each in [0, 3]^2, rational or
+    tie-heavy values; the endowment is any point of [0, 6]^2 or the sum of
+    one bundle per consumer, a point where U is defined."""
+    ties = draw(st.booleans())
+    consumers = tuple(
+        draw(valuations(max_bundles=6, coord=3, max_value=3 if ties else 20, rational=not ties))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    if draw(st.booleans()):
+        picks = [draw(st.sampled_from(v.bundles())) for v in consumers]
+        endowment = tuple(sum(q[l] for q in picks) for l in range(2))
+    else:
+        endowment = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
+    return Economy(goods=2, consumers=consumers, endowment=endowment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_economies())
+def test_min_aggregate_indirect_is_the_concave_closure_of_the_aggregate_valuation(e):
+    # Fenchel duality: the least aggregate indirect utility over p >= 0 is
+    # the concave closure of U, with free disposal, at the endowment.
+    value, _, _ = min_aggregate_indirect(e)
+    assert value == _concave_closure(_aggregate_valuation(e), e.endowment)
+
+
+@settings(max_examples=100, deadline=None)
+@given(closure_economies())
+def test_duality_gap_is_zero_where_the_aggregate_valuation_meets_its_closure(e):
+    # The gap is the closure at w less the most U reaches below w, so it is
+    # zero exactly where the two meet, and in particular where U(w) is the
+    # closure at w.
+    U = _aggregate_valuation(e)
+    closure = _concave_closure(U, e.endowment)
+    below = max(u for x, u in U.items() if all(a <= b for a, b in zip(x, e.endowment)))
+    report = duality_test(e)
+    assert report.gap == closure - below
+    assert report.exists == (closure == below)
+    if U.get(e.endowment) == closure:
+        assert report.exists

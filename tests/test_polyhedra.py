@@ -28,13 +28,13 @@ from tropical_demand.polyhedra import (
     _pivot,
     dedupe_halfspaces,
     feasible_point,
-    halfplane_intersection,
     interior_point,
 )
 
 import facet_walk
 import fraction_simplex
 from facet_walk import independent_directions
+from fraction_regions import halfplane_intersection
 from conftest import economies, make_valuation, valuations
 
 F = Fraction
@@ -846,7 +846,8 @@ def test_optimum_is_unique_on_unbounded_face():
 
 
 # ---------------------------------------------------------------------------
-# polygon extraction by half-plane intersection
+# polygon extraction by the Fraction half-plane walk, the oracle of every
+# 2-D region (fraction_regions)
 # ---------------------------------------------------------------------------
 
 
@@ -922,7 +923,7 @@ def test_polygon_of_segment_is_degenerate():
 
 
 # ---------------------------------------------------------------------------
-# half-plane intersection, checked against the simplex route
+# the Fraction half-plane walk, checked against the simplex route
 # ---------------------------------------------------------------------------
 
 
@@ -1010,23 +1011,6 @@ def _content(v) -> Fraction:
         v,
         F(0),
     )
-
-
-@settings(max_examples=200, deadline=None)
-@given(halfplane_sets(), st.data())
-def test_intersect_rows_reduces_non_primitive_normals(rows, data):
-    primitive = []
-    for h in rows:
-        w = _content(h.normal)
-        c = h.offset / w
-        primitive.append((tuple(int(x / w) for x in h.normal), c.numerator, c.denominator))
-    multiples = st.tuples(st.integers(1, 12), st.integers(1, 12))
-    factors = data.draw(st.lists(multiples, min_size=len(rows), max_size=len(rows)))
-    scaled = [
-        (tuple(k * x for x in n), num * k * m, den * m)
-        for (n, num, den), (k, m) in zip(primitive, factors)
-    ]
-    assert polyhedra._intersect_rows(scaled) == polyhedra._intersect_rows(primitive)
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,6 @@ from tropical_demand import (
     HPolyhedron,
     PolyhedralFunction,
     UnknownBundle,
-    UnsupportedDimension,
     ValidationError,
     Valuation,
     check_monotone,
@@ -27,9 +25,9 @@ from tropical_demand import (
     serialize,
 )
 from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import halfplane_intersection, interior_point
 
 import fraction_regions
+from fraction_regions import halfplane_intersection
 from conftest import make_valuation, price_vectors, valuations
 from facet_walk import independent_directions
 
@@ -271,13 +269,13 @@ any_valuations = st.one_of(
 def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
     # Price/demand duality read the other way: for affinely full-dimensional
     # 2-good bundles the dual's pieces are the corners p of the indirect
-    # utility's active polygons, each with intercept f(p).  That route is
-    # the oracle of the lifted hull, in the same order.
+    # utility's active polygons, each with intercept f(p).  That route, by
+    # the Fraction walk, is the oracle of the lifted hull, in the same order.
     assume(len(independent_directions(list(v.entries))) == 2)
     f = indirect_utility(v)
     corners = {
         AffinePiece(slope=p, intercept=f.pieces[k].evaluate(p))
-        for k, polygon, _, _ in f.active_polygons()
+        for k, polygon, _, _ in fraction_regions.active_polygons(f)
         for p in polygon.vertices
     }
     assert list(dualize(v).pieces) == sorted(corners, key=lambda p: (p.slope, p.intercept))
@@ -286,13 +284,11 @@ def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
 @settings(max_examples=60, deadline=None)
 @given(any_valuations)
 def test_essential_pieces_in_2d_match_the_interior_point_lp(v):
+    # essential_pieces runs one interior-point LP per piece; the pieces
+    # whose Fraction walk finds a region with interior are its oracle.
     for f in (indirect_utility(v), dualize(v)):
-        expected = set()
-        for k, piece in enumerate(f.pieces):
-            active = f.active_region(k)
-            if active is not None and interior_point(HPolyhedron(2, active[0])) is not None:
-                expected.add(piece)
-        assert essential_pieces(f) == expected
+        walked = {f.pieces[k] for k, *_ in fraction_regions.active_polygons(f)}
+        assert essential_pieces(f) == walked
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +323,6 @@ def _assert_same_regions(f):
     assert [f.active_region(k) for k in range(len(f.pieces))] == [
         fraction_regions.active_region(f, k) for k in range(len(f.pieces))
     ]
-    assert list(f.active_polygons()) == list(fraction_regions.active_polygons(f))
 
 
 @settings(max_examples=150, deadline=None)
@@ -375,24 +370,6 @@ def _function(convention, *pieces, domain=()):
 )
 def test_degenerate_regions_match_the_fraction_route(convention, pieces, domain):
     _assert_same_regions(_function(convention, *pieces, domain=domain))
-
-
-def test_active_polygons_refuse_other_dimensions_before_building_rows(monkeypatch):
-    def no_rows(self, k):
-        raise AssertionError("tie rows built for a function that is not 2-D")
-
-    monkeypatch.setattr(PolyhedralFunction, "_tie_rows", no_rows)
-    one_piece = PolyhedralFunction(
-        "max", (AffinePiece((F(1), F(2), F(3)), F(0)),), HPolyhedron(3, ())
-    )
-    three_goods = indirect_utility(make_valuation({(0, 0, 0): 0, (1, 0, 2): 5}, goods=3))
-    skew_domain = replace(
-        indirect_utility(make_valuation({(0, 0): 0, (1, 0): 5})),
-        domain=HPolyhedron(2, (HalfSpace((F(1), F(0), F(0)), F(1)),)),
-    )
-    for f in (one_piece, three_goods, skew_domain):
-        with pytest.raises(UnsupportedDimension):
-            next(f.active_polygons())
 
 
 @st.composite

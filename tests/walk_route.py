@@ -1,12 +1,13 @@
 """The walk route to the 2-D price complex, kept as the oracle of
 ``complexes.price_complex``.
 
-Each region and its edges come from ``active_polygons`` of the indirect
-utility, one half-plane walk over every other bundle's integer tie row per
-bundle, and the region is labeled by the piece's bundle.  An edge of region
-k lies on the tie line of every piece its rows come from; two pieces tied
-with k along one line differ by a multiple of its equation, so exactly one
-kept piece l lies across.  The edge is the facet (k, l), read off the region
+Each region and its edges come from the Fraction walk
+(``fraction_regions.active_polygons``) of the indirect utility, one
+half-plane walk over every other bundle's tie row per bundle, and the
+region is labeled by the piece's bundle.  An edge of region k lies on the
+tie line of every piece its rows come from; two pieces tied with k along
+one line differ by a multiple of its equation, so exactly one kept piece l
+lies across.  The edge is the facet (k, l), read off the region
 that comes first in piece order, with the weight and primitive normal
 factored from the label difference; its geometry is the walk's edge
 (``_edge_geometry``).  The goods check and the bundle cap come first, so a
@@ -18,8 +19,9 @@ from __future__ import annotations
 from tropical_demand.complexes import LabeledSubdivision, _EdgeDraft, _assemble
 from tropical_demand.errors import DegenerateInput, UnsupportedDimension
 from tropical_demand.exactmath import IVec, Vec, dot, rational_direction, vsub
-from tropical_demand.polyhedra import PolygonEdge, check_hull_cap
+from tropical_demand.polyhedra import check_hull_cap
 from tropical_demand.valuation import Valuation, indirect_utility
+from fraction_regions import PolygonEdge, active_polygons
 
 
 def _edge_geometry(edge: PolygonEdge) -> tuple[tuple[Vec, ...], tuple[IVec, ...]]:
@@ -45,7 +47,7 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     check_hull_cap("price complex", len(v.entries))
     f = indirect_utility(v)
     labels = [tuple(-c for c in piece.slope) for piece in f.pieces]
-    regions = {k: (polygon, edges, tied) for k, polygon, edges, tied in f.active_polygons()}
+    regions = {k: (polygon, edges, tied) for k, polygon, edges, tied in active_polygons(f)}
 
     edges: list[_EdgeDraft] = []
     for k, (_, region_edges, tied) in regions.items():
