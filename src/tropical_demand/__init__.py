@@ -62,7 +62,6 @@ from .polyhedra import (
     HalfSpace,
     LinearProgram,
     LPResult,
-    Polygon2,
     convex_hull_halfspaces,
     reduce,
     simplex_solve,

@@ -4,9 +4,10 @@ Subcommands: dualize, complex, balance, integrate, equilibrium, cyclemono.
 All take --in FILE and write JSON to --out FILE (stdout when omitted);
 `complex` can additionally emit an SVG.  Exit codes: 0 success / verdict
 true, 1 verdict false (unbalanced, no equilibrium, non-monotone,
-non-conservative), 2 JSON parse error, 3 validation error, 4 unsupported
-dimension, 5 resource cap exceeded.  The caps are fixed module constants,
-not options: ``polyhedra.MAX_HULL_POINTS`` bundles per hull,
+non-conservative), 2 parse error (malformed JSON, bytes that are not UTF-8,
+or a number or nesting past the decoder's limits), 3 validation error, 4
+unsupported dimension, 5 resource cap exceeded.  The caps are fixed module
+constants, not options: ``polyhedra.MAX_HULL_POINTS`` bundles per hull,
 ``potential.MAX_SAMPLE_PAIRS`` sample pairs and
 ``equilibrium.MAX_ALLOCATIONS`` allocations.
 """
@@ -22,13 +23,9 @@ from . import serialize
 from .complexes import check_balancing, demand_complex, price_complex
 from .equilibrium import duality_test
 from .errors import (
-    DegenerateInput,
-    DomainError,
-    EmptyCell,
     InstanceTooLarge,
     NonConservative,
     ToolkitError,
-    UnknownBundle,
     UnsupportedDimension,
     ValidationError,
 )
@@ -59,6 +56,10 @@ def _read_json(path: str):
         raise _ParseFailure(
             f"parse error in {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:
+        # Bytes that are not UTF-8, an integer literal over the interpreter's
+        # digit limit, or nesting deeper than the decoder's recursion limit.
+        raise _ParseFailure(f"parse error in {path}: {exc}") from exc
 
 
 def _fail(message: str, code: int) -> int:
@@ -190,8 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(str(exc), EXIT_DIMENSION)
     except InstanceTooLarge as exc:
         return _fail(str(exc), EXIT_CAP)
-    except (ValidationError, DegenerateInput, UnknownBundle, EmptyCell, DomainError) as exc:
-        return _fail(str(exc), EXIT_VALIDATION)
     except NonConservative as exc:
         return _fail(str(exc), EXIT_FALSE)
     except ToolkitError as exc:

@@ -48,7 +48,6 @@ from .exactmath import (
 )
 from .polyhedra import (
     HPolyhedron,
-    Polygon2,
     _hull,
     _lift,
     check_hull_cap,
@@ -133,16 +132,10 @@ class LabelingViolation:
 # ---------------------------------------------------------------------------
 
 
-def _edge_kind(cell: Cell) -> str:
-    if len(cell.points) == 2:
-        return "segment"
-    if len(cell.rays) == 1:
-        return "ray"
-    return "line"
-
-
 def edge_direction(cell: Cell) -> Vec:
-    if _edge_kind(cell) == "segment":
+    """A segment's direction from its first point to its second, else the
+    edge's first ray."""
+    if len(cell.points) == 2:
         return vsub(cell.points[1], cell.points[0])
     return ivec_to_vec(cell.rays[0])
 
@@ -187,7 +180,7 @@ def _region_representative(s: LabeledSubdivision, region_id: int) -> Vec | None:
     if not cell.points and not cell.rays:
         return (ZERO, ZERO)  # whole plane
     if not cell.points:
-        anchors = [s.cells[e].points[0] for e in cell.incident if _edge_kind(s.cells[e]) == "line"]
+        anchors = [s.cells[e].points[0] for e in cell.incident if len(s.cells[e].rays) == 2]
         if len(anchors) == 2:
             return tuple((a + b) / 2 for a, b in zip(*anchors))
         if len(anchors) == 1:
@@ -220,13 +213,15 @@ class _EdgeDraft:
 
 def _assemble(
     edges: list[_EdgeDraft],
-    regions: list[tuple[int, Vec, Polygon2]],
+    regions: list[tuple[object, Vec, tuple[Vec, ...], tuple[IVec, ...]]],
     convention: str,
     domain: HPolyhedron,
     lone: Sequence[Vec] = (),
 ) -> LabeledSubdivision:
     """Assign canonical ids (vertices, then edges, then regions) and wire
-    incidence; ``lone`` holds the points of 0-cells on no edge."""
+    incidence.  Each region is (key, label, points, rays), the key being
+    the name its edges' ``facet`` and ``owner`` use; ``lone`` holds the
+    points of 0-cells on no edge."""
     # Segments contribute both endpoints, rays their single endpoint; full
     # lines have no 0-cells.
     vertex_points: set[Vec] = set(lone)
@@ -243,14 +238,14 @@ def _assemble(
     n_v = len(ordered_vertices)
     eid_base = n_v
     regions_sorted = sorted(regions, key=lambda r: r[1])
-    rid = {key: eid_base + len(edges_sorted) + i for i, (key, _, _) in enumerate(regions_sorted)}
+    rid = {r[0]: eid_base + len(edges_sorted) + i for i, r in enumerate(regions_sorted)}
 
     cells: dict[int, Cell] = {}
     for p, i in sorted(vid.items(), key=lambda kv: kv[1]):
         cells[i] = Cell(dim=0, points=(p,), rays=(), incident=())
 
     facet_data: dict[int, FacetData] = {}
-    region_edge_ids: dict[int, list[int]] = {key: [] for key, _, _ in regions}
+    region_edge_ids: dict[int, list[int]] = {r[0]: [] for r in regions}
     for i, e in enumerate(edges_sorted):
         edge_id = eid_base + i
         if len(e.points) == 2:
@@ -273,13 +268,10 @@ def _assemble(
             region_edge_ids[e.owner].append(edge_id)
 
     region_labels: dict[int, Vec] = {}
-    for key, label, poly in regions_sorted:
+    for key, label, points, rays in regions_sorted:
         region_id = rid[key]
         cells[region_id] = Cell(
-            dim=2,
-            points=poly.vertices,
-            rays=poly.rays,
-            incident=tuple(sorted(region_edge_ids[key])),
+            dim=2, points=points, rays=rays, incident=tuple(sorted(region_edge_ids[key]))
         )
         region_labels[region_id] = label
 
@@ -312,6 +304,18 @@ def _lifted_cells(
         if s > 0
     ]
     return lift, cells
+
+
+def _fan(cells: list[tuple[Vec, tuple[IVec, ...]]]) -> dict[tuple[IVec, IVec], tuple[Vec, IVec]]:
+    """The side table of the lifted cells: each side q -> b of a cell's ccw
+    chain, mapped to the cell's price and its corner before q.  A side two
+    cells share is in the table both ways; a side on the bundle hull only
+    one way."""
+    fan = {}
+    for price, chain in cells:
+        for a, q, b in zip(chain[-1:] + chain[:-1], chain, chain[1:] + chain[:1]):
+            fan[q, b] = price, a
+    return fan
 
 
 def _inner_normal(a: IVec, b: IVec) -> IVec:
@@ -362,7 +366,7 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     plane = HPolyhedron(2, ())
     if len(bundles) == 1:
         q = bundles[0]
-        return _assemble([], [(q, ivec_to_vec(q), Polygon2((), (), "plane"))], "max", plane)
+        return _assemble([], [(q, ivec_to_vec(q), (), ())], "max", plane)
     lift, cells = _lifted_cells(v, bundles)
 
     if len(lift[1]) == 1:
@@ -376,15 +380,11 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
             edges.append(_facet(high, low, (price,), line))
             for q in (low, high):
                 # A half-plane lies left of its first ray.
-                sides = (r, back) if q == bundles[-1] else (back, r)
-                strips[q] = (q, ivec_to_vec(q), Polygon2((), sides, "unpointed"))
+                dirs = (r, back) if q == bundles[-1] else (back, r)
+                strips[q] = (q, ivec_to_vec(q), (), dirs)
         return _assemble(edges, list(strips.values()), "max", plane)
 
-    # fan[q, b]: the cell whose ccw chain runs q -> b, and its corner before q.
-    fan: dict[tuple[IVec, IVec], tuple[Vec, IVec]] = {}
-    for price, chain in cells:
-        for a, q, b in zip(chain[-1:] + chain[:-1], chain, chain[1:] + chain[:1]):
-            fan[q, b] = price, a
+    fan = _fan(cells)
     edges, start = [], {}
     for (a, b), (price, _) in fan.items():
         across = fan.get((b, a))
@@ -398,22 +398,20 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
                 edges.append(_facet(a, b, tuple(sorted((price, across[0]))), ()))
     regions = []
     for q, first in start.items():
-        b, chain = first, []
+        b, chain, rays = first, [], ()
         while True:
             price, a = fan[q, b]
             chain.append(price)
             if (q, a) not in fan:
                 # a -> q lies on the bundle hull: the walk ends between two rays.
-                polygon = Polygon2(
-                    tuple(chain), (_inner_normal(q, first), _inner_normal(a, q)), "unbounded"
-                )
+                rays = (_inner_normal(q, first), _inner_normal(a, q))
                 break
             b = a
             if b == first:
                 i = chain.index(min(chain))
-                polygon = Polygon2(tuple(chain[i:] + chain[:i]), (), "bounded")
+                chain = chain[i:] + chain[:i]
                 break
-        regions.append((q, ivec_to_vec(q), polygon))
+        regions.append((q, ivec_to_vec(q), tuple(chain), rays))
     return _assemble(edges, regions, "max", plane)
 
 
@@ -426,38 +424,34 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
     (m, b, s) with s > 0 is an upper facet of the lifted bundles: the
     bundles of its zero set are demanded together at the price m / (L*s),
     so it gives the region labeled by that price, the hull chain of those
-    bundles.  A side shared by two regions is the facet from the lex-smaller
-    price to the larger, weighted by the lattice length of their difference;
-    a side of one region only lies on the domain, the bundle hull, which
-    the rays with s = 0 give (``_hull``).  One bundle gives one lone vertex.
-    Capped at MAX_HULL_POINTS bundles, under the price complex's name: this
-    is the cell-wise dual of the price complex (``dualize_complex``).
+    bundles.  The sides come off the side table (``_fan``) that the price
+    complex reads.  A side in it both ways is shared by two regions: the
+    facet from the lex-smaller price to the larger, weighted by the lattice
+    length of their difference.  A side in it one way only lies on the
+    domain, the bundle hull, which the rays with s = 0 give (``_hull``).
+    One bundle gives one lone vertex.  Capped at MAX_HULL_POINTS bundles.
     """
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
     bundles = v.bundles()
     if len(first_independent([(*q, 1) for q in bundles], 3)) == 2:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
-    check_hull_cap("price complex", len(bundles))
+    check_hull_cap("demand complex", len(bundles))
     lift, cells = _lifted_cells(v, bundles)
     domain = _hull(lift, 1)
     if len(bundles) == 1:
         return _assemble([], [], "min", domain, bundles)
 
-    regions = []
-    sides: dict[tuple[Vec, Vec], list[Vec]] = {}
-    for price, chain in cells:
-        regions.append((price, price, Polygon2(chain, (), "bounded")))
-        for side in zip(chain, chain[1:] + chain[:1]):
-            sides.setdefault(tuple(sorted(side)), []).append(price)
-    edges = []
-    for points, prices in sides.items():
-        if len(prices) == 2:
-            low, high = sorted(prices)
+    fan, edges = _fan(cells), []
+    for (a, b), (price, _) in fan.items():
+        across = fan.get((b, a))
+        if across is None:
+            edges.append(_EdgeDraft(tuple(sorted((a, b))), (), None, None, None, price))
+        elif a < b:
+            low, high = sorted((price, across[0]))
             prim, weight = rational_direction(vsub(low, high))
-            edges.append(_EdgeDraft(points, (), (low, high), weight, prim, None))
-        else:
-            edges.append(_EdgeDraft(points, (), None, None, None, prices[0]))
+            edges.append(_EdgeDraft((a, b), (), (low, high), weight, prim, None))
+    regions = [(price, price, chain, ()) for price, chain in cells]
     return _assemble(edges, regions, "min", domain)
 
 
@@ -510,15 +504,6 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
     return (not violations), violations
 
 
-def _direction_from_vertex(s: LabeledSubdivision, edge_id: int, vertex_id: int) -> Vec:
-    cell = s.cells[edge_id]
-    vpoint = s.cells[vertex_id].points[0]
-    if _edge_kind(cell) == "segment":
-        other = cell.points[1] if cell.points[0] == vpoint else cell.points[0]
-        return vsub(other, vpoint)
-    return ivec_to_vec(cell.rays[0])
-
-
 def check_balancing(s: LabeledSubdivision) -> BalanceReport:
     """Sum the ccw-oriented weighted facet normals around each interior vertex.
 
@@ -537,9 +522,13 @@ def check_balancing(s: LabeledSubdivision) -> BalanceReport:
         if not incident or any(e not in s.facet_data for e in incident):
             skipped.append(vertex_id)
             continue
+        point = s.cells[vertex_id].points[0]
         entries = []
         for e in incident:
-            d = _direction_from_vertex(s, e, vertex_id)
+            cell = s.cells[e]
+            d = edge_direction(cell)
+            if len(cell.points) == 2 and cell.points[1] == point:
+                d = (-d[0], -d[1])  # the vertex is the segment's far end
             entries.append((e, d))
         entries = _sort_ccw(entries, key=lambda item: item[1])
         contributions: list[tuple[Fraction, IVec]] = []
@@ -648,9 +637,9 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
             # Only a lone vertex may dualize to the whole plane.
             raise DegenerateInput(f"vertex {vertex} lies on no edge")
         vertex_rays = tuple(_sort_ccw(list(dict.fromkeys(rays[vertex])), key=ivec_to_vec))
-        kind = "unbounded" if vertex_rays else "bounded"
-        poly = Polygon2(_hull_chain_ccw(corners[vertex]), vertex_rays, kind)
-        dual_regions.append((vertex, s.cells[vertex].points[0], poly))
+        dual_regions.append(
+            (vertex, s.cells[vertex].points[0], _hull_chain_ccw(corners[vertex]), vertex_rays)
+        )
     if s.domain.halfspaces:
         domain = HPolyhedron(2, ())
     else:

@@ -135,20 +135,6 @@ class LPResult:
     _tableau: tuple | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class Polygon2:
-    """2-D polyhedron geometry: ccw vertex chain plus recession rays.
-
-    kind is one of "bounded" (the chain starts at its lex-min vertex),
-    "unbounded" (pointed, rays at the chain ends), "plane" (no constraints)
-    or "unpointed" (contains a line: rays hold the lineality directions).
-    """
-
-    vertices: tuple[Vec, ...]
-    rays: tuple[IVec, ...]
-    kind: str
-
-
 # ---------------------------------------------------------------------------
 # simplex
 # ---------------------------------------------------------------------------
@@ -611,12 +597,15 @@ def _hull(lift, scale: int) -> HPolyhedron:
 
     First the equations of the affine hull (``_normals``), each as a pair
     of opposite rows, then the facets -m . q <= b of the rays with s = 0.
-    The facets are sorted by the lexicographically first affinely
-    independent d-subset of the points on each, the points sorted in the
-    lift coordinates (y, 1): the order in which a walk over every subset of
-    the sorted points would first meet them.  On a line the upper end comes
-    first.  The int rows are then scale-normalized and deduplicated
-    (``_tightest_halfspaces``), with no ``HalfSpace`` in between.
+    The facets are sorted by the sorted lift coordinates y of the points on
+    each: the order in which a walk over every subset of the sorted points
+    would first meet them.  Where two facets' sorted points first differ,
+    the smaller point lies off the span of the points before it (else it
+    would lie on the other facet too), so their lexicographically first
+    affinely independent d-subsets compare the same way.  On a line the
+    upper end comes first.  The int rows are then scale-normalized and
+    deduplicated (``_tightest_halfspaces``), with no ``HalfSpace`` in
+    between.
     """
     origin, directions, ys, rays = lift
     n, d = len(origin), len(directions)
@@ -628,9 +617,8 @@ def _hull(lift, scale: int) -> HPolyhedron:
     facets = []
     for m, b, s, zeros in rays:
         if s == 0 and any(m):
-            tight = sorted((*y, 1) for k, y in enumerate(ys) if zeros >> (k + 1) & 1)
-            key = tuple(tight[i] for i in first_independent(tight, d))
-            facets.append((key, tuple(-x for x in m), b))
+            tight = sorted(y for k, y in enumerate(ys) if zeros >> (k + 1) & 1)
+            facets.append((tight, tuple(-x for x in m), b))
     facets.sort(reverse=d == 1)
     rows += [(normal, c) for _, normal, c in facets]
     return HPolyhedron(n, _tightest_halfspaces([(a, c, scale) for a, c in rows]))

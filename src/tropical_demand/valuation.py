@@ -84,13 +84,13 @@ class PolyhedralFunction:
         target = self.evaluate(x)
         return [p for p in self.pieces if p.evaluate(x) == target]
 
-    def active_region(self, k: int) -> tuple[tuple[HalfSpace, ...], tuple[int, ...]] | None:
+    def active_region(self, k: int) -> tuple[HalfSpace, ...] | None:
         """Rows of the set where piece k attains the function, one per other
-        non-parallel piece in piece order, and the piece tied with k along
-        each of them; the domain rows follow them.  The pieces are compared
-        in ints, every slope times one lcm S of the slope denominators and
-        every intercept times one lcm T of the intercept denominators, and
-        each kept row (normal / S) . x <= offset / T becomes Fractions once.
+        non-parallel piece in piece order; the domain rows follow them.  The
+        pieces are compared in ints, every slope times one lcm S of the slope
+        denominators and every intercept times one lcm T of the intercept
+        denominators, and each kept row (normal / S) . x <= offset / T
+        becomes Fractions once.
 
         None when a parallel piece beats k everywhere.
         """
@@ -98,7 +98,7 @@ class PolyhedralFunction:
         intercept_scale, (intercepts,) = scaled_ints([[p.intercept for p in self.pieces]])
         slope, intercept = slopes[k], intercepts[k]
         sign = 1 if self.convention == "max" else -1
-        rows, tied = [], []
+        rows = []
         for j, (other, b) in enumerate(zip(slopes, intercepts)):
             if j == k:
                 continue
@@ -114,8 +114,7 @@ class PolyhedralFunction:
                     offset=Fraction(offset, intercept_scale),
                 )
             )
-            tied.append(j)
-        return (*rows, *self.domain.halfspaces), tuple(tied)
+        return (*rows, *self.domain.halfspaces)
 
 
 @dataclass(frozen=True)
@@ -126,10 +125,6 @@ class DemandSet:
     value: Fraction
 
 
-def _whole_space(n: int) -> HPolyhedron:
-    return HPolyhedron(n, ())
-
-
 def indirect_utility(v: Valuation) -> PolyhedralFunction:
     """Convex max-of-affine with one piece per bundle: slope -q, intercept u(q)."""
     pieces = {
@@ -137,7 +132,7 @@ def indirect_utility(v: Valuation) -> PolyhedralFunction:
         for q, u in v.entries.items()
     }
     ordered = tuple(sorted(pieces, key=lambda p: (p.slope, p.intercept)))
-    return PolyhedralFunction("max", ordered, _whole_space(v.goods))
+    return PolyhedralFunction("max", ordered, HPolyhedron(v.goods, ()))
 
 
 def demand(v: Valuation, p: Sequence[Fraction | int]) -> DemandSet:
@@ -203,7 +198,7 @@ def inverse_demand_region(
     if price_domain is not None:
         f = replace(f, domain=price_domain)
     k = [piece.slope for piece in f.pieces].index(tuple(-c for c in q))
-    halfspaces, _ = f.active_region(k)
+    halfspaces = f.active_region(k)
     region = HPolyhedron(v.goods, halfspaces)
     if halfspaces and feasible_point(region) is None:
         raise EmptyCell(f"bundle {q} is never demanded")
@@ -238,6 +233,6 @@ def essential_pieces(f: PolyhedralFunction) -> frozenset[AffinePiece]:
     keep = []
     for k, piece in enumerate(f.pieces):
         active = f.active_region(k)
-        if active is not None and interior_point(HPolyhedron(f.domain.dim, active[0])) is not None:
+        if active is not None and interior_point(HPolyhedron(f.domain.dim, active)) is not None:
             keep.append(piece)
     return frozenset(keep)

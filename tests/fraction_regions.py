@@ -23,8 +23,22 @@ from math import lcm
 from typing import Iterator, Sequence
 
 from tropical_demand.exactmath import IVec, Vec, ccw_compare, rational_direction, vsub
-from tropical_demand.polyhedra import HalfSpace, Polygon2
+from tropical_demand.polyhedra import HalfSpace
 from tropical_demand.valuation import PolyhedralFunction
+
+
+@dataclass(frozen=True)
+class Polygon2:
+    """2-D polyhedron geometry: ccw vertex chain plus recession rays.
+
+    kind is one of "bounded" (the chain starts at its lex-min vertex),
+    "unbounded" (pointed, rays at the chain ends), "plane" (no constraints)
+    or "unpointed" (contains a line: rays hold the lineality directions).
+    """
+
+    vertices: tuple[Vec, ...]
+    rays: tuple[IVec, ...]
+    kind: str
 
 
 @dataclass(frozen=True)

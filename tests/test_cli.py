@@ -264,6 +264,27 @@ def test_malformed_json_is_parse_error(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        # An integer literal over CPython's 4,300-digit limit: ValueError.
+        ('{"goods": 2, "entries": [{"bundle": [0, 0], "value": "0"}, '
+         '{"bundle": [' + "1" * 5000 + ', 0], "value": "1"}]}').encode(),
+        # Nesting deeper than the decoder's recursion limit: RecursionError.
+        b"[" * 100_000 + b"]" * 100_000,
+        # A byte that is not UTF-8: UnicodeDecodeError.
+        b"\xff",
+    ],
+    ids=["5000-digit-int", "deep-nesting", "non-utf8-byte"],
+)
+def test_undecodable_input_is_parse_error(tmp_path, capsys, content):
+    infile = tmp_path / "v.json"
+    infile.write_bytes(content)
+    assert cli.main(["dualize", "--in", str(infile)]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: parse error in {infile}: ") and err.count("\n") == 1
+
+
 def test_complex_price_golden(tmp_path):
     infile = write(tmp_path, "v.json", FIVE_BUNDLE)
     out = tmp_path / "pc.json"
@@ -663,8 +684,8 @@ def test_complex_price_over_bundle_cap(tmp_path, capsys):
 
 
 def test_complex_demand_over_bundle_cap(tmp_path, capsys):
-    # The demand complex is the dual of the price complex, so it is refused
-    # under the price complex's cap and name, before anything is lifted.
+    # The demand complex shares the hull's cap and refuses under its own
+    # name, before anything is lifted.
     bundles = [(i, j) for i in range(9) for j in range(9)][:65]
     payload = {
         "goods": 2,
@@ -672,7 +693,7 @@ def test_complex_demand_over_bundle_cap(tmp_path, capsys):
     }
     infile = write(tmp_path, "v.json", payload)
     assert cli.main(["complex", "--in", infile, "--which", "demand"]) == cli.EXIT_CAP
-    assert "price complex: 65 bundles exceed the cap of 64" in capsys.readouterr().err
+    assert "demand complex: 65 bundles exceed the cap of 64" in capsys.readouterr().err
 
 
 def test_complex_svg_lines_lie_in_the_viewbox(tmp_path):

@@ -60,5 +60,7 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
             prim, weight = rational_direction(vsub(labels[k], labels[l]))
             edges.append(_EdgeDraft(*_edge_geometry(edge), (k, l), weight, prim, None))
 
-    polygons = [(k, labels[k], polygon) for k, (polygon, _, _) in regions.items()]
+    polygons = [
+        (k, labels[k], polygon.vertices, polygon.rays) for k, (polygon, _, _) in regions.items()
+    ]
     return _assemble(edges, polygons, f.convention, f.domain)
