@@ -3,10 +3,10 @@
 The price complex is the subdivision induced by the indirect utility: 2-cells
 where one bundle is demanded, 1-cells where two tie, 0-cells where three or
 more meet.  The demand complex is its cell-wise dual: the regular subdivision
-that the values induce on the bundle hull.  Both are read off the one lift of
-the bundles (``polyhedra._lift``) that also gives the concave dual's pieces:
-each upper facet of the lifted bundles is a cell of the demand complex and a
-vertex of the price complex, at the price where its bundles tie.
+that the values induce on the bundle hull.  Both are read off the pieces of
+the concave dual (``polyhedra.upper_concave_hull``): each piece is a cell of
+the demand complex, the bundles it is tight on, and its slope is a vertex of
+the price complex, the price where those bundles tie.
 Region labels encode the active piece; each interior facet stores a weight
 and a primitive integer normal with the invariant
 
@@ -43,15 +43,13 @@ from .exactmath import (
     primitive_direction,
     rational_direction,
     rot90ccw,
-    scaled_ints,
     vsub,
 )
 from .polyhedra import (
     HPolyhedron,
-    _hull,
-    _lift,
     check_hull_cap,
     convex_hull_halfspaces,
+    upper_concave_hull,
 )
 from .valuation import Valuation
 
@@ -285,25 +283,21 @@ def _assemble(
     )
 
 
-def _lifted_cells(
+def _dual_cells(
     v: Valuation, bundles: list[IVec]
-) -> tuple[tuple, list[tuple[Vec, tuple[IVec, ...]]]]:
-    """The one lift (``_lift``) of the sorted bundles at heights L*u, with L
-    the lcm of the value denominators, and its cells: each ray (m, b, s)
-    with s > 0, an upper facet of the lifted bundles, as its price
-    m / (L*s) and the strict hull chain of the bundles of its zero set,
-    which are demanded together at that price."""
-    scale, (heights,) = scaled_ints([[v.entries[q] for q in bundles]])
-    lift = _lift(bundles, heights)
-    cells = [
-        (
-            tuple(Fraction(x, s * scale) for x in m),
-            _hull_chain_ccw([q for k, q in enumerate(bundles) if zeros >> (k + 1) & 1]),
-        )
-        for m, _, s, zeros in lift[3]
-        if s > 0
-    ]
-    return lift, cells
+) -> tuple[list[tuple[Vec, tuple[IVec, ...]]], HPolyhedron]:
+    """The concave dual's pieces on the sorted bundles as cells, and its
+    domain, the bundle hull (``upper_concave_hull``): each piece's slope,
+    the price at which the bundles of its cell are demanded together, with
+    their strict hull chain."""
+    pieces, cells, domain = upper_concave_hull([(q, v.entries[q]) for q in bundles])
+    chains = [_hull_chain_ccw([bundles[i] for i in cell]) for cell in cells]
+    return [(p.slope, chain) for p, chain in zip(pieces, chains)], domain
+
+
+def _collinear(bundles: Sequence[IVec]) -> bool:
+    """Whether the bundles, two or more, lie on one line."""
+    return len(first_independent([(*q, 1) for q in bundles], 3)) == 2
 
 
 def _fan(cells: list[tuple[Vec, tuple[IVec, ...]]]) -> dict[tuple[IVec, IVec], tuple[Vec, IVec]]:
@@ -342,22 +336,21 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     the bundle demanded.
 
     It is the cell-wise dual of the regular subdivision that the values
-    induce on the bundles, read off the one lift (``_lift``) of the sorted
-    bundles at heights L*u that the demand complex reads too.  Each ray
-    (m, b, s) with s > 0 is a price vertex m / (L*s), where the bundles of
-    its zero set are demanded together; their strict hull chain gives the
-    cell's sides.  Every side is the facet between the regions of its two
-    ends, from the lex-larger bundle to the smaller, weighted by the lattice
-    length of their difference: a side two cells share is the segment
-    between their prices, and a side on the bundle hull is the ray from its
-    cell's price along its primitive inner normal.  A corner of a chain gets
-    a region, its cells' prices in ccw order around it: a walk from the hull
-    side it starts to the one it ends, between two rays, or once round when
-    no hull side meets it, from the least price.  Collinear bundles give one
-    full line through each price, across the bundles' line, and strips and
-    half-planes between them; one bundle gives the whole plane.  The domain
-    is the plane.  Capped at MAX_HULL_POINTS bundles, which also caps the
-    demand complex, its dual.
+    induce on the bundles, read off the concave dual's pieces and cells
+    (``_dual_cells``), as the demand complex is.  Each piece's slope is a
+    price vertex, where the bundles of its cell are demanded together; their
+    strict hull chain gives the cell's sides.  Every side is the facet
+    between the regions of its two ends, from the lex-larger bundle to the
+    smaller, weighted by the lattice length of their difference: a side two
+    cells share is the segment between their prices, and a side on the
+    bundle hull is the ray from its cell's price along its primitive inner
+    normal.  A corner of a chain gets a region, its cells' prices in ccw
+    order around it: a walk from the hull side it starts to the one it ends,
+    between two rays, or once round when no hull side meets it, from the
+    least price.  Collinear bundles give one full line through each price,
+    across the bundles' line, and strips and half-planes between them; one
+    bundle gives the whole plane.  The domain is the plane.  Capped at
+    MAX_HULL_POINTS bundles, which also caps the demand complex, its dual.
     """
     if v.goods != 2:
         raise UnsupportedDimension("price complexes are built in 2-D only")
@@ -367,12 +360,12 @@ def price_complex(v: Valuation) -> LabeledSubdivision:
     if len(bundles) == 1:
         q = bundles[0]
         return _assemble([], [(q, ivec_to_vec(q), (), ())], "max", plane)
-    lift, cells = _lifted_cells(v, bundles)
+    cells, _ = _dual_cells(v, bundles)
 
-    if len(lift[1]) == 1:
+    if _collinear(bundles):
         # Each cell is a segment (low, high) of the bundles' line, and its
         # price lies on that line, where the tie line across it meets it.
-        r = _inner_normal((0, 0), lift[1][0])
+        r = _inner_normal(bundles[0], bundles[-1])
         back = (-r[0], -r[1])
         line = tuple(sorted((r, back)))
         edges, strips = [], {}
@@ -419,26 +412,23 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
     """Subdivision of the bundle hull into the cells demanded together,
     labeled by their indifference prices.
 
-    The sorted bundles are lifted once (``_lift``) at heights L*u, with L
-    the lcm of the value denominators, as for the concave dual.  Each ray
-    (m, b, s) with s > 0 is an upper facet of the lifted bundles: the
-    bundles of its zero set are demanded together at the price m / (L*s),
-    so it gives the region labeled by that price, the hull chain of those
-    bundles.  The sides come off the side table (``_fan``) that the price
-    complex reads.  A side in it both ways is shared by two regions: the
-    facet from the lex-smaller price to the larger, weighted by the lattice
-    length of their difference.  A side in it one way only lies on the
-    domain, the bundle hull, which the rays with s = 0 give (``_hull``).
-    One bundle gives one lone vertex.  Capped at MAX_HULL_POINTS bundles.
+    Each piece of the concave dual (``_dual_cells``) is a cell: the bundles
+    it is tight on are demanded together at its slope, so it gives the
+    region labeled by that price, the hull chain of those bundles.  The
+    sides come off the side table (``_fan``) that the price complex reads.
+    A side in it both ways is shared by two regions: the facet from the
+    lex-smaller price to the larger, weighted by the lattice length of
+    their difference.  A side in it one way only lies on the domain, the
+    bundle hull, which ``upper_concave_hull`` returns too.  One bundle
+    gives one lone vertex.  Capped at MAX_HULL_POINTS bundles.
     """
     if v.goods != 2:
         raise UnsupportedDimension("demand complexes are built in 2-D only")
     bundles = v.bundles()
-    if len(first_independent([(*q, 1) for q in bundles], 3)) == 2:
+    if _collinear(bundles):
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     check_hull_cap("demand complex", len(bundles))
-    lift, cells = _lifted_cells(v, bundles)
-    domain = _hull(lift, 1)
+    cells, domain = _dual_cells(v, bundles)
     if len(bundles) == 1:
         return _assemble([], [], "min", domain, bundles)
 

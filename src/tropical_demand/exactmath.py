@@ -52,11 +52,25 @@ def rational(value: int | str | Fraction) -> Fraction:
     raise DegenerateInput(f"not a rational: {value!r}")
 
 
+def _digits(n: int) -> str:
+    """``str(n)``, also past the interpreter's int-to-string digit limit: the
+    limit is process-wide and bounds the inputs, so a longer int is written
+    by ``divmod`` in chunks of 500 digits, under any limit it can be set to."""
+    try:
+        return str(n)
+    except ValueError:
+        chunks, rest = [], abs(n)
+        while rest:
+            rest, low = divmod(rest, 10**500)
+            chunks.append(str(low).zfill(500))
+        return "-" * (n < 0) + "".join(reversed(chunks)).lstrip("0")
+
+
 def format_rational(x: Fraction) -> str:
     """Render ``num/den``, or just ``num`` when the denominator is 1."""
     if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+        return _digits(x.numerator)
+    return f"{_digits(x.numerator)}/{_digits(x.denominator)}"
 
 
 def ivec_to_vec(v: IVec) -> Vec:

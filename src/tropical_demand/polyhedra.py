@@ -20,10 +20,8 @@ new LPs.
 Int rows (normal, num, den) stand for normal . x <= num/den
 (``_int_row``); ``_tightest`` reduces each normal to primitive form and
 keeps the tightest rows per normal, which ``dedupe_halfspaces`` and the
-hull's facets (``_tightest_halfspaces``) share.  No half-plane walk is
-needed: the 2-D complexes both come off the one lift below, and the
-simplex serves the market, irredundancy and every active region's
-interior test.
+hull's facets (``_tightest_halfspaces``) share.  The simplex serves the
+market, irredundancy and every active region's interior test.
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
@@ -32,17 +30,20 @@ double description of a pointed cone {x : a.x >= 0} over integer rows,
 which returns each gcd-reduced integer ray with its zero set, the bit set
 of the rows it is tight on.  The rays (p, t, s) with s > 0 are the dual's
 pieces, the vertices of the indirect utility's epigraph, and their zero
-sets the bundles on the hull; the rays with s = 0 are the bundle hull's
-facets (``_hull``).  Rational values and points are first scaled by the
-lcm of their denominators (``exactmath.scaled_ints``), so every test is
-the sign of an integer.
+sets the pieces' cells, which ``upper_concave_hull`` returns with them:
+each cell is a region of the demand complex and its piece's slope a
+vertex of the price complex, so both 2-D complexes read these pieces and
+no other module reads the lift.  The rays with s = 0 are the bundle
+hull's facets (``_hull``).  Rational values and points are first scaled
+by the lcm of their denominators (``exactmath.scaled_ints``), so every
+test is the sign of an integer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Iterable, Sequence
 
@@ -387,28 +388,26 @@ def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:
     return normal, h.offset.numerator * scale, h.offset.denominator
 
 
-def _tightest(rows: Sequence[tuple[IVec, int, int]]) -> dict[IVec, tuple[int, int, list[int]]]:
+def _tightest(rows: Sequence[tuple[IVec, int, int]]) -> dict[IVec, tuple[int, int]]:
     """Int rows n . x <= num/den (den > 0) on primitive normals, a row with
     gcd(n) = g > 1 read as (n/g) . x <= num/(den*g): per normal, in order of
     first appearance, the least offset num/den, compared by
-    cross-multiplication, and the indices of the rows attaining it."""
-    best: dict[IVec, tuple[int, int, list[int]]] = {}
-    for i, (n, num, den) in enumerate(rows):
+    cross-multiplication."""
+    best: dict[IVec, tuple[int, int]] = {}
+    for n, num, den in rows:
         g = gcd(*n)
         if g != 1:
             n, den = tuple([c // g for c in n]), den * g
         old = best.get(n)
         if old is None or num * old[1] < old[0] * den:
-            best[n] = (num, den, [i])
-        elif num * old[1] == old[0] * den:
-            old[2].append(i)
+            best[n] = (num, den)
     return best
 
 
 def _tightest_halfspaces(rows: Sequence[tuple[IVec, int, int]]) -> tuple[HalfSpace, ...]:
     """The rows ``_tightest`` keeps, each made a ``HalfSpace`` once."""
     return tuple(
-        HalfSpace(ivec_to_vec(n), Fraction(num, den)) for n, (num, den, _) in _tightest(rows).items()
+        HalfSpace(ivec_to_vec(n), Fraction(num, den)) for n, (num, den) in _tightest(rows).items()
     )
 
 
@@ -485,23 +484,19 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IVec, i
             f"extreme rays: the {len(rows)} rows span a space of dimension "
             f"{len(basis)} < {dim}, so the cone is not pointed"
         )
-    # Fraction-free Gauss-Jordan on [B | I] ends in [D | E] with D diagonal
-    # and E B = D, so B^-1 = D^-1 E.  Column j of B^-1 is tight on every
-    # basis row but the j-th, and positive on that one.
+    # Integer pivots (``_pivot``) on [B | I] end in [det*I | E] with
+    # E = det * B^-1, det > 0.  Column j of B^-1 is tight on every basis row
+    # but the j-th, and positive on that one.
     a = [list(rows[i]) + [int(j == k) for k in range(dim)] for j, i in enumerate(basis)]
+    det = 1
     for col in range(dim):
         piv = next(r for r in range(col, dim) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
-        p, pivot = a[col], a[col][col]
-        for r in range(dim):
-            f = a[r][col]
-            if r != col and f:
-                a[r] = [pivot * x - f * y for x, y in zip(a[r], p)]
-    m = lcm(*(a[i][i] for i in range(dim)))
+        det = _pivot(a, col, col, det)
     full = sum(1 << i for i in basis)
     rays = []
     for j, i in enumerate(basis):
-        ray = [a[r][dim + j] * (m // a[r][r]) for r in range(dim)]
+        ray = [a[r][dim + j] for r in range(dim)]
         g = gcd(*ray)
         rays.append((tuple(x // g for x in ray), full & ~(1 << i)))
     chosen = set(basis)
@@ -626,19 +621,20 @@ def _hull(lift, scale: int) -> HPolyhedron:
 
 def upper_concave_hull(
     points: Sequence[tuple[IVec, Fraction]],
-) -> tuple[list[AffinePiece], set[int], HPolyhedron]:
+) -> tuple[list[AffinePiece], list[frozenset[int]], HPolyhedron]:
     """Minimal affine pieces whose pointwise min majorizes the lifted points,
-    the indices of the points they touch, and the bundles' convex hull.
+    the cell of each piece, and the bundles' convex hull.
 
     The bundles, sorted, are lifted once (``_lift``) at heights L*u, with L
     the lcm of the value denominators (``scaled_ints``).  The pieces are the
     vertices of the indirect utility's epigraph, the rays (m, b, s) with
-    s > 0: each is the piece u = (m . q + b) / (L*s).  The hull indices are
-    the union of those rays' zero sets; the other points are the bundles
-    never demanded.  The rays with s = 0 give the domain (``_hull``), the
-    same rows as ``convex_hull_halfspaces`` of the bundles.  This is the
-    only source of the concave dual's pieces (``valuation.dualize``).  At
-    most 64 points and 3 goods.
+    s > 0: each is the piece u = (m . q + b) / (L*s), and its cell the
+    indices of the points in its zero set, where it equals the value.  The
+    points in no cell are the bundles never demanded.  The rays with s = 0
+    give the domain (``_hull``), the same rows as ``convex_hull_halfspaces``
+    of the bundles.  This is the only source of the concave dual's pieces
+    (``valuation.dualize``) and of the 2-D complexes' cells.  At most 64
+    points and 3 goods.
     """
     if not points:
         raise DegenerateInput("hull of no points")
@@ -651,15 +647,14 @@ def upper_concave_hull(
         raise DegenerateInput("duplicate bundle keys")
     scale, (heights,) = scaled_ints([[points[i][1] for i in order]])
     lift = _lift(bundles, heights)
-    pieces, touched = [], 0
+    tight = []
     for m, b, s, zeros in lift[3]:
         if s > 0:
             c = s * scale
-            pieces.append(AffinePiece(tuple(Fraction(x, c) for x in m), Fraction(b, c)))
-            touched |= zeros
-    pieces.sort(key=lambda p: (p.slope, p.intercept))
-    hull = {i for k, i in enumerate(order) if touched >> (k + 1) & 1}
-    return pieces, hull, _hull(lift, 1)
+            piece = AffinePiece(tuple(Fraction(x, c) for x in m), Fraction(b, c))
+            tight.append((piece, frozenset(i for k, i in enumerate(order) if zeros >> (k + 1) & 1)))
+    tight.sort(key=lambda t: (t[0].slope, t[0].intercept))
+    return [p for p, _ in tight], [cell for _, cell in tight], _hull(lift, 1)
 
 
 def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:

@@ -275,7 +275,6 @@ def check_cyclic_monotonicity(
 
     dist = [0] * k
     pred: list[int | None] = [None] * k
-    witness_node = None
     for round_ in range(k):
         changed = False
         for i in range(k):
@@ -294,10 +293,9 @@ def check_cyclic_monotonicity(
                         witness_node = j
         if not changed:
             return True, None
-    if witness_node is None:
-        return True, None
 
-    # Walk predecessors k steps to make sure we are on the cycle itself.
+    # Round k - 1 relaxed an arc, which set witness_node.  Walk predecessors
+    # k steps to make sure we are on the cycle itself.
     node = witness_node
     for _ in range(k):
         node = pred[node]  # type: ignore[assignment]

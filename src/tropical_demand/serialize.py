@@ -282,6 +282,14 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
                 cells[ref].dim == cell.dim - 1,
                 f"cell {cell_id}: incident id {ref} is not one dimension lower",
             )
+        if cell.dim == 1:
+            # The finite endpoints: both points of a segment, the first of a
+            # ray, none of a line.
+            _expect(
+                sorted(cells[ref].points[0] for ref in cell.incident)
+                == sorted(cell.points[: 2 - len(cell.rays)]),
+                f"edge {cell_id}: its incident vertices are not its endpoints",
+            )
     for edge_id, fd in facet_data.items():
         _expect(
             fd.from_region in region_labels and fd.to_region in region_labels,

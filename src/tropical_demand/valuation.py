@@ -169,10 +169,10 @@ def dualize(v: Valuation) -> PolyhedralFunction:
 def _dual(v: Valuation) -> tuple[PolyhedralFunction, frozenset[IVec]]:
     """The concave dual and the bundles strictly below it (never demanded),
     all from one lift of the upper concave hull: its pieces, its domain, and
-    its hull indices (a bundle is on the hull iff some piece's ray is tight
-    on it)."""
+    its cells (a bundle is on the hull iff some piece's cell holds it)."""
     entries = sorted(v.entries.items())
-    pieces, hull, domain = upper_concave_hull(entries)
+    pieces, cells, domain = upper_concave_hull(entries)
+    hull = frozenset().union(*cells)
     below = frozenset(q for i, (q, _) in enumerate(entries) if i not in hull)
     return PolyhedralFunction("min", tuple(pieces), domain), below
 

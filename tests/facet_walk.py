@@ -66,15 +66,16 @@ def _facets(points: Sequence[IVec]):
 
 def upper_concave_hull(
     points: Sequence[tuple[IVec, Fraction]],
-) -> tuple[list[AffinePiece], set[int]]:
-    """Pieces and hull indices of the lifted points, from the walk over
-    every (d+1)-subset of the points (y, L*u): each upper facet
-    a.y + c*L*u <= b with c > 0 is the piece u = (b - a.y) / (c*L)."""
+) -> tuple[list[AffinePiece], list[frozenset[int]]]:
+    """Pieces and cells of the lifted points, from the walk over every
+    (d+1)-subset of the points (y, L*u): each upper facet
+    a.y + c*L*u <= b with c > 0 is the piece u = (b - a.y) / (c*L), and its
+    cell the indices of the points at which it equals the value."""
     bundles = [q for q, _ in points]
     values = [Fraction(v) for _, v in points]
     n = len(bundles[0])
     if len(bundles) == 1:
-        return [AffinePiece(tuple(ZERO for _ in range(n)), values[0])], {0}
+        return [AffinePiece(tuple(ZERO for _ in range(n)), values[0])], [frozenset({0})]
     base = bundles[0]
     directions = independent_directions([tuple(Fraction(c) for c in q) for q in bundles])
     scale = lcm(*(u.denominator for u in values))
@@ -92,12 +93,11 @@ def upper_concave_hull(
             )
             pieces.add(AffinePiece(slope=slope, intercept=Fraction(offset, c) - dot(slope, base)))
     pieces = sorted(pieces, key=lambda p: (p.slope, p.intercept))
-    hull = {
-        i
-        for i, (q, u) in enumerate(zip(bundles, values))
-        if min(p.evaluate(q) for p in pieces) == u
-    }
-    return pieces, hull
+    cells = [
+        frozenset(i for i, (q, u) in enumerate(zip(bundles, values)) if p.evaluate(q) == u)
+        for p in pieces
+    ]
+    return pieces, cells
 
 
 def hull_rows(points: Sequence[Sequence[Fraction | int]]) -> tuple[HalfSpace, ...]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from tropical_demand import cli, equilibrium, serialize
+from tropical_demand import NonConservative, cli, equilibrium, integrate_subdivision, serialize
 from tropical_demand.cli import build_parser
 
 from facet_walk import independent_directions
@@ -487,6 +487,7 @@ MALFORMED_SUBDIVISIONS = {
     "vertex outside the domain": lambda doc: doc["domain"].update(
         halfspaces=[{"normal": ["1", "0"], "offset": "-100"}]
     ),
+    "ray without its vertex": lambda doc: _first(doc, 1).update(incident=[]),
 }
 
 
@@ -521,6 +522,64 @@ def test_vertices_are_tested_against_the_domain_exactly(tmp_path, command):
             {"normal": ["0", "1/2"], "offset": offsets[1]},
         ]
         assert cli.main([command, "--in", write(tmp_path, "d.json", doc)]) == code
+
+
+@pytest.mark.parametrize("command", ["balance", "integrate"])
+def test_edge_whose_vertices_are_not_its_endpoints_is_validation_error(tmp_path, capsys, command):
+    # Segment 8 runs from vertex 0 to vertex 1.  With vertex 2 in place of
+    # vertex 1, `balance` answered balanced: false (exit 1) and `integrate`
+    # exited 0.
+    doc = price_complex_doc(tmp_path, FIVE_BUNDLE)
+    edge = next(cell for cell in doc["cells"] if cell["id"] == 8)
+    assert edge["incident"] == [0, 1]
+    edge["incident"] = [0, 2]
+    assert cli.main([command, "--in", write(tmp_path, "bad.json", doc)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: edge 8: its incident vertices are not its endpoints\n"
+
+
+def _two_facet_subdivision() -> dict:
+    """Regions 6, labeled (0, 0), and 7, labeled (1, 0), on both sides of
+    two vertical facets, at x = 0 and at x = 1.  Each label difference is
+    normal to both facets, but crossing at x = 0 keeps the constant and
+    crossing at x = 1 raises it by 1."""
+    vertices = [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+    cells = [
+        {"id": i, "dim": 0, "points": [p], "rays": [], "incident": []}
+        for i, p in enumerate(vertices)
+    ]
+    for edge_id, ends in ((4, [0, 1]), (5, [2, 3])):
+        cells.append({
+            "id": edge_id, "dim": 1, "points": [vertices[i] for i in ends], "rays": [],
+            "incident": ends, "weight": "1", "normal": [1, 0], "from_region": 7, "to_region": 6,
+        })
+    for region_id, label in ((6, ["0", "0"]), (7, ["1", "0"])):
+        cells.append({
+            "id": region_id, "dim": 2, "points": [vertices[i] for i in (0, 2, 3, 1)], "rays": [],
+            "incident": [4, 5], "label": label,
+        })
+    domain = {"dim": 2, "halfspaces": []}
+    return {"ambient_dim": 2, "convention": "max", "domain": domain, "cells": cells}
+
+
+def test_integrate_inconsistent_constants_name_a_region_cycle(tmp_path, capsys):
+    doc = _two_facet_subdivision()
+    s = serialize.subdivision_from_dict(doc)
+    with pytest.raises(NonConservative) as info:
+        integrate_subdivision(s, (6, F(0)))
+    cycle = info.value.cycle
+    assert len(cycle) >= 3 and cycle[0] == cycle[-1] and set(cycle) == {6, 7}
+    assert cli.main(["integrate", "--in", write(tmp_path, "d.json", doc)]) == cli.EXIT_FALSE
+    assert "cycle" in capsys.readouterr().err
+
+
+def test_integrate_disconnected_regions_is_validation_error(tmp_path, capsys):
+    # The same two regions with no facet between them.
+    doc = _two_facet_subdivision()
+    for cell in doc["cells"]:
+        for key in ("weight", "normal", "from_region", "to_region"):
+            cell.pop(key, None)
+    assert cli.main(["integrate", "--in", write(tmp_path, "d.json", doc)]) == cli.EXIT_VALIDATION
+    assert "disconnected" in capsys.readouterr().err
 
 
 def test_integrate_golden(tmp_path):
@@ -565,6 +624,25 @@ def test_integrate_one_region(tmp_path):
     assert cli.main(["integrate", "--in", str(pc), "--out", str(out), "--anchor-value", "5"]) == 0
     doc = json.loads(out.read_text())
     assert doc["pieces"] == [{"slope": ["0", "0"], "intercept": "5"}]
+
+
+def test_equilibrium_writes_rationals_past_the_digit_limit(tmp_path):
+    # 4,300 digits is the most the interpreter reads or writes by default;
+    # both consumers' values fit, but their sum, the least aggregate
+    # indirect utility, has 4,301 digits.  Writing it raised ValueError,
+    # a traceback with exit 1.
+    big = "9" * 4300
+    consumer = {
+        "goods": 2,
+        "entries": [{"bundle": [0, 0], "value": "0"}, {"bundle": [1, 0], "value": big}],
+    }
+    economy = {"goods": 2, "endowment": [2, 0], "consumers": [consumer, consumer]}
+    infile, out = write(tmp_path, "e.json", economy), tmp_path / "report.json"
+    assert cli.main(["equilibrium", "--in", infile, "--out", str(out)]) == 0
+    # 2 * (10^4300 - 1), as text.
+    twice = "1" + "9" * 4299 + "8"
+    text = out.read_text()
+    assert f'"min_value": "{twice}"' in text and f'"max_value": "{twice}"' in text
 
 
 def test_equilibrium_golden(tmp_path):

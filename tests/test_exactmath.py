@@ -38,6 +38,13 @@ def test_rational_parsing():
     assert format_rational(F(-8)) == "-8"
 
 
+def test_format_rational_writes_ints_past_the_digit_limit():
+    # 5,001 and 4,301 digits, over the interpreter's default 4,300; the
+    # 500-digit chunks hold runs of zeros.
+    assert format_rational(F(-(10**5000 + 7), 3)) == "-1" + "0" * 4997 + "007/3"
+    assert format_rational(F(1, 10**4300)) == "1/1" + "0" * 4300
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(DegenerateInput):
         rational("1/0")

@@ -80,7 +80,7 @@ def test_solve_linear_system():
 
 def test_hull_of_five_bundle_valuation():
     points = [((0, 0), F(0)), ((2, 0), F(16)), ((1, 1), F(24)), ((0, 2), F(28)), ((2, 2), F(34))]
-    pieces, hull, _ = upper_concave_hull(points)
+    pieces, cells, _ = upper_concave_hull(points)
     got = {(p.slope, p.intercept) for p in pieces}
     assert got == {
         ((F(1), F(9)), F(14)),
@@ -88,14 +88,14 @@ def test_hull_of_five_bundle_valuation():
         ((F(8), F(16)), F(0)),
         ((F(10), F(14)), F(0)),
     }
-    assert hull == {0, 1, 2, 3, 4}
+    assert frozenset().union(*cells) == {0, 1, 2, 3, 4}
 
 
 def test_hull_single_point():
-    pieces, hull, _ = upper_concave_hull([((0, 0), F(0))])
+    pieces, cells, _ = upper_concave_hull([((0, 0), F(0))])
     assert len(pieces) == 1
     assert pieces[0].slope == (F(0), F(0)) and pieces[0].intercept == 0
-    assert hull == {0}
+    assert frozenset().union(*cells) == {0}
 
 
 def test_hull_one_dimensional_chord():
@@ -104,8 +104,8 @@ def test_hull_one_dimensional_chord():
     points = [((0,), F(0)), ((1,), F(1)), ((2,), F(4))]
     chord_mid = (points[0][1] + points[2][1]) / 2
     assert points[1][1] < chord_mid
-    pieces, hull, _ = upper_concave_hull(points)
-    assert hull == {0, 2}
+    pieces, cells, _ = upper_concave_hull(points)
+    assert frozenset().union(*cells) == {0, 2}
     assert min(p.evaluate((F(1),)) for p in pieces) == 2
 
 
@@ -116,8 +116,8 @@ def test_hull_duplicate_bundles_rejected():
 
 def test_hull_collinear_bundles_in_two_goods():
     points = [((0, 0), F(0)), ((1, 1), F(5)), ((2, 2), F(6))]
-    pieces, hull, _ = upper_concave_hull(points)
-    assert hull == {0, 1, 2}
+    pieces, cells, _ = upper_concave_hull(points)
+    assert frozenset().union(*cells) == {0, 1, 2}
     for q, u in points:
         assert min(p.evaluate(q) for p in pieces) == u
 
@@ -144,7 +144,8 @@ def lifted_points(draw, full_dimensional=False):
 @settings(max_examples=60, deadline=None)
 @given(lifted_points())
 def test_hull_majorizes_with_equality_exactly_on_hull(points):
-    pieces, hull, _ = upper_concave_hull(points)
+    pieces, cells, _ = upper_concave_hull(points)
+    hull = frozenset().union(*cells)
     for i, (q, u) in enumerate(points):
         envelope = min(p.evaluate(q) for p in pieces)
         assert envelope >= u
@@ -214,12 +215,12 @@ def walk_points(draw):
 @example(sorted({(0, 0, 0): F(0), (1, 0, 1): F(1), (0, 1, 2): F(1), (1, 1, 3): F(0), (2, 1, 4): F(1)}.items()))
 @example(sorted({(0, 0, 0): F(0), (1, 2, 1): F(3), (2, 4, 2): F(3), (3, 6, 3): F(1, 2)}.items()))
 def test_hull_matches_the_facet_walk(points):
-    # Same pieces in the same order, and the same hull indices, as the
-    # walk over every (d+1)-subset of the lifted points; on bundles that
+    # Same pieces in the same order, and the same cell for each piece, as
+    # the walk over every (d+1)-subset of the lifted points; on bundles that
     # span R^2 or R^3, the domain has the rows of the walk over every
     # d-subset of the bundles.
-    pieces, hull, domain = upper_concave_hull(points)
-    assert (pieces, hull) == facet_walk.upper_concave_hull(points)
+    pieces, cells, domain = upper_concave_hull(points)
+    assert (pieces, cells) == facet_walk.upper_concave_hull(points)
     bundles = [q for q, _ in points]
     if len(bundles[0]) > 1 and len(independent_directions(bundles)) == len(bundles[0]):
         assert domain.halfspaces == facet_walk.hull_rows(bundles)
@@ -231,13 +232,14 @@ def test_hull_domain_is_the_bundle_hull_in_any_input_order(points, rnd):
     # The domain read off the lift is convex_hull_halfspaces of the
     # bundles, row for row, on lines and planes too; shuffling the points
     # changes neither it, nor the pieces, nor the bundles on the hull.
-    pieces, hull, domain = upper_concave_hull(points)
+    pieces, cells, domain = upper_concave_hull(points)
     bundles = [q for q, _ in points]
     assert domain == convex_hull_halfspaces(bundles, len(bundles[0]))
     shuffled = points[:]
     rnd.shuffle(shuffled)
-    again, hull_again, domain_again = upper_concave_hull(shuffled)
+    again, cells_again, domain_again = upper_concave_hull(shuffled)
     assert (again, domain_again) == (pieces, domain)
+    hull, hull_again = frozenset().union(*cells), frozenset().union(*cells_again)
     assert {shuffled[i][0] for i in hull_again} == {bundles[i] for i in hull}
 
 
