@@ -16,7 +16,7 @@ from math import prod
 from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
-from .exactmath import IVec, Vec, ZERO, dot
+from .exactmath import IVec, Vec, ZERO, dot, scaled_ints
 from .polyhedra import HalfSpace, LinearProgram, _optimum_is_unique, simplex_solve
 from .valuation import DemandSet, Valuation, demand
 
@@ -150,12 +150,21 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
     return res.value, res.point[n:], _optimum_is_unique(res, range(n, n + e.goods))
 
 
-def _fits(q: IVec, r: IVec) -> bool:
-    return all(a <= b for a, b in zip(q, r))
+def _leftover_keys(w: IVec) -> tuple[list[int], int]:
+    """Bit offsets and guard mask that key every leftover r <= w by one int.
 
-
-def _minus(r: IVec, q: IVec) -> IVec:
-    return tuple(b - a for a, b in zip(q, r))
+    Good l gets a digit of ``w_l.bit_length() + 1`` bits whose top bit is a
+    guard: a leftover r is ``sum(r_l << offset_l)`` plus every guard bit, a
+    bundle q <= w is ``sum(q_l << offset_l)``.  Each digit of r less q stays
+    in its field with no borrow, and keeps its guard bit exactly when
+    q_l <= r_l, so ``r - q`` is the leftover after q and ``(r - q) & guards
+    == guards`` tests that q fits r, for any number of goods.
+    """
+    offsets, guards = [], 0
+    for c in w:
+        offsets.append(guards.bit_length())
+        guards |= 1 << (guards.bit_length() + c.bit_length())
+    return offsets, guards
 
 
 def max_aggregate_utility(e: Economy) -> tuple[Fraction, tuple[Allocation, ...]]:
@@ -163,51 +172,82 @@ def max_aggregate_utility(e: Economy) -> tuple[Fraction, tuple[Allocation, ...]]
     the consumers' valuations, and every allocation that attains it.
 
     ``best[i][r]`` is the most consumers i..n-1 can get from bundles that sum
-    to at most r, for each leftover r that consumers 0..i-1 can reach.
-    Bundles are nonnegative, so the leftovers are at most min(|box|, K^i)
-    points of the endowment box and the work is O(n |box| K); every support
-    holds the zero bundle, so no maximum is over an empty set.  Backtracking
-    from ``best[0][w]`` in support order lists the maximizers in product
-    order (the first consumer's bundle varies slowest).  The size of that
-    product is still capped at ``MAX_ALLOCATIONS``, since every allocation
-    may be a maximizer.
+    to at most r, for each leftover r that consumers 0..i-1 can reach; every
+    support holds the zero bundle, so no maximum is over an empty set.  The
+    DP runs on ints: the values are scaled once by the lcm L of their
+    denominators, each leftover is one int key (``_leftover_keys``), and a
+    step is one subtraction, one mask test, one addition and one
+    comparison; the maximum becomes a Fraction only at the end.
+
+    Bundles are nonnegative, so consumer i's leftovers are at most
+    min(|box|, K^i) points of the endowment box: the time is O(n |box| K)
+    steps on ints of about log2(L) plus the values' bits, and the tables
+    hold O(n |box|) ints.  The last consumer's maximum is read off its
+    bundles directly, so the leftovers after it, the largest level, are
+    never stored.
+
+    Backtracking from ``best[0][w]`` in support order lists the maximizers
+    in product order (the first consumer's bundle varies slowest).  The
+    size of that product is still capped at ``MAX_ALLOCATIONS``, since
+    every allocation may be a maximizer.
     """
-    supports = [[(q, v.entries[q]) for q in v.bundles()] for v in e.consumers]
-    size = prod(len(s) for s in supports)
+    bundles = [v.bundles() for v in e.consumers]
+    size = prod(len(b) for b in bundles)
     if size > MAX_ALLOCATIONS:
         raise InstanceTooLarge(
             f"allocation enumeration: {size} allocations exceed the cap of "
             f"{MAX_ALLOCATIONS}; prune supports"
         )
     w = tuple(e.endowment)
-    leftovers = [{w}]
-    for support in supports:
-        leftovers.append({_minus(r, q) for r in leftovers[-1] for q, _ in support if _fits(q, r)})
-    best = [{} for _ in supports] + [{r: ZERO for r in leftovers[-1]}]
-    for i in reversed(range(len(supports))):
-        best[i] = {
-            r: max(u + best[i + 1][_minus(r, q)] for q, u in supports[i] if _fits(q, r))
-            for r in leftovers[i]
-        }
+    scale, values = scaled_ints([v.entries[q] for q in b] for v, b in zip(e.consumers, bundles))
+    offsets, guards = _leftover_keys(w)
+
+    def key(q: IVec) -> int:
+        return sum(c << s for c, s in zip(q, offsets))
+
+    # A bundle outside the endowment fits no leftover; dropping it first
+    # keeps every bundle key's digits below the guard bits.
+    supports = [
+        [(q, key(q), u) for q, u in zip(b, us) if all(a <= c for a, c in zip(q, w))]
+        for b, us in zip(bundles, values)
+    ]
+    root = key(w) | guards
+    leftovers = [{root}]
+    for support in supports[:-1]:
+        leftovers.append(
+            {r - k for r in leftovers[-1] for _, k, _ in support if (r - k) & guards == guards}
+        )
+    last = supports[-1]
+    best = [{r: max(u for _, k, u in last if (r - k) & guards == guards) for r in leftovers[-1]}]
+    for support, states in zip(supports[-2::-1], leftovers[-2::-1]):
+        after = best[-1]
+        best.append(
+            {
+                r: max(u + after[r - k] for _, k, u in support if (r - k) & guards == guards)
+                for r in states
+            }
+        )
+    best.reverse()
+    best.append({})  # past the last consumer nothing is left to gain, read as 0
 
     # Depth-first with an explicit stack, since consumers whose only bundle
     # is zero do not count against the cap and may be arbitrarily many.
     argmax: list[Allocation] = []
-    stack = [(w, best[0][w], ())]
+    stack = [(root, best[0][root], ())]
     while stack:
         r, target, chosen = stack.pop()
         i = len(chosen)
         if i == len(supports):
             argmax.append(Allocation(bundles=chosen))
             continue
+        after = best[i + 1]
         branches = []
-        for q, u in supports[i]:
-            if _fits(q, r):
-                rest = _minus(r, q)
-                if u + best[i + 1][rest] == target:
-                    branches.append((rest, target - u, chosen + (q,)))
+        for q, k, u in supports[i]:
+            rest = r - k
+            if rest & guards == guards and u + after.get(rest, 0) == target:
+                branches.append((rest, target - u, chosen + (q,)))
         stack.extend(reversed(branches))
-    return best[0][w], tuple(argmax)
+    return Fraction(best[0][root], scale), tuple(argmax)
 
 
 def walrasian_check(

@@ -43,3 +43,16 @@ class InstanceTooLarge(ToolkitError):
 
 class ValidationError(ToolkitError):
     """A parsed document is syntactically valid JSON but semantically broken."""
+
+
+QUOTE_LIMIT = 40
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, cut to its first QUOTE_LIMIT
+    characters, with its full length, when it is longer: an input value may
+    run to thousands of digits, and the message should stay one short line."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"

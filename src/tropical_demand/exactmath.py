@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DegenerateInput
+from .errors import DegenerateInput, quoted
 
 Rational = Fraction
 Vec = tuple[Fraction, ...]
@@ -30,7 +30,7 @@ def rational(value: int | str | Fraction) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
-        raise DegenerateInput(f"not a rational: {value!r}")
+        raise DegenerateInput(f"not a rational: {quoted(value)}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -39,17 +39,17 @@ def rational(value: int | str | Fraction) -> Fraction:
         try:
             numerator = int(num)
         except ValueError:
-            raise DegenerateInput(f"not a rational: {value!r}") from None
+            raise DegenerateInput(f"not a rational: {quoted(value)}") from None
         if not slash:
             return Fraction(numerator)
         try:
             denominator = int(den)
         except ValueError:
-            raise DegenerateInput(f"not a rational: {value!r}") from None
+            raise DegenerateInput(f"not a rational: {quoted(value)}") from None
         if denominator == 0:
-            raise DegenerateInput(f"zero denominator in {value!r}")
+            raise DegenerateInput(f"zero denominator in {quoted(value)}")
         return Fraction(numerator, denominator)
-    raise DegenerateInput(f"not a rational: {value!r}")
+    raise DegenerateInput(f"not a rational: {quoted(value)}")
 
 
 def _digits(n: int) -> str:

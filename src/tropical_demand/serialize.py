@@ -22,7 +22,7 @@ from .complexes import (
     LabeledSubdivision,
 )
 from .equilibrium import Economy, EquilibriumReport
-from .errors import DegenerateInput, ValidationError
+from .errors import DegenerateInput, ValidationError, quoted
 from .exactmath import IVec, Vec, format_rational, rational
 from .polyhedra import AffinePiece, HPolyhedron, HalfSpace, _int_row
 from .potential import CorrespondenceSample
@@ -95,7 +95,7 @@ def valuation_from_dict(data) -> Valuation:
         _expect(isinstance(item, dict), "valuation entry: expected an object")
         bundle = _ivec_in(item.get("bundle"), "valuation entry bundle")
         if bundle in entries:
-            raise ValidationError(f"duplicate bundle {list(bundle)}")
+            raise ValidationError(f"duplicate bundle {quoted(list(bundle))}")
         entries[bundle] = _rational_in(item.get("value"), "valuation entry value")
     return Valuation(goods=data["goods"], entries=entries)
 
@@ -234,18 +234,19 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
         _expect(isinstance(item, dict), "cell: expected an object")
         cell_id = item.get("id")
         _expect(_is_int(cell_id), "cell: 'id' must be an integer")
-        _expect(cell_id not in cells, f"cell: duplicate id {cell_id}")
+        name = quoted(cell_id)
+        _expect(cell_id not in cells, f"cell: duplicate id {name}")
         dim = item.get("dim")
         _expect(_is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
         for key in ("points", "rays"):
             _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
         points = tuple(_vec_in(p, "cell point", 2) for p in item.get("points", []))
         rays = tuple(_ivec_in(r, "cell ray", 2) for r in item.get("rays", []))
-        _expect(all(any(r) for r in rays), f"cell {cell_id}: a ray must not be zero")
+        _expect(all(any(r) for r in rays), f"cell {name}: a ray must not be zero")
         incident = _ivec_in(item.get("incident", []), "cell incident")
         if dim in _CELL_SHAPES and (len(points), len(rays)) not in _CELL_SHAPES[dim]:
             raise ValidationError(
-                f"cell {cell_id}: a {dim}-cell cannot have {len(points)} points and {len(rays)} rays"
+                f"cell {name}: a {dim}-cell cannot have {len(points)} points and {len(rays)} rays"
             )
         if dim == 0:
             # n . (x/a, y/b) <= num/den, cross-multiplied: a, b, den > 0.
@@ -253,20 +254,20 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
             a, b = x.denominator, y.denominator
             for (n0, n1), num, den in rows:
                 if (n0 * x.numerator * b + n1 * y.numerator * a) * den > num * a * b:
-                    raise ValidationError(f"cell {cell_id}: vertex lies outside the domain")
+                    raise ValidationError(f"cell {name}: vertex lies outside the domain")
         cells[cell_id] = Cell(dim=dim, points=points, rays=rays, incident=incident)
         if dim == 2:
-            _expect("label" in item, f"region cell {cell_id} is missing its label")
+            _expect("label" in item, f"region cell {name} is missing its label")
             region_labels[cell_id] = _vec_in(item["label"], "region label", 2)
         if "weight" in item or "normal" in item:
-            _expect(dim == 1, f"cell {cell_id}: facet data on a non-edge")
+            _expect(dim == 1, f"cell {name}: facet data on a non-edge")
             weight = _rational_in(item.get("weight"), "facet weight")
             normal = _ivec_in(item.get("normal"), "facet normal", 2)
-            _expect(weight > 0, f"cell {cell_id}: facet weight must be positive")
-            _expect(any(normal), f"cell {cell_id}: facet normal must not be zero")
+            _expect(weight > 0, f"cell {name}: facet weight must be positive")
+            _expect(any(normal), f"cell {name}: facet normal must not be zero")
             _expect(
                 _is_int(item.get("from_region")) and _is_int(item.get("to_region")),
-                f"cell {cell_id}: facet data needs from_region and to_region",
+                f"cell {name}: facet data needs from_region and to_region",
             )
             facet_data[cell_id] = FacetData(
                 weight=weight,
@@ -277,24 +278,23 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
     # Structural sanity: incidence and facet references must resolve.
     for cell_id, cell in cells.items():
         for ref in cell.incident:
-            _expect(ref in cells, f"cell {cell_id}: incident id {ref} does not exist")
-            _expect(
-                cells[ref].dim == cell.dim - 1,
-                f"cell {cell_id}: incident id {ref} is not one dimension lower",
-            )
+            if ref not in cells or cells[ref].dim != cell.dim - 1:
+                problem = "does not exist" if ref not in cells else "is not one dimension lower"
+                raise ValidationError(
+                    f"cell {quoted(cell_id)}: incident id {quoted(ref)} {problem}"
+                )
         if cell.dim == 1:
             # The finite endpoints: both points of a segment, the first of a
             # ray, none of a line.
-            _expect(
-                sorted(cells[ref].points[0] for ref in cell.incident)
-                == sorted(cell.points[: 2 - len(cell.rays)]),
-                f"edge {cell_id}: its incident vertices are not its endpoints",
-            )
+            if sorted(cells[ref].points[0] for ref in cell.incident) != sorted(
+                cell.points[: 2 - len(cell.rays)]
+            ):
+                raise ValidationError(
+                    f"edge {quoted(cell_id)}: its incident vertices are not its endpoints"
+                )
     for edge_id, fd in facet_data.items():
-        _expect(
-            fd.from_region in region_labels and fd.to_region in region_labels,
-            f"edge {edge_id}: facet regions do not exist",
-        )
+        if fd.from_region not in region_labels or fd.to_region not in region_labels:
+            raise ValidationError(f"edge {quoted(edge_id)}: facet regions do not exist")
     return LabeledSubdivision(
         ambient_dim=2,
         convention=convention,

@@ -136,20 +136,25 @@ def indirect_utility(v: Valuation) -> PolyhedralFunction:
 
 
 def demand(v: Valuation, p: Sequence[Fraction | int]) -> DemandSet:
-    """Exact argmax set of u(q) - p.q over the valuation's bundles."""
+    """Exact argmax set of u(q) - p.q over the valuation's bundles.
+
+    The values and the prices are scaled by one lcm S of all their
+    denominators, so every surplus times S is an int, u_S(q) - p_S.q; the
+    surpluses are compared as ints and the common maximum becomes a
+    Fraction once.
+    """
     if len(p) != v.goods:
         raise DegenerateInput("price vector has wrong length")
-    best: Fraction | None = None
-    bundles: list[IVec] = []
-    for q in v.bundles():
-        surplus = v.entries[q] - dot(p, q)
-        if best is None or surplus > best:
-            best, bundles = surplus, [q]
-        elif surplus == best:
-            bundles.append(q)
-    if best is None:
+    bundles = v.bundles()
+    if not bundles:
         raise ValidationError("valuation has no bundles")
-    return DemandSet(bundles=frozenset(bundles), value=best)
+    scale, (values, prices) = scaled_ints([[v.entries[q] for q in bundles], p])
+    surplus = [u - sum(a * b for a, b in zip(prices, q)) for q, u in zip(bundles, values)]
+    best = max(surplus)
+    return DemandSet(
+        bundles=frozenset(q for q, s in zip(bundles, surplus) if s == best),
+        value=Fraction(best, scale),
+    )
 
 
 def dualize(v: Valuation) -> PolyhedralFunction:

@@ -285,6 +285,23 @@ def test_undecodable_input_is_parse_error(tmp_path, capsys, content):
     assert err.startswith(f"error: parse error in {infile}: ") and err.count("\n") == 1
 
 
+def test_error_messages_quote_a_bounded_prefix(tmp_path, capsys):
+    # A message names an input value by its first characters and its
+    # length, not by all of it: the 5,000-digit value string, which int()
+    # refuses, used to give 5,049 bytes of stderr.
+    entries = [*FIVE_BUNDLE["entries"][:-1], {"bundle": [2, 2], "value": "1" * 5000}]
+    long_value = {**FIVE_BUNDLE, "entries": entries}
+    infile, pc = write(tmp_path, "v.json", FIVE_BUNDLE), tmp_path / "pc.json"
+    assert cli.main(["complex", "--in", infile, "--which", "price", "--out", str(pc)]) == 0
+    long_id = json.loads(pc.read_text())
+    next(c for c in long_id["cells"] if c["dim"] == 1)["incident"][0] = 10**4000  # names no cell
+    for command, doc in (("dualize", long_value), ("balance", long_id)):
+        capsys.readouterr()
+        assert cli.main([command, "--in", write(tmp_path, "in.json", doc)]) == cli.EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err) < 200 and "characters)" in err
+
+
 def test_complex_price_golden(tmp_path):
     infile = write(tmp_path, "v.json", FIVE_BUNDLE)
     out = tmp_path / "pc.json"
@@ -659,6 +676,61 @@ def test_equilibrium_golden(tmp_path):
         {"bundles": [[0, 1], [1, 0]], "surplus": "5"},
         {"bundles": [[0, 0], [1, 1]], "surplus": "0"},
     ]
+
+
+# Values over the denominators 3, 7 and 11, one per consumer; the optimal
+# prices are not unique, the gap is zero and two allocations attain the
+# maximum, so the report holds a certificate with rational receipts.
+THREE_CONSUMERS = {
+    "goods": 2,
+    "endowment": [2, 1],
+    "consumers": [
+        {
+            "goods": 2,
+            "entries": [
+                {"bundle": [0, 0], "value": "0"},
+                {"bundle": [1, 0], "value": "41/3"},
+                {"bundle": [1, 1], "value": "25/3"},
+                {"bundle": [2, 1], "value": "44/3"},
+            ],
+        },
+        {
+            "goods": 2,
+            "entries": [
+                {"bundle": [0, 0], "value": "0"},
+                {"bundle": [0, 1], "value": "116/7"},
+                {"bundle": [1, 1], "value": "116/7"},
+                {"bundle": [2, 2], "value": "116/7"},
+            ],
+        },
+        {
+            "goods": 2,
+            "entries": [
+                {"bundle": [0, 0], "value": "0"},
+                {"bundle": [0, 1], "value": "178/11"},
+                {"bundle": [1, 1], "value": "9/11"},
+                {"bundle": [2, 1], "value": "153/11"},
+            ],
+        },
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "economy, golden, code",
+    [
+        (ECONOMY, "equilibrium_no_equilibrium_economy.json", cli.EXIT_FALSE),
+        (THREE_CONSUMERS, "equilibrium_three_consumers.json", cli.EXIT_OK),
+    ],
+    ids=["no-equilibrium", "three-consumers"],
+)
+def test_equilibrium_golden_bytes(tmp_path, economy, golden, code):
+    # The exact bytes of `equilibrium` on the bundled economy, which has no
+    # equilibrium, and on THREE_CONSUMERS.
+    infile = write(tmp_path, "e.json", economy)
+    out = tmp_path / "report.json"
+    assert cli.main(["equilibrium", "--in", infile, "--out", str(out)]) == code
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
 
 
 def test_equilibrium_single_consumer_exists(tmp_path):

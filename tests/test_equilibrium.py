@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from tropical_demand import (
     Allocation,
+    DemandSet,
     Valuation,
     DegenerateInput,
     DomainError,
@@ -170,17 +171,30 @@ def _product_walk(e: Economy) -> tuple[Fraction, tuple[Allocation, ...]]:
 def allocation_economies(draw):
     """1-3 goods, 1-4 consumers with up to five bundles each in [0, 3]^L,
     so some lie outside the endowment; rational values, sometimes all zero
-    (then every feasible allocation is a maximizer); the endowment is
-    sometimes zero."""
+    (then every feasible allocation is a maximizer), sometimes with small
+    denominators (ties are frequent) and sometimes k + 1/d or k - 1/d with
+    pairwise-distinct denominators d up to 10^6 (the lcm that scales them
+    runs to up to about a hundred digits); the endowment is sometimes zero."""
     goods = draw(st.integers(1, 3))
     zero = (0,) * goods
-    all_zero = draw(st.booleans())
+    kind = draw(st.sampled_from(("zero", "small", "distinct")))
     bundles = st.tuples(*[st.integers(0, 3)] * goods)
-    values = st.fractions(min_value=-5, max_value=20, max_denominator=4)
+    small = st.fractions(min_value=-5, max_value=20, max_denominator=4)
+    distinct = st.lists(st.integers(2, 10**6), min_size=16, max_size=16, unique=True)
+    denominators = iter(draw(distinct))
+
+    def value():
+        if kind == "zero":
+            return F(0)
+        if kind == "small":
+            return draw(small)
+        d = next(denominators)
+        return F(draw(st.integers(-5, 20)) * d + draw(st.sampled_from((-1, 1))), d)
+
     consumers = []
     for _ in range(draw(st.integers(1, 4))):
         extra = draw(st.lists(bundles, max_size=4, unique=True))
-        entries = {q: F(0) if all_zero else draw(values) for q in extra if q != zero}
+        entries = {q: value() for q in extra if q != zero}
         consumers.append(Valuation(goods=goods, entries={zero: F(0), **entries}))
     endowment = zero if draw(st.booleans()) else draw(bundles)
     return Economy(goods=goods, consumers=tuple(consumers), endowment=endowment)
@@ -190,6 +204,37 @@ def allocation_economies(draw):
 @given(allocation_economies())
 def test_max_aggregate_utility_matches_product_walk(e):
     assert max_aggregate_utility(e) == _product_walk(e)
+
+
+def _argmax_by_fractions(v: Valuation, p) -> DemandSet:
+    """Independent oracle: every surplus u(q) - p.q as a Fraction, one by one."""
+    surplus = {q: u - sum((F(a) * b for a, b in zip(p, q)), F(0)) for q, u in v.entries.items()}
+    best = max(surplus.values())
+    return DemandSet(bundles=frozenset(q for q, s in surplus.items() if s == best), value=best)
+
+
+@st.composite
+def demand_cases(draw):
+    """A valuation of 1-3 goods and a price vector, both with denominators
+    up to 10^6 (prices are sometimes ints); some bundles, the zero bundle
+    possibly among them, get u(q) = c + p.q for one level c, so they tie
+    exactly."""
+    goods = draw(st.integers(1, 3))
+    big = st.fractions(min_value=-50, max_value=50, max_denominator=10**6)
+    p = tuple(draw(st.one_of(big, st.integers(-50, 50))) for _ in range(goods))
+    level = draw(big)
+    bundles = draw(st.lists(st.tuples(*[st.integers(0, 4)] * goods), max_size=8, unique=True))
+    entries = {}
+    for q in [(0,) * goods, *bundles]:
+        entries[q] = level + dot(p, q) if draw(st.booleans()) else draw(big)
+    return Valuation(goods=goods, entries=entries), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(demand_cases())
+def test_demand_matches_fraction_argmax(case):
+    v, p = case
+    assert demand(v, p) == _argmax_by_fractions(v, p)
 
 
 # ---------------------------------------------------------------------------
