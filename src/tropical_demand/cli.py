@@ -6,7 +6,10 @@ All take --in FILE and write JSON to --out FILE (stdout when omitted);
 true, 1 verdict false (unbalanced, no equilibrium, non-monotone,
 non-conservative), 2 parse error (malformed JSON, bytes that are not UTF-8,
 or a number or nesting past the decoder's limits), 3 validation error, 4
-unsupported dimension, 5 resource cap exceeded.  The caps are fixed module
+unsupported dimension, 5 resource cap exceeded.  A command returns 0 or 1
+by its verdict and raises on every error; ``main`` alone maps each error
+type to its code and writes its one stderr line, the witness cycle of a
+non-conservative subdivision included.  The caps are fixed module
 constants, not options: ``polyhedra.MAX_HULL_POINTS`` bundles per hull,
 ``potential.MAX_SAMPLE_PAIRS`` sample pairs and
 ``equilibrium.MAX_ALLOCATIONS`` allocations.
@@ -103,14 +106,10 @@ def cmd_integrate(args) -> int:
     subdivision = serialize.subdivision_from_dict(_read_json(args.infile))
     regions = subdivision.regions()
     if not regions:
-        return _fail("subdivision has no regions", EXIT_VALIDATION)
+        raise ValidationError("subdivision has no regions")
     anchor_region = args.anchor_region if args.anchor_region is not None else regions[0]
     anchor_value = rational(args.anchor_value)
-    try:
-        potential = integrate_subdivision(subdivision, (anchor_region, anchor_value))
-    except NonConservative as exc:
-        cycle = " -> ".join(str(r) for r in exc.cycle) if exc.cycle else "?"
-        return _fail(f"non-conservative: {exc} (cycle {cycle})", EXIT_FALSE)
+    potential = integrate_subdivision(subdivision, (anchor_region, anchor_value))
     _emit(serialize.dumps(serialize.function_to_dict(potential)), args.out)
     return EXIT_OK
 
@@ -192,7 +191,8 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         return _fail(str(exc), EXIT_CAP)
     except NonConservative as exc:
-        return _fail(str(exc), EXIT_FALSE)
+        cycle = " -> ".join(str(r) for r in exc.cycle) if exc.cycle else "?"
+        return _fail(f"non-conservative: {exc} (cycle {cycle})", EXIT_FALSE)
     except ToolkitError as exc:
         return _fail(str(exc), EXIT_VALIDATION)
 

@@ -17,6 +17,9 @@ where the normal points geometrically from the ``from`` region into the
 convention).  At every interior vertex the weighted normals of the incident
 facets, oriented counterclockwise, sum to zero; that balancing condition is
 what makes the subdivision integrable back to a potential.
+
+An edge is a segment, a ray or a line; ``finite_endpoints`` alone decides
+its 0-cells, for assembly, the parser's check and the SVG.
 """
 
 from __future__ import annotations
@@ -130,6 +133,12 @@ class LabelingViolation:
 # ---------------------------------------------------------------------------
 
 
+def finite_endpoints(edge: Cell | _EdgeDraft) -> tuple[Vec, ...]:
+    """An edge's 0-cells: both points of a segment, the point of a ray, and
+    none of a line, whose one point is an anchor, not a vertex."""
+    return edge.points[: 2 - len(edge.rays)]
+
+
 def edge_direction(cell: Cell) -> Vec:
     """A segment's direction from its first point to its second, else the
     edge's first ray."""
@@ -219,15 +228,11 @@ def _assemble(
     """Assign canonical ids (vertices, then edges, then regions) and wire
     incidence.  Each region is (key, label, points, rays), the key being
     the name its edges' ``facet`` and ``owner`` use; ``lone`` holds the
-    points of 0-cells on no edge."""
-    # Segments contribute both endpoints, rays their single endpoint; full
-    # lines have no 0-cells.
+    points of 0-cells on no edge.  The other 0-cells are the edges' finite
+    endpoints."""
     vertex_points: set[Vec] = set(lone)
     for e in edges:
-        if len(e.points) == 2:
-            vertex_points.update(e.points)
-        elif len(e.rays) == 1:
-            vertex_points.add(e.points[0])
+        vertex_points.update(finite_endpoints(e))
 
     ordered_vertices = sorted(vertex_points)
     vid = {p: i for i, p in enumerate(ordered_vertices)}
@@ -246,12 +251,7 @@ def _assemble(
     region_edge_ids: dict[int, list[int]] = {r[0]: [] for r in regions}
     for i, e in enumerate(edges_sorted):
         edge_id = eid_base + i
-        if len(e.points) == 2:
-            incident = tuple(sorted((vid[e.points[0]], vid[e.points[1]])))
-        elif len(e.rays) == 1:
-            incident = (vid[e.points[0]],)
-        else:
-            incident = ()
+        incident = tuple(sorted(vid[p] for p in finite_endpoints(e)))
         cells[edge_id] = Cell(dim=1, points=e.points, rays=e.rays, incident=incident)
         if e.facet is not None:
             facet_data[edge_id] = FacetData(

@@ -7,6 +7,9 @@ requirement that all closed-path integrals vanish.  Path integrals of the
 induced correspondence are computed in closed form by splitting segments at
 the facet crossings where the active piece changes; the tangential
 component is single-valued on facets, so the selection does not matter.
+
+``_label_slope`` alone turns a region's label into its piece's slope and
+back, for the constants, the pieces and the path selection.
 """
 
 from __future__ import annotations
@@ -53,6 +56,13 @@ class CorrespondenceSample:
 # ---------------------------------------------------------------------------
 
 
+def _label_slope(convention: str, v: Vec) -> Vec:
+    """A region's label as its piece's slope, or a slope as the label: minus
+    it under the decreasing-demand ``max`` convention, itself under ``min``.
+    Its own inverse, and linear, so it maps label differences too."""
+    return tuple(-c for c in v) if convention == "max" else v
+
+
 def _facet_point(s: LabeledSubdivision, edge_id: int) -> Vec:
     # Any exact point of the shared facet works; segment and ray endpoints
     # are 0-cells, a full line carries its canonical anchor.
@@ -62,11 +72,9 @@ def _facet_point(s: LabeledSubdivision, edge_id: int) -> Vec:
 def _constant_step(
     s: LabeledSubdivision, from_region: int, to_region: int, point: Vec
 ) -> Fraction:
-    li = s.region_labels[from_region]
-    lj = s.region_labels[to_region]
-    if s.convention == "max":
-        return dot(point, vsub(lj, li))
-    return dot(point, vsub(li, lj))
+    # The two pieces agree at the facet point: c_to = c_from + (s_from - s_to).x.
+    diff = vsub(s.region_labels[from_region], s.region_labels[to_region])
+    return dot(point, _label_slope(s.convention, diff))
 
 
 def integrate_subdivision(
@@ -136,14 +144,8 @@ def integrate_subdivision(
                 cycle=cycle,
             )
 
-    pieces = set()
-    for region in regions:
-        label = s.region_labels[region]
-        if s.convention == "max":
-            slope = tuple(-c for c in label)
-        else:
-            slope = label
-        pieces.add(AffinePiece(slope=slope, intercept=constants[region]))
+    slopes = {r: _label_slope(s.convention, s.region_labels[r]) for r in regions}
+    pieces = {AffinePiece(slope=slopes[r], intercept=constants[r]) for r in regions}
     ordered = tuple(sorted(pieces, key=lambda p: (p.slope, p.intercept)))
     return PolyhedralFunction(s.convention, ordered, s.domain)
 
@@ -208,12 +210,7 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
         for t0, t1 in zip(ordered, ordered[1:]):
             mid = (t0 + t1) / 2
             x = tuple(pa + mid * d for pa, d in zip(a, step))
-            active = f.active_pieces(x)[0]
-            selection = (
-                tuple(-c for c in active.slope)
-                if f.convention == "max"
-                else active.slope
-            )
+            selection = _label_slope(f.convention, f.active_pieces(x)[0].slope)
             delta = tuple((t1 - t0) * d for d in step)
             total += dot(selection, delta)
     return total

@@ -20,6 +20,7 @@ from .complexes import (
     Cell,
     FacetData,
     LabeledSubdivision,
+    finite_endpoints,
 )
 from .equilibrium import Economy, EquilibriumReport
 from .errors import DegenerateInput, ValidationError, quoted
@@ -284,10 +285,8 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
                     f"cell {quoted(cell_id)}: incident id {quoted(ref)} {problem}"
                 )
         if cell.dim == 1:
-            # The finite endpoints: both points of a segment, the first of a
-            # ray, none of a line.
             if sorted(cells[ref].points[0] for ref in cell.incident) != sorted(
-                cell.points[: 2 - len(cell.rays)]
+                finite_endpoints(cell)
             ):
                 raise ValidationError(
                     f"edge {quoted(cell_id)}: its incident vertices are not its endpoints"
@@ -346,10 +345,7 @@ def sample_from_dict(data) -> CorrespondenceSample:
     for item in raw:
         _expect(isinstance(item, dict), "sample pair: expected an object")
         pairs.append((_vec_in(item.get("p"), "pair p"), _vec_in(item.get("q"), "pair q")))
-    try:
-        return CorrespondenceSample(pairs=tuple(pairs))
-    except Exception as exc:
-        raise ValidationError(str(exc)) from exc
+    return CorrespondenceSample(pairs=tuple(pairs))
 
 
 def equilibrium_report_to_dict(report: EquilibriumReport) -> dict:

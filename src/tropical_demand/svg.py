@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .complexes import LabeledSubdivision, _region_representative
+from .complexes import LabeledSubdivision, _region_representative, finite_endpoints
 from .exactmath import Vec, ZERO, format_rational
 
 SCALE = 40  # pixels per unit
@@ -79,15 +79,10 @@ def _clip_ray(view: _Viewport, start: Vec, direction: Sequence[int]) -> Vec:
 
 
 def _edge_endpoints(s: LabeledSubdivision, edge_id: int, view: _Viewport) -> tuple[Vec, Vec]:
+    """The edge's finite endpoints, then each of its rays from its first
+    point, clipped at the viewport: two ends for a segment, a ray or a line."""
     cell = s.cells[edge_id]
-    if len(cell.points) == 2:
-        return cell.points[0], cell.points[1]
-    if len(cell.rays) == 1:
-        start = cell.points[0]
-        return start, _clip_ray(view, start, cell.rays[0])
-    anchor = cell.points[0]
-    a = _clip_ray(view, anchor, cell.rays[0])
-    b = _clip_ray(view, anchor, cell.rays[1])
+    a, b = (*finite_endpoints(cell), *(_clip_ray(view, cell.points[0], r) for r in cell.rays))
     return a, b
 
 

@@ -17,6 +17,7 @@ from .errors import (
     EmptyCell,
     UnknownBundle,
     ValidationError,
+    quoted,
 )
 from .exactmath import IVec, dot, scaled_ints, vsub
 from .polyhedra import (
@@ -45,9 +46,9 @@ class Valuation:
             raise ValidationError("valuation has no bundles")
         for bundle in self.entries:
             if len(bundle) != self.goods:
-                raise ValidationError(f"bundle {bundle} has wrong length")
+                raise ValidationError(f"bundle {quoted(bundle)} has wrong length")
             if any(not isinstance(c, int) or c < 0 for c in bundle):
-                raise ValidationError(f"bundle {bundle} is not a nonnegative lattice point")
+                raise ValidationError(f"bundle {quoted(bundle)} is not a nonnegative lattice point")
         zero = tuple(0 for _ in range(self.goods))
         if zero not in self.entries:
             raise ValidationError("valuation must contain the zero bundle")
@@ -146,8 +147,6 @@ def demand(v: Valuation, p: Sequence[Fraction | int]) -> DemandSet:
     if len(p) != v.goods:
         raise DegenerateInput("price vector has wrong length")
     bundles = v.bundles()
-    if not bundles:
-        raise ValidationError("valuation has no bundles")
     scale, (values, prices) = scaled_ints([[v.entries[q] for q in bundles], p])
     surplus = [u - sum(a * b for a, b in zip(prices, q)) for q, u in zip(bundles, values)]
     best = max(surplus)

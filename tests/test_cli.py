@@ -1,14 +1,26 @@
+import contextlib
 import functools
+import io
 import json
 import pathlib
 import random
 import re
+import tempfile
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tropical_demand import NonConservative, cli, equilibrium, integrate_subdivision, serialize
+from tropical_demand import (
+    NonConservative,
+    cli,
+    equilibrium,
+    integrate_subdivision,
+    price_complex,
+    serialize,
+)
 from tropical_demand.cli import build_parser
 
 from facet_walk import independent_directions
@@ -291,11 +303,14 @@ def test_error_messages_quote_a_bounded_prefix(tmp_path, capsys):
     # refuses, used to give 5,049 bytes of stderr.
     entries = [*FIVE_BUNDLE["entries"][:-1], {"bundle": [2, 2], "value": "1" * 5000}]
     long_value = {**FIVE_BUNDLE, "entries": entries}
+    # A 5,000-coordinate bundle of a 2-good valuation: 15,032 bytes before.
+    entries = [*FIVE_BUNDLE["entries"], {"bundle": [1] * 5000, "value": "1"}]
+    long_bundle = {**FIVE_BUNDLE, "entries": entries}
     infile, pc = write(tmp_path, "v.json", FIVE_BUNDLE), tmp_path / "pc.json"
     assert cli.main(["complex", "--in", infile, "--which", "price", "--out", str(pc)]) == 0
     long_id = json.loads(pc.read_text())
     next(c for c in long_id["cells"] if c["dim"] == 1)["incident"][0] = 10**4000  # names no cell
-    for command, doc in (("dualize", long_value), ("balance", long_id)):
+    for command, doc in (("dualize", long_value), ("dualize", long_bundle), ("balance", long_id)):
         capsys.readouterr()
         assert cli.main([command, "--in", write(tmp_path, "in.json", doc)]) == cli.EXIT_VALIDATION
         err = capsys.readouterr().err
@@ -963,6 +978,187 @@ def test_cyclemono_over_pair_cap(tmp_path, capsys):
     assert cli.main(["cyclemono", "--in", infile]) == cli.EXIT_CAP
     err = capsys.readouterr().err
     assert f"cyclic monotonicity: {n} pairs exceed the cap of {MAX_SAMPLE_PAIRS}" in err
+
+
+THREE_GOODS = {
+    "goods": 3,
+    "entries": [{"bundle": [0, 0, 0], "value": "0"}, {"bundle": [1, 0, 0], "value": "5"}],
+}
+LONE_VERTEX = {
+    "ambient_dim": 2,
+    "convention": "min",
+    "domain": {"dim": 2, "halfspaces": []},
+    "cells": [{"id": 0, "dim": 0, "points": [["0", "0"]], "rays": [], "incident": []}],
+}
+
+
+@functools.cache
+def _five_bundle_price_complex() -> str:
+    return json.dumps(serialize.subdivision_to_dict(price_complex(serialize.valuation_from_dict(FIVE_BUNDLE))))
+
+
+def _edited_price_complex(edit):
+    """The five-bundle price complex, with ``edit`` applied to it by id."""
+
+    def build() -> dict:
+        doc = json.loads(_five_bundle_price_complex())
+        cells = {cell["id"]: cell for cell in doc["cells"]}
+        edit(cells)
+        return doc
+
+    return build
+
+
+def _swap_labels(cells):
+    cells[12]["label"], cells[13]["label"] = cells[13]["label"], cells[12]["label"]
+
+
+_UNKNOWN_REGION = _edited_price_complex(lambda cells: cells[4].update(from_region=999))
+
+# Reachable errors of each command that no other test pins: its arguments,
+# its input (None: no file; a callable: built per call), its exit code and
+# its whole stderr line.  ``cli.main`` alone maps each error to its code.
+CLI_ERRORS = {
+    "complex-demand-3-goods": (
+        ["complex", "--which", "demand"], THREE_GOODS, 4, "demand complexes are built in 2-D only"
+    ),
+    "missing-input": (
+        ["dualize"], None, 3, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"
+    ),
+    "integrate-lone-vertex": (["integrate"], LONE_VERTEX, 3, "subdivision has no regions"),
+    "balance-unknown-facet-region": (
+        ["balance"], _UNKNOWN_REGION, 3, "edge 4: facet regions do not exist"
+    ),
+    "integrate-unknown-facet-region": (
+        ["integrate"], _UNKNOWN_REGION, 3, "edge 4: facet regions do not exist"
+    ),
+    "cyclemono-mixed-dimensions": (
+        ["cyclemono"],
+        {"pairs": [{"p": ["1", "2"], "q": ["1", "0"]}, {"p": ["1", "2", "3"], "q": ["1", "0", "0"]}]},
+        3,
+        "inconsistent sample dimensions",
+    ),
+    "dualize-no-goods": (
+        ["dualize"], {"goods": 0, "entries": [{"bundle": [], "value": "0"}]}, 3, "need at least one good"
+    ),
+    "dualize-no-entries": (["dualize"], {"goods": 2, "entries": []}, 3, "valuation has no bundles"),
+    "dualize-3-coordinate-bundle": (
+        ["dualize"],
+        {"goods": 2, "entries": [{"bundle": [0, 0], "value": "0"}, {"bundle": [1, 0, 0], "value": "1"}]},
+        3,
+        "bundle (1, 0, 0) has wrong length",
+    ),
+    "equilibrium-3-good-consumer": (
+        ["equilibrium"],
+        {**ECONOMY, "consumers": [ECONOMY["consumers"][0], THREE_GOODS]},
+        3,
+        "consumer dimension mismatch",
+    ),
+    "equilibrium-negative-endowment": (
+        ["equilibrium"], {**ECONOMY, "endowment": [-1, 1]}, 3,
+        "endowment must be a nonnegative lattice vector",
+    ),
+    "equilibrium-short-endowment": (
+        ["equilibrium"], {**ECONOMY, "endowment": [1]}, 3,
+        "endowment must be a nonnegative lattice vector",
+    ),
+    "integrate-swapped-labels": (
+        ["integrate"],
+        _edited_price_complex(_swap_labels),
+        1,
+        "non-conservative: label difference across edge 5 is not normal to it (cycle 16 -> 13 -> 16)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERRORS))
+def test_cli_errors_exit_with_their_code_and_line(tmp_path, capsys, case):
+    argv, doc, code, line = CLI_ERRORS[case]
+    if callable(doc):
+        doc = doc()
+    infile = str(tmp_path / "missing.json") if doc is None else write(tmp_path, "in.json", doc)
+    assert cli.main([*argv, "--in", infile]) == code
+    assert capsys.readouterr() == ("", f"error: {line.format(path=infile)}\n")
+
+
+TWO_PAIRS = {"pairs": [{"p": ["1", "2"], "q": ["3", "1"]}, {"p": ["2", "1/2"], "q": ["1", "3"]}]}
+
+
+@functools.cache
+def _fuzz_bases() -> dict:
+    """A valid input per command line: the command's arguments and its document."""
+    price = json.loads(_five_bundle_price_complex())
+    return {
+        "dualize": (["dualize"], FIVE_BUNDLE),
+        "complex-price": (["complex", "--which", "price"], FIVE_BUNDLE),
+        "complex-demand": (["complex", "--which", "demand"], FIVE_BUNDLE),
+        "balance": (["balance"], price),
+        "integrate": (["integrate"], price),
+        "equilibrium": (["equilibrium"], ECONOMY),
+        "cyclemono": (["cyclemono", "--direction", "inverse"], TWO_PAIRS),
+    }
+
+
+def _json_paths(doc, prefix=()):
+    """The path of every value in a JSON document, the root's first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _json_paths(value, (*prefix, key))
+
+
+_DELETE = object()
+# Wrong types, empty containers, numbers at the reader's digit limit, deep
+# but decodable nesting, and values that are valid elsewhere in a document.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([
+        None, True, False, "", "x", "1/0", 1.5, -1, 0, 1, 2, 3, 999, {}, [], [[]], [0], [0, 0, 0],
+        ["0", "0"], int("9" * 4300), "9" * 4300, "-1/" + "7" * 4299, json.loads("[" * 200 + "]" * 200),
+        _DELETE,
+    ]),
+    st.integers(-5, 20),
+)
+
+
+def _mutated(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced, or deleted."""
+    if not path:
+        return None if value is _DELETE else value
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    parent = functools.reduce(lambda node, key: node[key], parents, doc)
+    if value is _DELETE:
+        del parent[last]
+    else:
+        parent[last] = value
+    return doc
+
+
+@st.composite
+def fuzzed_calls(draw):
+    argv, doc = _fuzz_bases()[draw(st.sampled_from(sorted(_fuzz_bases())))]
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        doc = _mutated(doc, path, draw(_FUZZ_VALUES))
+    return argv, doc
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_calls())
+def test_every_mutated_input_exits_with_a_documented_code(call):
+    # A traceback would exit 1, the code of a false verdict: every input
+    # must end in one of the documented codes instead, and every code from
+    # 2 up with one error line.
+    argv, doc = call
+    with tempfile.TemporaryDirectory() as tmp:
+        infile = pathlib.Path(tmp) / "in.json"
+        infile.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--in", str(infile)])
+    assert code in range(6)
+    if code >= 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_main_builds_the_parser_once_and_keeps_no_state(tmp_path, monkeypatch):

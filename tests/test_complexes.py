@@ -365,6 +365,70 @@ def test_normal_labeling_catches_perturbed_label(five_bundle_valuation):
     assert flagged & incident
 
 
+def _tamper_facet_8(s, **changes):
+    fd = dataclasses.replace(s.facet_data[8], **changes)
+    return dataclasses.replace(s, facet_data={**s.facet_data, 8: fd})
+
+
+# Edge 8 of the five-bundle price complex is the segment (1, 9) -- (3, 7),
+# from region 16, labeled (2, 2), to region 14, labeled (1, 1), with weight
+# 1 and normal (1, 1).  Each tamper breaks it in one way, with the
+# violations check_normal_labeling reports.
+LABELING_TAMPERS = {
+    "facet data on a vertex": (
+        lambda s: dataclasses.replace(s, facet_data={**s.facet_data, 0: s.facet_data[8]}),
+        [(0, "facet data on a non-edge")],
+    ),
+    "facet data on no cell": (
+        lambda s: dataclasses.replace(s, facet_data={**s.facet_data, 99: s.facet_data[8]}),
+        [(99, "facet data on a non-edge")],
+    ),
+    "unknown region": (
+        lambda s: _tamper_facet_8(s, from_region=999),
+        [(8, "facet references unknown region")],
+    ),
+    "negative weight": (
+        lambda s: _tamper_facet_8(s, weight=F(-1), normal=(-1, -1)),
+        [(8, "weight -1 is not positive"), (8, "normal points from 'to' into 'from'")],
+    ),
+    "imprimitive normal": (
+        lambda s: _tamper_facet_8(s, weight=F(1, 2), normal=(2, 2)),
+        [(8, "normal (2, 2) is not primitive")],
+    ),
+    "zero normal": (
+        lambda s: _tamper_facet_8(s, normal=(0, 0)),
+        [(8, "normal (0, 0) is not primitive")],
+    ),
+    "wrong weight": (
+        lambda s: _tamper_facet_8(s, weight=F(2)),
+        [
+            (
+                8,
+                "label difference (Fraction(1, 1), Fraction(1, 1)) != "
+                "weight*normal (Fraction(2, 1), Fraction(2, 1))",
+            )
+        ],
+    ),
+    "tilted segment": (
+        lambda s: dataclasses.replace(
+            s, cells={**s.cells, 8: dataclasses.replace(s.cells[8], points=((F(1), F(9)), (F(3), F(9))))}
+        ),
+        [(8, "normal is not perpendicular to the facet")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LABELING_TAMPERS))
+def test_normal_labeling_names_each_violation(five_bundle_valuation, case):
+    s = price_complex(five_bundle_valuation)
+    assert s.facet_data[8].normal == (1, 1)
+    tamper, expected = LABELING_TAMPERS[case]
+    assert check_normal_labeling(tamper(s)) == (
+        False,
+        [LabelingViolation(edge, message) for edge, message in expected],
+    )
+
+
 def test_balancing_catches_tampered_weight(five_bundle_valuation):
     s = demand_complex(five_bundle_valuation)
     edge = next(

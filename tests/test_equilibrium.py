@@ -19,8 +19,10 @@ from tropical_demand import (
     demand,
     duality_test,
     economy_potential,
+    hull_support,
     max_aggregate_utility,
     min_aggregate_indirect,
+    price_complex,
     walrasian_check,
 )
 from tropical_demand import equilibrium, polyhedra
@@ -375,6 +377,19 @@ def test_walrasian_check_rejects_infeasible_allocation(no_equilibrium_economy):
         )
 
 
+@pytest.mark.parametrize(
+    "prices, bundles, message",
+    [
+        (vec(25), ((0, 0), (1, 1)), "price vector has wrong length"),
+        (vec(25, 45), ((2, 0), (0, 0)), "bundle (2, 0) is not in the consumer's support"),
+    ],
+)
+def test_walrasian_check_rejects_bad_arguments(no_equilibrium_economy, prices, bundles, message):
+    with pytest.raises(DomainError) as info:
+        walrasian_check(no_equilibrium_economy, prices, Allocation(bundles))
+    assert str(info.value) == message
+
+
 def test_economy_potential_golden(no_equilibrium_economy):
     y = economy_potential(no_equilibrium_economy, vec(25, 45), Allocation(((0, 0), (1, 1))))
     assert y == -5
@@ -543,3 +558,77 @@ def test_duality_gap_is_zero_where_the_aggregate_valuation_meets_its_closure(e):
     assert report.exists == (closure == below)
     if U.get(e.endowment) == closure:
         assert report.exists
+
+
+# ---------------------------------------------------------------------------
+# the Unimodularity Theorem as a third route to existence
+# ---------------------------------------------------------------------------
+
+
+def _demand_type(v: Valuation) -> frozenset[tuple[int, int]]:
+    """The facet normals of v's price complex up to sign, each with its
+    first nonzero coordinate positive: the primitive bundle differences
+    across its facets."""
+    normals = (fd.normal for fd in price_complex(v).facet_data.values())
+    return frozenset(n if n > (0, 0) else (-n[0], -n[1]) for n in normals)
+
+
+def _unimodular(vectors) -> bool:
+    """Whether every two independent vectors of the set have determinant
+    +-1, so that each such pair spans the lattice (two goods)."""
+    return all(abs(a[0] * b[1] - a[1] * b[0]) <= 1 for a, b in itertools.combinations(vectors, 2))
+
+
+@st.composite
+def _strictly_concave(draw, length: int) -> list[int]:
+    """A strictly concave integer sequence of ``length`` terms from 0."""
+    steps = draw(st.lists(st.integers(-9, 9), min_size=length - 1, max_size=length - 1, unique=True))
+    return list(itertools.accumulate(sorted(steps, reverse=True), initial=0))
+
+
+@st.composite
+def unimodular_economies(draw):
+    """1-3 consumers, each v = f1(x1) + f2(x2) + g(x1 + s x2) on a box up to
+    [0, 2]^2 with strictly concave f1, f2 and g and one sign s for all of
+    them, and an endowment up to one past the sum of the boxes."""
+    sign = draw(st.sampled_from((1, -1)))
+    consumers = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        f1, f2, g = (draw(_strictly_concave(n)) for n in (a + 1, b + 1, a + b + 1))
+        least = 0 if sign == 1 else -b  # the least x1 + s x2 on the box
+        entries = {
+            (x1, x2): F(f1[x1] + f2[x2] + g[x1 + sign * x2 - least])
+            for x1 in range(a + 1)
+            for x2 in range(b + 1)
+        }
+        consumers.append(Valuation(goods=2, entries=entries))
+    reach = [sum(max(q[l] for q in v.entries) for v in consumers) + 1 for l in range(2)]
+    endowment = tuple(draw(st.integers(0, r)) for r in reach)
+    return sign, Economy(goods=2, consumers=tuple(consumers), endowment=endowment)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unimodular_economies())
+def test_concave_valuations_of_one_unimodular_type_have_an_equilibrium(drawn):
+    # Baldwin and Klemperer (2019): concave valuations of one demand type D
+    # have an equilibrium at every supply iff D is unimodular.  Free
+    # disposal (p >= 0) adds the type {e1, e2}.  g(x1 + x2) makes the goods
+    # substitutes, of type (1, -1); g(x1 - x2) complements, of type (1, 1).
+    sign, e = drawn
+    demand_type = {(1, 0), (0, 1)}
+    for v in e.consumers:
+        assert hull_support(v)[1] == frozenset()
+        demand_type |= _demand_type(v)
+    assert demand_type <= {(1, 0), (0, 1), (1, -sign)}
+    assert _unimodular(demand_type)
+    report = duality_test(e)
+    assert report.gap == 0 and report.certificate is not None
+
+
+def test_the_no_equilibrium_economy_mixes_two_types_of_determinant_two(no_equilibrium_economy):
+    first, second = (_demand_type(v) for v in no_equilibrium_economy.consumers)
+    assert (first, second) == ({(1, 0), (0, 1), (1, -1)}, {(1, 0), (0, 1), (1, 1)})
+    assert _unimodular(first) and _unimodular(second)
+    assert not _unimodular(first | second)  # (1, -1) and (1, 1): determinant 2
+    assert duality_test(no_equilibrium_economy).gap == 5

@@ -1119,6 +1119,14 @@ def test_reduce_empty_input_is_whole_space():
     assert reduce(poly).halfspaces == ()
 
 
+def test_reduce_returns_an_empty_polyhedron_unchanged():
+    # x <= 0 and x >= 1, with the first row twice: no row is dropped, not
+    # even the duplicate.
+    rows = (hs((1,), 0), hs((1,), 0), hs((-1,), -1))
+    poly = HPolyhedron(1, rows)
+    assert reduce(poly).halfspaces == rows
+
+
 def test_affine_piece_evaluation():
     piece = AffinePiece(slope=(F(2), F(-1)), intercept=F(3))
     assert piece.evaluate((F(1), F(1))) == 4

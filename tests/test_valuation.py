@@ -141,6 +141,13 @@ def test_inverse_demand_region_unknown_bundle(five_bundle_valuation):
         inverse_demand_region(five_bundle_valuation, (7, 7))
 
 
+def test_value_of_a_missing_bundle(five_bundle_valuation):
+    assert five_bundle_valuation.value((2, 2)) == 34
+    with pytest.raises(UnknownBundle) as info:
+        five_bundle_valuation.value((7, 7))
+    assert str(info.value) == "bundle (7, 7) not in valuation"
+
+
 def test_inverse_demand_region_on_nonnegative_prices(five_bundle_valuation):
     nonneg = HPolyhedron(2, (HalfSpace((F(-1), F(0)), F(0)), HalfSpace((F(0), F(-1)), F(0))))
     region = inverse_demand_region(five_bundle_valuation, (2, 2), price_domain=nonneg)
