@@ -31,6 +31,7 @@ from .errors import (
     ToolkitError,
     UnsupportedDimension,
     ValidationError,
+    quoted,
 )
 from .exactmath import rational
 from .potential import check_cyclic_monotonicity, integrate_subdivision
@@ -191,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceTooLarge as exc:
         return _fail(str(exc), EXIT_CAP)
     except NonConservative as exc:
-        cycle = " -> ".join(str(r) for r in exc.cycle) if exc.cycle else "?"
+        cycle = " -> ".join(quoted(r) for r in exc.cycle) if exc.cycle else "?"
         return _fail(f"non-conservative: {exc} (cycle {cycle})", EXIT_FALSE)
     except ToolkitError as exc:
         return _fail(str(exc), EXIT_VALIDATION)

@@ -48,11 +48,15 @@ class ValidationError(ToolkitError):
 QUOTE_LIMIT = 40
 
 
-def quoted(value) -> str:
-    """``repr(value)`` for an error message, cut to its first QUOTE_LIMIT
-    characters, with its full length, when it is longer: an input value may
-    run to thousands of digits, and the message should stay one short line."""
-    text = repr(value)
+def clipped(text: str) -> str:
+    """``text`` cut to its first QUOTE_LIMIT characters, with its full
+    length, when it is longer: an input or computed value may run to
+    thousands of digits, and an error message should stay one short line."""
     if len(text) <= QUOTE_LIMIT:
         return text
     return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for an error message, clipped."""
+    return clipped(repr(value))

@@ -477,6 +477,14 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IVec, i
     Every test is an integer sign or a bit-set inclusion, and the extreme
     rays of a pointed cone, made primitive, are unique, so the order in
     which rows are added changes only the speed.
+
+    Only lifts of three goods reach the inclusion scan.  Two non-adjacent
+    rays span a face of dimension at least 3, so the rows tight on both
+    lie in a subspace of dimension at most dim - 3, and no two lift rows
+    (``_lift``) are proportional.  For one or two goods (dim 3 or 4) that
+    subspace holds at most one row, fewer than dim - 2, so the count test
+    alone decides adjacency.  In 5-D the scan matters only when three or
+    more lifted points are collinear.
     """
     basis = first_independent(rows, dim)
     if len(basis) < dim:

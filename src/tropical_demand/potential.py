@@ -19,8 +19,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import LabeledSubdivision, edge_direction
-from .errors import DegenerateInput, DomainError, InstanceTooLarge, NonConservative
-from .exactmath import Vec, ZERO, dot, scaled_ints, vsub
+from .errors import (
+    DegenerateInput,
+    DomainError,
+    InstanceTooLarge,
+    NonConservative,
+    clipped,
+    quoted,
+)
+from .exactmath import Vec, ZERO, dot, format_rational, scaled_ints, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
 
@@ -102,7 +109,7 @@ def integrate_subdivision(
         diff = vsub(s.region_labels[fd.from_region], s.region_labels[fd.to_region])
         if dot(diff, edge_direction(s.cells[edge_id])) != 0:
             raise NonConservative(
-                f"label difference across edge {edge_id} is not normal to it",
+                f"label difference across edge {quoted(edge_id)} is not normal to it",
                 cycle=(fd.from_region, fd.to_region, fd.from_region),
             )
 
@@ -139,8 +146,9 @@ def integrate_subdivision(
         if constants[fd.to_region] != expected:
             cycle = _tree_cycle(parent, fd.from_region, fd.to_region)
             raise NonConservative(
-                f"inconsistent constant across edge {edge_id}: "
-                f"{constants[fd.to_region]} != {expected}",
+                f"inconsistent constant across edge {quoted(edge_id)}: "
+                f"{clipped(format_rational(constants[fd.to_region]))} != "
+                f"{clipped(format_rational(expected))}",
                 cycle=cycle,
             )
 

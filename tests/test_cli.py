@@ -310,9 +310,18 @@ def test_error_messages_quote_a_bounded_prefix(tmp_path, capsys):
     assert cli.main(["complex", "--in", infile, "--which", "price", "--out", str(pc)]) == 0
     long_id = json.loads(pc.read_text())
     next(c for c in long_id["cells"] if c["dim"] == 1)["incident"][0] = 10**4000  # names no cell
-    for command, doc in (("dualize", long_value), ("dualize", long_bundle), ("balance", long_id)):
+    # Inconsistent constants of 4,000 digits: 4,089 bytes of stderr before.
+    far = str(10**4000 - 1)
+    # Of about 8,000 digits, over the int-to-string limit: a traceback before.
+    for command, doc, code in (
+        ("dualize", long_value, cli.EXIT_VALIDATION),
+        ("dualize", long_bundle, cli.EXIT_VALIDATION),
+        ("balance", long_id, cli.EXIT_VALIDATION),
+        ("integrate", _two_facet_subdivision(far), cli.EXIT_FALSE),
+        ("integrate", _two_facet_subdivision(far, label=far), cli.EXIT_FALSE),
+    ):
         capsys.readouterr()
-        assert cli.main([command, "--in", write(tmp_path, "in.json", doc)]) == cli.EXIT_VALIDATION
+        assert cli.main([command, "--in", write(tmp_path, "in.json", doc)]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and len(err) < 200 and "characters)" in err
 
@@ -363,10 +372,13 @@ def test_complex_demand_golden_bytes(tmp_path, case):
     # The exact bytes of `complex --which demand` on the bundled valuation
     # and on a square whose bundle (1,1) lies in the middle of a hull edge,
     # where the domain lists the bundle hull's rows, not the region labels'.
+    # Its SVG is segments only: a demand complex has no rays to clip.
     infile = write(tmp_path, "v.json", case["valuation"])
-    out = tmp_path / "dc.json"
-    assert cli.main(["complex", "--in", infile, "--which", "demand", "--out", str(out)]) == 0
+    out, svg = tmp_path / "dc.json", tmp_path / "dc.svg"
+    argv = ["complex", "--in", infile, "--which", "demand", "--out", str(out), "--svg", str(svg)]
+    assert cli.main(argv) == 0
     assert out.read_bytes() == case["complex"].encode()
+    assert svg.read_bytes() == case["svg"].encode()
 
 
 def test_complex_three_goods_unsupported(tmp_path, capsys):
@@ -569,12 +581,12 @@ def test_edge_whose_vertices_are_not_its_endpoints_is_validation_error(tmp_path,
     assert capsys.readouterr().err == "error: edge 8: its incident vertices are not its endpoints\n"
 
 
-def _two_facet_subdivision() -> dict:
-    """Regions 6, labeled (0, 0), and 7, labeled (1, 0), on both sides of
-    two vertical facets, at x = 0 and at x = 1.  Each label difference is
-    normal to both facets, but crossing at x = 0 keeps the constant and
-    crossing at x = 1 raises it by 1."""
-    vertices = [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]]
+def _two_facet_subdivision(far: str = "1", label: str = "1") -> dict:
+    """Regions 6, labeled (0, 0), and 7, labeled (label, 0), on both sides
+    of two vertical facets of weight label, at x = 0 and at x = far.  Each
+    label difference is normal to both facets, but crossing at x = 0 keeps
+    the constant and crossing at x = far raises it by far * label."""
+    vertices = [["0", "0"], ["0", "1"], [far, "0"], [far, "1"]]
     cells = [
         {"id": i, "dim": 0, "points": [p], "rays": [], "incident": []}
         for i, p in enumerate(vertices)
@@ -582,12 +594,12 @@ def _two_facet_subdivision() -> dict:
     for edge_id, ends in ((4, [0, 1]), (5, [2, 3])):
         cells.append({
             "id": edge_id, "dim": 1, "points": [vertices[i] for i in ends], "rays": [],
-            "incident": ends, "weight": "1", "normal": [1, 0], "from_region": 7, "to_region": 6,
+            "incident": ends, "weight": label, "normal": [1, 0], "from_region": 7, "to_region": 6,
         })
-    for region_id, label in ((6, ["0", "0"]), (7, ["1", "0"])):
+    for region_id, region_label in ((6, ["0", "0"]), (7, [label, "0"])):
         cells.append({
             "id": region_id, "dim": 2, "points": [vertices[i] for i in (0, 2, 3, 1)], "rays": [],
-            "incident": [4, 5], "label": label,
+            "incident": [4, 5], "label": region_label,
         })
     domain = {"dim": 2, "halfspaces": []}
     return {"ambient_dim": 2, "convention": "max", "domain": domain, "cells": cells}

@@ -214,6 +214,9 @@ def walk_points(draw):
 @example(sorted({(0, 0, 0): F(0), (1, 0, 0): F(1), (0, 1, 0): F(1), (1, 1, 0): F(2), (0, 0, 1): F(1), (1, 1, 1): F(3)}.items()))
 @example(sorted({(0, 0, 0): F(0), (1, 0, 1): F(1), (0, 1, 2): F(1), (1, 1, 3): F(0), (2, 1, 4): F(1)}.items()))
 @example(sorted({(0, 0, 0): F(0), (1, 2, 1): F(3), (2, 4, 2): F(3), (3, 6, 3): F(1, 2)}.items()))
+# Three collinear lifted points, over (0,0,0), (0,0,1) and (0,0,2): the one
+# case in these tests that reaches _extreme_rays' adjacency scan.
+@example(sorted({(0, 0, 0): F(0), (0, 0, 1): F(1), (0, 0, 2): F(2), (1, 1, 2): F(0), (2, 0, 1): F(1), (2, 1, 0): F(2), (2, 2, 1): F(2)}.items()))
 def test_hull_matches_the_facet_walk(points):
     # Same pieces in the same order, and the same cell for each piece, as
     # the walk over every (d+1)-subset of the lifted points; on bundles that

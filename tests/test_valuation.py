@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,18 @@ def test_hull_support(five_bundle_valuation):
     on_hull, below = hull_support(five_bundle_valuation)
     assert on_hull == {(0, 0), (2, 0), (1, 1), (0, 2), (2, 2)}
     assert below == frozenset()
+
+
+@pytest.mark.parametrize("k", range(5, 25))
+def test_moment_curve_dual_has_the_cyclic_polytope_count(k):
+    # The worst case for 3 goods.  A piece of the dual is an upper facet of
+    # the lifted points (t, t^2, t^3, -t^4): points t1 < t2 < t3 < t4 where a
+    # quartic with positive leading term vanishes, nonnegative at every other
+    # t.  So t2 = t1 + 1 and t4 = t3 + 1 (Gale's evenness condition for the
+    # cyclic 4-polytope): C(k - 2, 2) pieces, with every point on one.
+    v = Valuation(goods=3, entries={(t, t**2, t**3): F(-(t**4)) for t in range(k)})
+    assert len(dualize(v).pieces) == math.comb(k - 2, 2)
+    assert hull_support(v)[1] == frozenset()
 
 
 def test_check_monotone_on_sampled_prices(five_bundle_valuation):
