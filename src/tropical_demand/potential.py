@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .complexes import LabeledSubdivision, edge_direction
 from .errors import (
@@ -133,7 +134,7 @@ def integrate_subdivision(
     if len(constants) != len(regions):
         missing = [r for r in regions if r not in constants]
         raise DegenerateInput(
-            f"region adjacency graph is disconnected (unreached: {missing})"
+            f"region adjacency graph is disconnected (unreached: {quoted(missing)})"
         )
 
     for edge_id, fd in sorted(s.facet_data.items()):
@@ -273,10 +274,15 @@ def check_cyclic_monotonicity(
         )
     _, a = scaled_ints(a_vecs)
     _, b = scaled_ints(b_vecs)
+    # Row i is -a_i . b_i plus a_i[t] times column t of b, summed over the
+    # coordinates t: one pass of k products per coordinate.
+    columns = list(zip(*b))
     weights: list[list[int]] = []
     for ai, bi in zip(a, b):
-        own = sum(x * y for x, y in zip(ai, bi))
-        weights.append([sum(x * y for x, y in zip(ai, bj)) - own for bj in b])
+        row = [-sum(map(mul, ai, bi))] * k
+        for x, column in zip(ai, columns):
+            row = [w + x * c for w, c in zip(row, column)]
+        weights.append(row)
 
     dist = [0] * k
     pred: list[int | None] = [None] * k

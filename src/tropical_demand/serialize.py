@@ -2,11 +2,19 @@
 
 Rationals travel as strings ("num/den", or "num" when the denominator is
 1); bundles and primitive normals as integer arrays.  Every writer sorts
-its content, so identical inputs produce byte-identical output.
-Valuations, economies, functions, domains and subdivisions round-trip
-through their own parsers; correspondence samples are input-only and
-reports output-only.  The schemas shipped in docs/schemas/ describe the
-same formats.
+its content, and ``dumps`` alone owns the text format: two-space indent,
+keys sorted, quotes, backslashes and control characters escaped, every
+non-ASCII character as a ``\\u`` escape, and a trailing newline, byte for
+byte what ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes, so
+identical inputs produce byte-identical output.  Valuations, economies,
+functions, domains and subdivisions round-trip through their own parsers;
+correspondence samples are input-only and reports output-only.  The
+schemas shipped in docs/schemas/ describe the same formats.
+
+Each public reader parses each distinct rational string of its document
+once: the ``str -> Fraction`` memo lives in one top-level ``*_from_dict``
+call and is handed down to the private readers, so no state outlives the
+call and the readers stay safe to call from several threads.
 """
 
 from __future__ import annotations
@@ -31,26 +39,105 @@ from .valuation import PolyhedralFunction, Valuation
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``obj`` as the package's JSON text, ``json.dumps(obj, indent=2,
+    sort_keys=True) + "\\n"`` byte for byte, for documents of dicts with
+    str keys, lists, tuples, strs, ints, bools and None: the types the
+    writers produce, since every rational travels as a string.  A dict,
+    list or tuple subclass, a float or any other type raises TypeError."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the text of ``value`` to ``out``; ``newline`` is a newline
+    and the indent of the line ``value`` starts on.  A nonempty array of
+    only strs or only ints is joined in one call, and a str or int member
+    of an object is written with its key; the stdlib encoder with an
+    indent walks every element through its generators instead."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        first = type(value[0])
+        if first is str and all(type(x) is str for x in value):
+            out.append(f"[{inner}{(',' + inner).join(map(_quote, value))}{newline}]")
+        elif first is int and all(type(x) is int for x in value):
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+        else:
+            separator = "[" + inner
+            for item in value:
+                out.append(separator)
+                _write(item, inner, out)
+                separator = "," + inner
+            out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            item_kind = type(item)
+            if item_kind is str:
+                out.append(f"{separator}{_quote(key)}: {_quote(item)}")
+            elif item_kind is int:
+                out.append(f"{separator}{_quote(key)}: {int.__repr__(item)}")
+            else:
+                out.append(f"{separator}{_quote(key)}: ")
+                _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _vec_out(v) -> list[str]:
-    return [format_rational(Fraction(c)) for c in v]
+    # format_rational reads only .numerator and .denominator, which an int
+    # coordinate has too.
+    return [format_rational(c) for c in v]
 
 
-def _vec_in(data, context: str, length: int | None = None) -> Vec:
+def _vec_in(data, context: str, memo: dict[str, Fraction], length: int | None = None) -> Vec:
     if not isinstance(data, list):
         raise ValidationError(f"{context}: expected an array")
     if length is not None and len(data) != length:
         raise ValidationError(f"{context}: expected {length} coordinates")
-    return tuple(_rational_in(c, context) for c in data)
+    return tuple([_rational_in(c, context, memo) for c in data])
 
 
-def _rational_in(x, context: str) -> Fraction:
+def _rational_in(x, context: str, memo: dict[str, Fraction]) -> Fraction:
+    """``rational(x)``, looked up in ``memo`` when ``x`` is a string.  Only
+    strings are keys, since ``True == 1`` hashes equal, and a value that
+    fails to parse is never stored."""
+    if isinstance(x, str):
+        value = memo.get(x)
+        if value is not None:
+            return value
     try:
-        return rational(x)
+        value = rational(x)
     except DegenerateInput as exc:
         raise ValidationError(f"{context}: {exc}") from exc
+    if isinstance(x, str):
+        memo[x] = value
+    return value
 
 
 def _is_int(x) -> bool:
@@ -87,6 +174,10 @@ def valuation_to_dict(v: Valuation) -> dict:
 
 
 def valuation_from_dict(data) -> Valuation:
+    return _valuation(data, {})
+
+
+def _valuation(data, memo: dict[str, Fraction]) -> Valuation:
     _expect(isinstance(data, dict), "valuation: expected an object")
     _expect(_is_int(data.get("goods")), "valuation: 'goods' must be an integer")
     entries_raw = data.get("entries")
@@ -97,7 +188,7 @@ def valuation_from_dict(data) -> Valuation:
         bundle = _ivec_in(item.get("bundle"), "valuation entry bundle")
         if bundle in entries:
             raise ValidationError(f"duplicate bundle {quoted(list(bundle))}")
-        entries[bundle] = _rational_in(item.get("value"), "valuation entry value")
+        entries[bundle] = _rational_in(item.get("value"), "valuation entry value", memo)
     return Valuation(goods=data["goods"], entries=entries)
 
 
@@ -115,7 +206,8 @@ def economy_from_dict(data) -> Economy:
     endowment = _ivec_in(data.get("endowment"), "economy endowment")
     consumers_raw = data.get("consumers")
     _expect(isinstance(consumers_raw, list) and consumers_raw, "economy: 'consumers' must be a nonempty array")
-    consumers = tuple(valuation_from_dict(c) for c in consumers_raw)
+    memo: dict[str, Fraction] = {}
+    consumers = tuple(_valuation(c, memo) for c in consumers_raw)
     return Economy(goods=data["goods"], consumers=consumers, endowment=endowment)
 
 
@@ -135,6 +227,10 @@ def domain_to_dict(domain: HPolyhedron) -> dict:
 
 
 def domain_from_dict(data) -> HPolyhedron:
+    return _domain(data, {})
+
+
+def _domain(data, memo: dict[str, Fraction]) -> HPolyhedron:
     _expect(isinstance(data, dict), "domain: expected an object")
     _expect(_is_int(data.get("dim")), "domain: 'dim' must be an integer")
     raw = data.get("halfspaces")
@@ -142,8 +238,8 @@ def domain_from_dict(data) -> HPolyhedron:
     halfspaces = []
     for item in raw:
         _expect(isinstance(item, dict), "halfspace: expected an object")
-        normal = _vec_in(item.get("normal"), "halfspace normal", data["dim"])
-        offset = _rational_in(item.get("offset"), "halfspace offset")
+        normal = _vec_in(item.get("normal"), "halfspace normal", memo, data["dim"])
+        offset = _rational_in(item.get("offset"), "halfspace offset", memo)
         halfspaces.append(HalfSpace(normal=normal, offset=offset))
     return HPolyhedron(dim=data["dim"], halfspaces=tuple(halfspaces))
 
@@ -168,13 +264,14 @@ def function_from_dict(data) -> PolyhedralFunction:
     _expect(convention in ("max", "min"), "function: convention must be 'max' or 'min'")
     raw = data.get("pieces")
     _expect(isinstance(raw, list) and raw, "function: 'pieces' must be a nonempty array")
+    memo: dict[str, Fraction] = {}
     pieces = []
     for item in raw:
         _expect(isinstance(item, dict), "piece: expected an object")
-        slope = _vec_in(item.get("slope"), "piece slope")
-        intercept = _rational_in(item.get("intercept"), "piece intercept")
+        slope = _vec_in(item.get("slope"), "piece slope", memo)
+        intercept = _rational_in(item.get("intercept"), "piece intercept", memo)
         pieces.append(AffinePiece(slope=slope, intercept=intercept))
-    domain = domain_from_dict(data.get("domain"))
+    domain = _domain(data.get("domain"), memo)
     return PolyhedralFunction(convention=convention, pieces=tuple(pieces), domain=domain)
 
 
@@ -223,7 +320,8 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
     _expect(_is_int(ambient_dim) and ambient_dim == 2, "subdivision: ambient_dim must be 2")
     convention = data.get("convention")
     _expect(convention in ("max", "min"), "subdivision: convention must be 'max' or 'min'")
-    domain = domain_from_dict(data.get("domain"))
+    memo: dict[str, Fraction] = {}
+    domain = _domain(data.get("domain"), memo)
     _expect(domain.dim == 2, "subdivision: the domain's 'dim' must be 2")
     raw = data.get("cells")
     _expect(isinstance(raw, list), "subdivision: 'cells' must be an array")
@@ -241,7 +339,7 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
         _expect(_is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
         for key in ("points", "rays"):
             _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
-        points = tuple(_vec_in(p, "cell point", 2) for p in item.get("points", []))
+        points = tuple(_vec_in(p, "cell point", memo, 2) for p in item.get("points", []))
         rays = tuple(_ivec_in(r, "cell ray", 2) for r in item.get("rays", []))
         _expect(all(any(r) for r in rays), f"cell {name}: a ray must not be zero")
         incident = _ivec_in(item.get("incident", []), "cell incident")
@@ -259,10 +357,10 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
         cells[cell_id] = Cell(dim=dim, points=points, rays=rays, incident=incident)
         if dim == 2:
             _expect("label" in item, f"region cell {name} is missing its label")
-            region_labels[cell_id] = _vec_in(item["label"], "region label", 2)
+            region_labels[cell_id] = _vec_in(item["label"], "region label", memo, 2)
         if "weight" in item or "normal" in item:
             _expect(dim == 1, f"cell {name}: facet data on a non-edge")
-            weight = _rational_in(item.get("weight"), "facet weight")
+            weight = _rational_in(item.get("weight"), "facet weight", memo)
             normal = _ivec_in(item.get("normal"), "facet normal", 2)
             _expect(weight > 0, f"cell {name}: facet weight must be positive")
             _expect(any(normal), f"cell {name}: facet normal must not be zero")
@@ -341,10 +439,12 @@ def sample_from_dict(data) -> CorrespondenceSample:
         _expect(isinstance(data, dict), "sample: expected an object or array")
         raw = data.get("pairs")
     _expect(isinstance(raw, list) and raw, "sample: 'pairs' must be a nonempty array")
+    memo: dict[str, Fraction] = {}
     pairs = []
     for item in raw:
         _expect(isinstance(item, dict), "sample pair: expected an object")
-        pairs.append((_vec_in(item.get("p"), "pair p"), _vec_in(item.get("q"), "pair q")))
+        p = _vec_in(item.get("p"), "pair p", memo)
+        pairs.append((p, _vec_in(item.get("q"), "pair q", memo)))
     return CorrespondenceSample(pairs=tuple(pairs))
 
 

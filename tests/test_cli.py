@@ -624,6 +624,17 @@ def test_integrate_disconnected_regions_is_validation_error(tmp_path, capsys):
             cell.pop(key, None)
     assert cli.main(["integrate", "--in", write(tmp_path, "d.json", doc)]) == cli.EXIT_VALIDATION
     assert "disconnected" in capsys.readouterr().err
+    # An unreached region id of 4,001 digits is named by its first
+    # characters: 4,063 bytes of stderr before.
+    for cell in doc["cells"]:
+        if cell["id"] == 7:
+            cell["id"] = 10**4000
+    assert cli.main(["integrate", "--in", write(tmp_path, "d.json", doc)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err == (
+        "error: region adjacency graph is disconnected "
+        f"(unreached: [{str(10**4000)[:39]}... (4003 characters))\n"
+    )
 
 
 def test_integrate_golden(tmp_path):
@@ -1027,6 +1038,13 @@ def _swap_labels(cells):
 
 _UNKNOWN_REGION = _edited_price_complex(lambda cells: cells[4].update(from_region=999))
 
+
+def _with_values(*values) -> dict:
+    """The five-bundle valuation with its first entries' values replaced."""
+    entries = [{**entry, "value": value} for entry, value in zip(FIVE_BUNDLE["entries"], values)]
+    return {**FIVE_BUNDLE, "entries": entries + FIVE_BUNDLE["entries"][len(values):]}
+
+
 # Reachable errors of each command that no other test pins: its arguments,
 # its input (None: no file; a callable: built per call), its exit code and
 # its whole stderr line.  ``cli.main`` alone maps each error to its code.
@@ -1079,6 +1097,16 @@ CLI_ERRORS = {
         _edited_price_complex(_swap_labels),
         1,
         "non-conservative: label difference across edge 5 is not normal to it (cycle 16 -> 13 -> 16)",
+    ),
+    # The reader parses each distinct value string once per document: a
+    # bool is never looked up as the int it equals, and a failed parse is
+    # never remembered.
+    "dualize-int-then-bool-value": (
+        ["dualize"], _with_values(1, True), 3, "valuation entry value: not a rational: True"
+    ),
+    "dualize-zero-denominator-twice": (
+        ["dualize"], _with_values("1/0", "1/0"), 3,
+        "valuation entry value: zero denominator in '1/0'",
     ),
 }
 
