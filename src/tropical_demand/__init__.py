@@ -7,6 +7,8 @@ integration, and a duality test for Walrasian equilibrium in quasi-linear
 economies.  All arithmetic is exact rational.
 """
 
+from types import ModuleType as _ModuleType
+
 from .complexes import (
     BalanceReport,
     Cell,
@@ -37,7 +39,6 @@ from .equilibrium import (
 from .errors import (
     DegenerateInput,
     DomainError,
-    EmptyCell,
     InstanceTooLarge,
     NonConservative,
     ToolkitError,
@@ -63,7 +64,6 @@ from .polyhedra import (
     LinearProgram,
     LPResult,
     convex_hull_halfspaces,
-    reduce,
     simplex_solve,
     upper_concave_hull,
 )
@@ -81,10 +81,13 @@ from .valuation import (
     check_monotone,
     demand,
     dualize,
-    essential_pieces,
     hull_support,
     indirect_utility,
-    inverse_demand_region,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The names imported above, without the submodules those imports bind.
+__all__ = [
+    name
+    for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)
+]

@@ -9,10 +9,6 @@ class DegenerateInput(ToolkitError):
     """Input is structurally unusable (zero vector, duplicate bundles, ...)."""
 
 
-class EmptyCell(ToolkitError):
-    """A polyhedron or cell turned out to be empty."""
-
-
 class UnknownBundle(ToolkitError):
     """A bundle was referenced that the valuation does not contain."""
 

@@ -1,9 +1,9 @@
 """Exact polyhedral primitives.
 
 Half-space representations, an exact two-phase simplex solver with Bland's
-anti-cycling rule, irredundancy reduction, and upper concave hulls of
-lifted lattice points.  Everything is a pure function on immutable inputs.
-Inputs and results are Fractions.
+anti-cycling rule, and upper concave hulls of lifted lattice points.
+Everything is a pure function on immutable inputs.  Inputs and results are
+Fractions.
 
 The simplex runs on a tableau of ints over one positive common denominator.
 The constraint rows are scaled once by the lcm of all their denominators,
@@ -19,9 +19,9 @@ new LPs.
 
 Int rows (normal, num, den) stand for normal . x <= num/den
 (``_int_row``); ``_tightest`` reduces each normal to primitive form and
-keeps the tightest rows per normal, which ``dedupe_halfspaces`` and the
-hull's facets (``_tightest_halfspaces``) share.  The simplex serves the
-market, irredundancy and every active region's interior test.
+keeps the tightest row per normal, for the hull's facets
+(``_tightest_halfspaces``).  The simplex serves the market's epigraph LP
+alone.
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
@@ -51,7 +51,6 @@ from .errors import DegenerateInput, InstanceTooLarge, UnsupportedDimension
 from .exactmath import (
     IVec,
     Vec,
-    ZERO,
     dot,
     first_independent,
     ivec_to_vec,
@@ -344,43 +343,6 @@ def _optimum_is_unique(res: LPResult, coords: Iterable[int]) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# feasibility and redundancy
-# ---------------------------------------------------------------------------
-
-
-def feasible_point(poly: HPolyhedron) -> Vec | None:
-    lp = LinearProgram(
-        objective=tuple(ZERO for _ in range(poly.dim)),
-        sense="min",
-        constraints=poly.halfspaces,
-    )
-    res = simplex_solve(lp)
-    return res.point if res.status == "optimal" else None
-
-
-def interior_point(poly: HPolyhedron) -> Vec | None:
-    """A point strictly inside all half-spaces, or None if the polyhedron is
-    empty or not full-dimensional."""
-    n = poly.dim
-    # Variables (x, t); maximize t subject to normal.x + t <= offset, t <= 1.
-    constraints = [
-        HalfSpace(tuple(h.normal) + (Fraction(1),), h.offset) for h in poly.halfspaces
-    ]
-    constraints.append(
-        HalfSpace(tuple(ZERO for _ in range(n)) + (Fraction(1),), Fraction(1))
-    )
-    lp = LinearProgram(
-        objective=tuple(ZERO for _ in range(n)) + (Fraction(1),),
-        sense="max",
-        constraints=tuple(constraints),
-    )
-    res = simplex_solve(lp)
-    if res.status != "optimal" or res.value is None or res.value <= 0:
-        return None
-    return res.point[:n]
-
-
 def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:
     """A half-space as the int row (normal, num, den) of normal . x <= num/den:
     the normal times the lcm L of its denominators, and the offset times L."""
@@ -409,40 +371,6 @@ def _tightest_halfspaces(rows: Sequence[tuple[IVec, int, int]]) -> tuple[HalfSpa
     return tuple(
         HalfSpace(ivec_to_vec(n), Fraction(num, den)) for n, (num, den) in _tightest(rows).items()
     )
-
-
-def dedupe_halfspaces(halfspaces: Sequence[HalfSpace]) -> tuple[HalfSpace, ...]:
-    """Scale-normalize and drop repeated or dominated copies of the same row."""
-    return _tightest_halfspaces([_int_row(h) for h in halfspaces])
-
-
-def reduce(poly: HPolyhedron) -> HPolyhedron:
-    """Irredundant representation of the same set, one LP per constraint.
-
-    Empty polyhedra are returned unchanged (irredundancy is not meaningful
-    for them).
-    """
-    halfspaces = list(dedupe_halfspaces(poly.halfspaces))
-    if not halfspaces:
-        return HPolyhedron(poly.dim, ())
-    if feasible_point(HPolyhedron(poly.dim, tuple(halfspaces))) is None:
-        return poly
-    kept = halfspaces[:]
-    i = 0
-    while i < len(kept):
-        others = kept[:i] + kept[i + 1 :]
-        lp = LinearProgram(
-            objective=kept[i].normal,
-            sense="max",
-            constraints=tuple(others),
-        )
-        res = simplex_solve(lp)
-        redundant = res.status == "optimal" and res.value <= kept[i].offset
-        if redundant:
-            kept.pop(i)
-        else:
-            i += 1
-    return HPolyhedron(poly.dim, tuple(kept))
 
 
 # ---------------------------------------------------------------------------

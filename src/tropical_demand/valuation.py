@@ -8,27 +8,13 @@ above the lifted points, restricted to the convex hull of the bundles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    DegenerateInput,
-    EmptyCell,
-    UnknownBundle,
-    ValidationError,
-    quoted,
-)
+from .errors import DegenerateInput, UnknownBundle, ValidationError, quoted
 from .exactmath import IVec, dot, scaled_ints, vsub
-from .polyhedra import (
-    AffinePiece,
-    HPolyhedron,
-    HalfSpace,
-    feasible_point,
-    interior_point,
-    reduce,
-    upper_concave_hull,
-)
+from .polyhedra import AffinePiece, HPolyhedron, upper_concave_hull
 
 
 @dataclass(frozen=True)
@@ -84,38 +70,6 @@ class PolyhedralFunction:
     def active_pieces(self, x: Sequence[Fraction | int]) -> list[AffinePiece]:
         target = self.evaluate(x)
         return [p for p in self.pieces if p.evaluate(x) == target]
-
-    def active_region(self, k: int) -> tuple[HalfSpace, ...] | None:
-        """Rows of the set where piece k attains the function, one per other
-        non-parallel piece in piece order; the domain rows follow them.  The
-        pieces are compared in ints, every slope times one lcm S of the slope
-        denominators and every intercept times one lcm T of the intercept
-        denominators, and each kept row (normal / S) . x <= offset / T
-        becomes Fractions once.
-
-        None when a parallel piece beats k everywhere.
-        """
-        slope_scale, slopes = scaled_ints(p.slope for p in self.pieces)
-        intercept_scale, (intercepts,) = scaled_ints([[p.intercept for p in self.pieces]])
-        slope, intercept = slopes[k], intercepts[k]
-        sign = 1 if self.convention == "max" else -1
-        rows = []
-        for j, (other, b) in enumerate(zip(slopes, intercepts)):
-            if j == k:
-                continue
-            normal = tuple(sign * (x - y) for x, y in zip(other, slope))
-            offset = sign * (intercept - b)
-            if not any(normal):
-                if offset < 0:
-                    return None
-                continue
-            rows.append(
-                HalfSpace(
-                    normal=tuple(Fraction(x, slope_scale) for x in normal),
-                    offset=Fraction(offset, intercept_scale),
-                )
-            )
-        return (*rows, *self.domain.halfspaces)
 
 
 @dataclass(frozen=True)
@@ -188,27 +142,6 @@ def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:
     return frozenset(v.entries) - below, below
 
 
-def inverse_demand_region(
-    v: Valuation, q: IVec, price_domain: HPolyhedron | None = None
-) -> HPolyhedron:
-    """Reduced H-representation of the prices at which ``q`` is demanded.
-
-    The default price domain is all of price space.  Raises EmptyCell when
-    the bundle is strictly below the concave hull, i.e. never demanded.
-    """
-    if q not in v.entries:
-        raise UnknownBundle(f"bundle {q} not in valuation")
-    f = indirect_utility(v)
-    if price_domain is not None:
-        f = replace(f, domain=price_domain)
-    k = [piece.slope for piece in f.pieces].index(tuple(-c for c in q))
-    halfspaces = f.active_region(k)
-    region = HPolyhedron(v.goods, halfspaces)
-    if halfspaces and feasible_point(region) is None:
-        raise EmptyCell(f"bundle {q} is never demanded")
-    return reduce(region)
-
-
 def check_monotone(v: Valuation, samples: Iterable[Sequence[Fraction | int]]) -> bool:
     """Demand selections must move against prices: (q2-q1).(p2-p1) <= 0 for
     every sample pair and every pair of selections."""
@@ -224,19 +157,3 @@ def check_monotone(v: Valuation, samples: Iterable[Sequence[Fraction | int]]) ->
                     if dot(vsub(qj, qi), dp) > 0:
                         return False
     return True
-
-
-def essential_pieces(f: PolyhedralFunction) -> frozenset[AffinePiece]:
-    """Pieces that are uniquely active on a full-dimensional region.
-
-    Dropping the others does not change the function; this is the canonical
-    piece set used when comparing polyhedral functions built along
-    different routes.  Each piece's active region is tested for interior
-    by one ``interior_point`` LP, in every dimension.
-    """
-    keep = []
-    for k, piece in enumerate(f.pieces):
-        active = f.active_region(k)
-        if active is not None and interior_point(HPolyhedron(f.domain.dim, active)) is not None:
-            keep.append(piece)
-    return frozenset(keep)

@@ -5,13 +5,31 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from tropical_demand import Economy, Valuation
+from tropical_demand import Economy, LabeledSubdivision, Valuation
+from tropical_demand.exactmath import dot, vsub
 
 F = Fraction
 
 
 def make_valuation(entries: dict[tuple[int, ...], int | Fraction], goods: int = 2) -> Valuation:
     return Valuation(goods=goods, entries={q: Fraction(u) for q, u in entries.items()})
+
+
+def bundle_regions(s: LabeledSubdivision) -> dict[tuple[int, ...], int]:
+    """The regions of a price complex by the bundle that labels each."""
+    return {tuple(int(c) for c in s.region_labels[r]): r for r in s.regions()}
+
+
+def in_region(s: LabeledSubdivision, region: int, p) -> bool:
+    """Whether p lies in the closed region of a price complex: on the
+    region's side of every incident facet, whose normal points from its
+    ``from_region`` into its ``to_region``."""
+    for e in s.cells[region].incident:
+        fd = s.facet_data[e]
+        side = dot(vsub(p, s.cells[e].points[0]), fd.normal)
+        if side > 0 if fd.from_region == region else side < 0:
+            return False
+    return True
 
 
 @pytest.fixture

@@ -5,8 +5,10 @@ Every m-subset of lattice points in R^m spans a candidate hyperplane whose
 normal is the vector of integer cofactors of its difference vectors, kept
 when all points lie on one side.  ``upper_concave_hull`` and ``hull_rows``
 are the walk-built forms of the kernel's two readers, with the same
-scaling, sorting and deduplication.  ``independent_directions`` gives the
-directions that span a point set's affine hull, as Fractions.
+scaling and sorting; ``hull_rows`` deduplicates in ``Fraction``s
+(``fraction_regions._tightest_rows``), not through the kernel's integer
+rows.  ``independent_directions`` gives the directions that span a point
+set's affine hull, as Fractions.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from math import lcm
 from typing import Sequence
 
 from tropical_demand.exactmath import IVec, Vec, ZERO, dot, first_independent, scaled_ints, vsub
-from tropical_demand.polyhedra import AffinePiece, HalfSpace, dedupe_halfspaces
+from tropical_demand.polyhedra import AffinePiece, HalfSpace
+
+from fraction_regions import _tightest_rows
 
 
 def independent_directions(points: Sequence[Sequence[Fraction | int]]) -> list[Vec]:
@@ -102,11 +106,14 @@ def upper_concave_hull(
 
 def hull_rows(points: Sequence[Sequence[Fraction | int]]) -> tuple[HalfSpace, ...]:
     """The facets of a full-dimensional point set, in order of first
-    appearance in the walk over the sorted points, deduplicated."""
+    appearance in the walk over the sorted points, deduplicated in
+    ``Fraction``s: per primitive normal, the least offset."""
     uniq = sorted(set(tuple(Fraction(c) for c in p) for p in points))
     scale = lcm(*(c.denominator for p in uniq for c in p))
     hs = [
         HalfSpace(tuple(Fraction(a) for a in normal), Fraction(offset, scale))
         for normal, offset in _facets([tuple(int(c * scale) for c in p) for p in uniq])
     ]
-    return dedupe_halfspaces(hs)
+    return tuple(
+        HalfSpace(tuple(Fraction(a) for a in n), c) for n, (c, _) in _tightest_rows(hs).items()
+    )

@@ -1,9 +1,10 @@
 """The Fraction route to the 2-D active regions: the one half-plane walk
-left in the project.  It is the oracle of ``PolyhedralFunction.active_region``
-in ``tropical_demand.valuation``, of ``essential_pieces`` (one interior-point
-LP per piece) and of the lifted hull's pieces, and ``walk_route`` builds the
-price complex's oracle from its polygons, so no oracle of a complex goes
-through the lift it checks.
+left in the project.  It is the oracle of the lifted hull's pieces and of
+the pieces active on a full-dimensional region, which a potential
+integrated from the price complex must reproduce, and ``walk_route``
+builds the price complex's oracle from its polygons, so no oracle of a
+complex goes through the lift it checks.  Its regions are checked in turn
+against ``PolyhedralFunction.active_pieces``.
 
 Each piece k gets one ``HalfSpace`` per other non-parallel piece, built from
 ``Fraction`` slope and intercept differences, followed by the domain rows.

@@ -16,7 +16,6 @@ from tropical_demand import (
     LinearProgram,
     convex_hull_halfspaces,
     price_complex,
-    reduce,
     simplex_solve,
     upper_concave_hull,
 )
@@ -24,11 +23,10 @@ from tropical_demand import polyhedra
 from tropical_demand.equilibrium import _epigraph_lp
 from tropical_demand.exactmath import dot
 from tropical_demand.polyhedra import (
+    _int_row,
     _optimum_is_unique,
     _pivot,
-    dedupe_halfspaces,
-    feasible_point,
-    interior_point,
+    _tightest_halfspaces,
 )
 
 import facet_walk
@@ -893,7 +891,6 @@ def test_polygon_unit_square():
 def test_polygon_empty():
     rows = (hs((1, 0), 0), hs((-1, 0), -1))
     assert halfplane_intersection(rows) is None
-    assert feasible_point(HPolyhedron(2, rows)) is None
 
 
 def test_polygon_full_plane():
@@ -923,12 +920,11 @@ def test_polygon_of_segment_is_degenerate():
     # No interior, so no polygon; the set still has a point.
     poly = HPolyhedron(2, (hs((0, 1), 0), hs((0, -1), 0), hs((1, 0), 1), hs((-1, 0), 0)))
     assert halfplane_intersection(poly.halfspaces) is None
-    point = feasible_point(poly)
-    assert point is not None and poly.contains(point)
+    assert poly.contains((F(1, 2), F(0)))
 
 
 # ---------------------------------------------------------------------------
-# the Fraction half-plane walk, checked against the simplex route
+# the Fraction half-plane walk and the tightest row per normal
 # ---------------------------------------------------------------------------
 
 
@@ -970,27 +966,6 @@ def halfplane_sets(draw):
         elif kind == "reverse":
             rows.append(hs((-k * a, -k * b), -k * c))
     return draw(st.permutations(rows))
-
-
-@settings(max_examples=300, deadline=None)
-@given(halfplane_sets())
-def test_halfplane_intersection_agrees_with_lp(rows):
-    region = halfplane_intersection(rows)
-    inner = interior_point(HPolyhedron(2, tuple(rows)))
-    assert (region is None) == (inner is None)
-    if region is None:
-        return
-    polygon, edges = region
-    for vertex in polygon.vertices:
-        assert all(h.contains(vertex) for h in rows)
-        assert sum(1 for h in rows if h.tight_at(vertex)) >= 2
-    for ray in polygon.rays:
-        assert all(dot(h.normal, ray) <= 0 for h in rows)
-    for edge in edges:
-        assert dot(edge.line.normal, inner) < edge.line.offset
-        assert all(dedupe_halfspaces([rows[i]]) == (edge.line,) for i in edge.sources)
-        for end in (edge.start, edge.end):
-            assert end is None or edge.line.tight_at(end)
 
 
 positive_rationals = st.builds(F, st.integers(1, 99), st.integers(1, 99))
@@ -1049,7 +1024,7 @@ def test_dedupe_halfspaces_matches_a_fraction_reference(rows):
         n = tuple(int(c / w) for c in h.normal)
         best[n] = min(best.get(n, h.offset / w), h.offset / w)
     expected = tuple(HalfSpace(tuple(F(c) for c in n), c) for n, c in best.items())
-    assert dedupe_halfspaces(rows) == expected
+    assert _tightest_halfspaces([_int_row(h) for h in rows]) == expected
 
 
 def test_halfplane_intersection_without_interior():
@@ -1089,45 +1064,6 @@ def test_collinear_middle_bundle_facet_has_weight_two():
         for fd in s.facet_data.values()
     }
     assert weights[frozenset(((F(0), F(0)), (F(2), F(0))))] == 2
-
-
-# ---------------------------------------------------------------------------
-# reduce
-# ---------------------------------------------------------------------------
-
-
-def test_reduce_drops_dominated_row():
-    poly = HPolyhedron(1, (hs((1,), 1), hs((1,), 2)))
-    out = reduce(poly)
-    assert out.halfspaces == (hs((1,), 1),)
-
-
-def test_reduce_drops_constraint_touching_in_one_point():
-    # x + y <= 2 only touches the box at its corner; removing it does not
-    # enlarge the set, so an irredundant representation drops it.
-    poly = HPolyhedron(2, (hs((1, 1), 2), hs((1, 0), 1), hs((0, 1), 1)))
-    out = reduce(poly)
-    assert set(out.halfspaces) == {hs((1, 0), 1), hs((0, 1), 1)}
-
-
-def test_reduce_keeps_supporting_rows():
-    poly = HPolyhedron(2, (hs((1, 1), 2), hs((1, 0), F(3, 2)), hs((0, 1), F(3, 2))))
-    out = reduce(poly)
-    # Each constraint cuts a corner off the other two: all are irredundant.
-    assert set(out.halfspaces) == set(poly.halfspaces)
-
-
-def test_reduce_empty_input_is_whole_space():
-    poly = HPolyhedron(2, ())
-    assert reduce(poly).halfspaces == ()
-
-
-def test_reduce_returns_an_empty_polyhedron_unchanged():
-    # x <= 0 and x >= 1, with the first row twice: no row is dropped, not
-    # even the duplicate.
-    rows = (hs((1,), 0), hs((1,), 0), hs((-1,), -1))
-    poly = HPolyhedron(1, rows)
-    assert reduce(poly).halfspaces == rows
 
 
 def test_affine_piece_evaluation():

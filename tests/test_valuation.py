@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from tropical_demand import (
     AffinePiece,
-    EmptyCell,
     HalfSpace,
     HPolyhedron,
     PolyhedralFunction,
@@ -19,17 +18,15 @@ from tropical_demand import (
     cli,
     demand,
     dualize,
-    essential_pieces,
     hull_support,
     indirect_utility,
-    inverse_demand_region,
+    price_complex,
     serialize,
 )
 from tropical_demand.exactmath import dot
 
 import fraction_regions
-from fraction_regions import halfplane_intersection
-from conftest import make_valuation, price_vectors, valuations
+from conftest import bundle_regions, in_region, make_valuation, price_vectors, valuations
 from facet_walk import independent_directions
 
 F = Fraction
@@ -110,10 +107,10 @@ def test_dualize_with_a_zero_third_good_pads_the_two_good_dual(v):
 
 
 def test_inverse_demand_region_center_bundle(five_bundle_valuation):
-    region = inverse_demand_region(five_bundle_valuation, (1, 1))
-    out, _ = halfplane_intersection(region.halfspaces)
-    assert out.kind == "bounded"
-    assert set(out.vertices) == {
+    s = price_complex(five_bundle_valuation)
+    region = s.cells[bundle_regions(s)[(1, 1)]]
+    assert region.rays == ()
+    assert set(region.points) == {
         (F(1), F(9)),
         (F(3), F(7)),
         (F(8), F(16)),
@@ -122,24 +119,17 @@ def test_inverse_demand_region_center_bundle(five_bundle_valuation):
 
 
 def test_inverse_demand_region_zero_bundle(five_bundle_valuation):
-    region = inverse_demand_region(five_bundle_valuation, (0, 0))
-    out, _ = halfplane_intersection(region.halfspaces)
-    assert out.kind == "unbounded"
-    assert set(out.vertices) == {(F(8), F(16)), (F(10), F(14))}
-    assert set(out.rays) == {(1, 0), (0, 1)}
+    s = price_complex(five_bundle_valuation)
+    region = s.cells[bundle_regions(s)[(0, 0)]]
+    assert set(region.points) == {(F(8), F(16)), (F(10), F(14))}
+    assert set(region.rays) == {(1, 0), (0, 1)}
 
 
 def test_inverse_demand_region_dominated_bundle():
     v = make_valuation({(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34})
     on_hull, below = hull_support(v)
     assert (1, 1) in below
-    with pytest.raises(EmptyCell):
-        inverse_demand_region(v, (1, 1))
-
-
-def test_inverse_demand_region_unknown_bundle(five_bundle_valuation):
-    with pytest.raises(UnknownBundle):
-        inverse_demand_region(five_bundle_valuation, (7, 7))
+    assert set(bundle_regions(price_complex(v))) == on_hull
 
 
 def test_value_of_a_missing_bundle(five_bundle_valuation):
@@ -147,35 +137,6 @@ def test_value_of_a_missing_bundle(five_bundle_valuation):
     with pytest.raises(UnknownBundle) as info:
         five_bundle_valuation.value((7, 7))
     assert str(info.value) == "bundle (7, 7) not in valuation"
-
-
-def test_inverse_demand_region_on_nonnegative_prices(five_bundle_valuation):
-    nonneg = HPolyhedron(2, (HalfSpace((F(-1), F(0)), F(0)), HalfSpace((F(0), F(-1)), F(0))))
-    region = inverse_demand_region(five_bundle_valuation, (2, 2), price_domain=nonneg)
-    out, _ = halfplane_intersection(region.halfspaces)
-    assert out.kind == "bounded"
-    assert set(out.vertices) == {
-        (F(0), F(0)),
-        (F(3), F(0)),
-        (F(3), F(7)),
-        (F(1), F(9)),
-        (F(0), F(9)),
-    }
-
-
-def test_parallel_piece_that_loses_everywhere_has_no_active_region():
-    # Two pieces share slope (1, 0); the one with the lower intercept never
-    # attains the max, so the shared builder drops it before any geometry.
-    low = AffinePiece(slope=(F(1), F(0)), intercept=F(0))
-    high = AffinePiece(slope=(F(1), F(0)), intercept=F(2))
-    other = AffinePiece(slope=(F(0), F(1)), intercept=F(0))
-    f = PolyhedralFunction("max", (low, high, other), HPolyhedron(2, ()))
-    assert f.active_region(0) is None
-    assert f.active_region(1) == (HalfSpace(normal=(F(-1), F(1)), offset=F(2)),)
-    assert essential_pieces(f) == {high, other}
-    g = PolyhedralFunction("min", (low, high, other), HPolyhedron(2, ()))
-    assert g.active_region(1) is None
-    assert essential_pieces(g) == {low, other}
 
 
 def test_hull_support(five_bundle_valuation):
@@ -242,14 +203,18 @@ def test_young_fenchel_equality(v, p):
 @settings(max_examples=25, deadline=None)
 @given(valuations(max_bundles=6), price_vectors())
 def test_inverse_correspondence(v, p):
-    demanded = demand(v, p).bundles
-    for q in sorted(v.entries):
-        try:
-            region = inverse_demand_region(v, q)
-        except EmptyCell:
-            assert q not in demanded
-            continue
-        assert region.contains(p) == (q in demanded)
+    # q's inverse-demand set is its region of the price complex; a bundle
+    # with no region is demanded only where demand is multi-valued.  The
+    # complex's vertices test the closed regions where they meet.
+    s = price_complex(v)
+    regions = bundle_regions(s)
+    for price in [p, *(s.cells[x].points[0] for x in s.vertices())]:
+        demanded = demand(v, price).bundles
+        for q in sorted(v.entries):
+            if q in regions:
+                assert in_region(s, regions[q], price) == (q in demanded)
+            else:
+                assert q not in demanded or len(demanded) >= 2
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,9 +225,12 @@ def test_biconjugation_on_concavified_data(v):
     assert {(p.slope, p.intercept) for p in dualize(v).pieces} == {
         (p.slope, p.intercept) for p in dualize(v_hull).pieces
     }
-    assert essential_pieces(indirect_utility(v)) == essential_pieces(
-        indirect_utility(v_hull)
-    )
+    # The pieces with a full-dimensional region, by the Fraction walk.
+    essential = [
+        {f.pieces[k] for k, *_ in fraction_regions.active_polygons(f)}
+        for f in (indirect_utility(v), indirect_utility(v_hull))
+    ]
+    assert essential[0] == essential[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,18 +267,8 @@ def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
     assert list(dualize(v).pieces) == sorted(corners, key=lambda p: (p.slope, p.intercept))
 
 
-@settings(max_examples=60, deadline=None)
-@given(any_valuations)
-def test_essential_pieces_in_2d_match_the_interior_point_lp(v):
-    # essential_pieces runs one interior-point LP per piece; the pieces
-    # whose Fraction walk finds a region with interior are its oracle.
-    for f in (indirect_utility(v), dualize(v)):
-        walked = {f.pieces[k] for k, *_ in fraction_regions.active_polygons(f)}
-        assert essential_pieces(f) == walked
-
-
 # ---------------------------------------------------------------------------
-# integer tie rows against the Fraction route
+# evaluation against the Fraction route's regions
 # ---------------------------------------------------------------------------
 
 small_fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -337,11 +295,35 @@ def polyhedral_functions(draw):
     return PolyhedralFunction(convention, tuple(pieces), HPolyhedron(2, tuple(domain)))
 
 
+def _inner_point(polygon, edges):
+    """A point inside a walked region: its corners' mean stepped along its
+    rays; the origin of the whole plane; on the line through the origin
+    along the normal n of a cornerless region, midway between a strip's two
+    lines, or where n . x is one less than a half-plane's offset."""
+    if polygon.vertices:
+        k = len(polygon.vertices)
+        return tuple(
+            sum(x[i] for x in polygon.vertices) / k + sum(r[i] for r in polygon.rays)
+            for i in range(2)
+        )
+    if not edges:
+        return (F(0), F(0))
+    n, high = edges[0].line.normal, edges[0].line.offset
+    low = -edges[1].line.offset if len(edges) == 2 else high - 2
+    return tuple((high + low) / 2 * c / dot(n, n) for c in n)
+
+
 def _assert_same_regions(f):
-    oracle = [fraction_regions.active_region(f, k) for k in range(len(f.pieces))]
-    assert [f.active_region(k) for k in range(len(f.pieces))] == [
-        None if active is None else active[0] for active in oracle
-    ]
+    # Where f's own evaluation puts piece k against the Fraction walk, the
+    # oracle of the lift and of every essential-piece comparison: k is
+    # active at each corner of its walked region, and at a point inside
+    # the region only k and its copies are.
+    for k, polygon, edges, _ in fraction_regions.active_polygons(f):
+        piece = f.pieces[k]
+        assert all(piece in f.active_pieces(x) for x in polygon.vertices)
+        inner = _inner_point(polygon, edges)
+        assert all(dot(e.line.normal, inner) < e.line.offset for e in edges)
+        assert set(f.active_pieces(inner)) == {piece}
 
 
 @settings(max_examples=150, deadline=None)
