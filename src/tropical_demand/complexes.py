@@ -46,6 +46,7 @@ from .exactmath import (
     primitive_direction,
     rational_direction,
     rot90ccw,
+    scaled_ints,
     vsub,
 )
 from .polyhedra import (
@@ -147,6 +148,17 @@ def edge_direction(cell: Cell) -> Vec:
     return ivec_to_vec(cell.rays[0])
 
 
+def _int_direction(cell: Cell) -> IVec:
+    """A positive integer multiple of ``edge_direction``: a segment's
+    b - a times the denominators of the four coordinates, else the ray."""
+    if len(cell.points) != 2:
+        return cell.rays[0]
+    (ax, ay), (bx, by) = cell.points
+    dx = (bx.numerator * ax.denominator - ax.numerator * bx.denominator) * ay.denominator
+    dy = (by.numerator * ay.denominator - ay.numerator * by.denominator) * ax.denominator
+    return dx * by.denominator, dy * bx.denominator
+
+
 def _sort_ccw(items: list, key) -> list:
     return sorted(items, key=functools.cmp_to_key(lambda x, y: ccw_compare(key(x), key(y))))
 
@@ -193,11 +205,14 @@ def _region_representative(s: LabeledSubdivision, region_id: int) -> Vec | None:
         if len(anchors) == 1:
             return tuple(a + c for a, c in zip(anchors[0], rot90ccw(cell.rays[0])))
         return None
-    k = Fraction(len(cell.points))
-    avg = tuple(sum(p[i] for p in cell.points) / k for i in range(2))
-    for r in cell.rays:
-        avg = tuple(a + Fraction(x) for a, x in zip(avg, r))
-    return avg
+    # sum(points) / k + sum(rays), with the points scaled by the lcm L of
+    # their denominators: both coordinates over k * L.
+    scale, ints = scaled_ints(cell.points)
+    den = len(ints) * scale
+    return tuple(
+        Fraction(sum(p[i] for p in ints) + den * sum(r[i] for r in cell.rays), den)
+        for i in range(2)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +514,14 @@ def check_balancing(s: LabeledSubdivision) -> BalanceReport:
 
     Vertices incident to any boundary facet (no facet data) are reported as
     skipped, not checked.
+
+    The ccw order and the side of each normal depend only on the direction
+    of each edge, so both run on an integer direction per edge: a segment's
+    b - a times the positive denominators of its own coordinates, or the
+    ray itself.  Each edge takes its own scale: a parsed document may carry
+    many distinct large denominators, and one lcm over all of them would
+    make every product huge.  Weights, contributions and residuals stay
+    Fractions.
     """
     # Each vertex's incident edges in id order, built in one pass.
     edges_at: dict[int, list[int]] = {}
@@ -516,18 +539,18 @@ def check_balancing(s: LabeledSubdivision) -> BalanceReport:
         entries = []
         for e in incident:
             cell = s.cells[e]
-            d = edge_direction(cell)
+            d = _int_direction(cell)
             if len(cell.points) == 2 and cell.points[1] == point:
                 d = (-d[0], -d[1])  # the vertex is the segment's far end
             entries.append((e, d))
         entries = _sort_ccw(entries, key=lambda item: item[1])
         contributions: list[tuple[Fraction, IVec]] = []
-        for e, d in entries:
+        for e, (dx, dy) in entries:
             fd = s.facet_data[e]
-            crossing = rot90ccw(d)
-            side = dot(fd.normal, crossing)
-            if side > 0:
-                oriented = tuple(-c for c in fd.normal)
+            nx, ny = fd.normal
+            # The normal's side of the edge: its dot with rot90ccw(d).
+            if nx * -dy + ny * dx > 0:
+                oriented = (-nx, -ny)
             else:
                 oriented = fd.normal
             contributions.append((fd.weight, oriented))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, quoted
@@ -78,15 +79,19 @@ def ivec_to_vec(v: IVec) -> Vec:
 
 
 def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
+    """The exact dot product, a Fraction also when both vectors are ints:
+    the sum starts from the Fraction zero."""
     if len(u) != len(v):
         raise DegenerateInput(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((Fraction(a) * b for a, b in zip(u, v)), ZERO)
+    return sum(map(mul, u, v), ZERO)
 
 
 def vsub(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Vec:
+    """The difference as a tuple of Fractions; only a difference of two ints
+    needs wrapping."""
     if len(u) != len(v):
         raise DegenerateInput(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
+    return tuple(d if isinstance(d, Fraction) else Fraction(d) for d in map(sub, u, v))
 
 
 def is_primitive(v: IVec) -> bool:

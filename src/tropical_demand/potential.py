@@ -17,9 +17,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
-from .complexes import LabeledSubdivision, edge_direction
+from .complexes import LabeledSubdivision, _int_direction
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -28,7 +28,7 @@ from .errors import (
     clipped,
     quoted,
 )
-from .exactmath import Vec, ZERO, dot, format_rational, scaled_ints, vsub
+from .exactmath import IVec, Vec, ZERO, dot, format_rational, scaled_ints, vsub
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
 
@@ -71,18 +71,17 @@ def _label_slope(convention: str, v: Vec) -> Vec:
     return tuple(-c for c in v) if convention == "max" else v
 
 
-def _facet_point(s: LabeledSubdivision, edge_id: int) -> Vec:
-    # Any exact point of the shared facet works; segment and ray endpoints
-    # are 0-cells, a full line carries its canonical anchor.
-    return s.cells[edge_id].points[0]
-
-
 def _constant_step(
-    s: LabeledSubdivision, from_region: int, to_region: int, point: Vec
-) -> Fraction:
-    # The two pieces agree at the facet point: c_to = c_from + (s_from - s_to).x.
-    diff = vsub(s.region_labels[from_region], s.region_labels[to_region])
-    return dot(point, _label_slope(s.convention, diff))
+    s: LabeledSubdivision,
+    labels: dict[int, IVec],
+    from_region: int,
+    to_region: int,
+    point: IVec,
+) -> int:
+    # The two pieces agree at the facet point: c_to = c_from + (s_from - s_to).x,
+    # here on the integer scales of the labels and of the point.
+    diff = tuple(map(sub, labels[from_region], labels[to_region]))
+    return sum(map(mul, point, _label_slope(s.convention, diff)))
 
 
 def integrate_subdivision(
@@ -93,6 +92,13 @@ def integrate_subdivision(
     ``anchor`` fixes the intercept of one region's affine piece.  Raises
     :class:`NonConservative` with a witnessing region cycle when the labels
     admit no single potential.
+
+    The constants are ints over one scale S: the lcm of the denominators of
+    the facet points (each facet's first point, where its two pieces are
+    made to agree), times the lcm of the labels' denominators, times the
+    anchor's denominator.  Each region's intercept becomes a Fraction once.
+    The perpendicularity test runs on the integer labels and an integer
+    direction of each facet.
     """
     regions = s.regions()
     if not regions:
@@ -100,21 +106,35 @@ def integrate_subdivision(
     anchor_region, anchor_value = anchor
     if anchor_region not in s.region_labels:
         raise DegenerateInput(f"anchor region {anchor_region} is not a region")
+    anchor_value = Fraction(anchor_value)
+
+    facets = sorted(s.facet_data.items())
+    label_scale, label_ints = scaled_ints(s.region_labels.values())
+    labels = dict(zip(s.region_labels, label_ints))
+    # Any exact point of the shared facet works; segment and ray endpoints
+    # are 0-cells, a full line carries its canonical anchor.
+    point_scale, point_ints = scaled_ints(s.cells[e].points[0] for e, _ in facets)
+    # The anchor's denominator goes into the points, so a step is in 1/S.
+    den = anchor_value.denominator
+    points = {e: (x * den, y * den) for (e, _), (x, y) in zip(facets, point_ints)}
+    scale = point_scale * label_scale * den
 
     adjacency: dict[int, list[tuple[int, int]]] = {r: [] for r in regions}
-    for edge_id, fd in sorted(s.facet_data.items()):
+    for edge_id, fd in facets:
         adjacency[fd.from_region].append((fd.to_region, edge_id))
         adjacency[fd.to_region].append((fd.from_region, edge_id))
         # A label difference that is not perpendicular to its facet cannot
         # come from a potential: the two pieces would disagree along it.
-        diff = vsub(s.region_labels[fd.from_region], s.region_labels[fd.to_region])
-        if dot(diff, edge_direction(s.cells[edge_id])) != 0:
+        diff = map(sub, labels[fd.from_region], labels[fd.to_region])
+        if sum(map(mul, diff, _int_direction(s.cells[edge_id]))) != 0:
             raise NonConservative(
                 f"label difference across edge {quoted(edge_id)} is not normal to it",
                 cycle=(fd.from_region, fd.to_region, fd.from_region),
             )
 
-    constants: dict[int, Fraction] = {anchor_region: Fraction(anchor_value)}
+    constants: dict[int, int] = {
+        anchor_region: anchor_value.numerator * point_scale * label_scale
+    }
     parent: dict[int, int] = {anchor_region: anchor_region}
     tree_edges: set[int] = set()
     queue = deque([anchor_region])
@@ -123,9 +143,8 @@ def integrate_subdivision(
         for neighbor, edge_id in sorted(adjacency[current]):
             if neighbor in constants:
                 continue
-            point = _facet_point(s, edge_id)
             constants[neighbor] = constants[current] + _constant_step(
-                s, current, neighbor, point
+                s, labels, current, neighbor, points[edge_id]
             )
             parent[neighbor] = current
             tree_edges.add(edge_id)
@@ -137,24 +156,25 @@ def integrate_subdivision(
             f"region adjacency graph is disconnected (unreached: {quoted(missing)})"
         )
 
-    for edge_id, fd in sorted(s.facet_data.items()):
+    for edge_id, fd in facets:
         if edge_id in tree_edges:
             continue
-        point = _facet_point(s, edge_id)
         expected = constants[fd.from_region] + _constant_step(
-            s, fd.from_region, fd.to_region, point
+            s, labels, fd.from_region, fd.to_region, points[edge_id]
         )
         if constants[fd.to_region] != expected:
             cycle = _tree_cycle(parent, fd.from_region, fd.to_region)
             raise NonConservative(
                 f"inconsistent constant across edge {quoted(edge_id)}: "
-                f"{clipped(format_rational(constants[fd.to_region]))} != "
-                f"{clipped(format_rational(expected))}",
+                f"{clipped(format_rational(Fraction(constants[fd.to_region], scale)))} != "
+                f"{clipped(format_rational(Fraction(expected, scale)))}",
                 cycle=cycle,
             )
 
     slopes = {r: _label_slope(s.convention, s.region_labels[r]) for r in regions}
-    pieces = {AffinePiece(slope=slopes[r], intercept=constants[r]) for r in regions}
+    pieces = {
+        AffinePiece(slope=slopes[r], intercept=Fraction(constants[r], scale)) for r in regions
+    }
     ordered = tuple(sorted(pieces, key=lambda p: (p.slope, p.intercept)))
     return PolyhedralFunction(s.convention, ordered, s.domain)
 
@@ -286,9 +306,15 @@ def check_cyclic_monotonicity(
 
     dist = [0] * k
     pred: list[int | None] = [None] * k
+    # Row i can relax an arc only if dist[i] fell since its last relaxation:
+    # the weights are fixed and no dist[j] ever rises.
+    pending = [True] * k
     for round_ in range(k):
         changed = False
         for i in range(k):
+            if not pending[i]:
+                continue
+            pending[i] = False
             # j == i is skipped, so dist[i] is fixed while its row relaxes.
             dist_i = dist[i]
             row = weights[i]
@@ -299,6 +325,7 @@ def check_cyclic_monotonicity(
                 if candidate < dist[j]:
                     dist[j] = candidate
                     pred[j] = i
+                    pending[j] = True
                     changed = True
                     if round_ == k - 1:
                         witness_node = j

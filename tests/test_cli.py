@@ -402,6 +402,8 @@ def test_balance_golden_and_tampered(tmp_path):
     doc = json.loads(report.read_text())
     validate(doc, "balance_report.schema.json")
     assert doc["balanced"] is True
+    golden = ROOT / "tests" / "golden"
+    assert report.read_bytes() == (golden / "balance_demand_five_bundles.json").read_bytes()
 
     tampered = json.loads(out.read_text())
     for cell in tampered["cells"]:
@@ -415,6 +417,50 @@ def test_balance_golden_and_tampered(tmp_path):
     assert doc2["balanced"] is False
     residuals = [c["residual"] for c in doc2["checked"] if not c["balanced"]]
     assert residuals
+    assert report2.read_bytes() == (golden / "balance_tampered_demand.json").read_bytes()
+
+
+# Values with denominators 2 and 3: the demand complex's labels and the
+# price complex's vertices are rational, and so are the constants.
+RATIONAL_VALUES = {
+    "goods": 2,
+    "entries": [
+        {"bundle": [0, 0], "value": "0"},
+        {"bundle": [2, 0], "value": "1"},
+        {"bundle": [0, 3], "value": "1/2"},
+        {"bundle": [1, 1], "value": "4/3"},
+        {"bundle": [2, 3], "value": "5/2"},
+    ],
+}
+
+
+ANCHOR_THIRD = ["--anchor-value", "1/3"]
+BALANCE_INTEGRATE_GOLDENS = [
+    ("balance", "price", FIVE_BUNDLE, [], "balance_price_five_bundles.json"),
+    ("balance", "demand", FIVE_BUNDLE, [], "balance_demand_five_bundles.json"),
+    ("balance", "price", RATIONAL_VALUES, [], "balance_price_rational.json"),
+    ("balance", "demand", RATIONAL_VALUES, [], "balance_demand_rational.json"),
+    ("integrate", "price", FIVE_BUNDLE, [], "integrate_price_five_bundles.json"),
+    ("integrate", "demand", FIVE_BUNDLE, [], "integrate_demand_five_bundles.json"),
+    ("integrate", "price", RATIONAL_VALUES, ANCHOR_THIRD, "integrate_price_rational.json"),
+    ("integrate", "demand", RATIONAL_VALUES, ANCHOR_THIRD, "integrate_demand_rational.json"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, which, valuation, extra, golden",
+    BALANCE_INTEGRATE_GOLDENS,
+    ids=[golden.removesuffix(".json") for *_, golden in BALANCE_INTEGRATE_GOLDENS],
+)
+def test_balance_and_integrate_golden_bytes(tmp_path, command, which, valuation, extra, golden):
+    # The exact bytes of `balance` and `integrate` on both complexes of the
+    # bundled valuation and of one with rational values.
+    infile = write(tmp_path, "v.json", valuation)
+    complex_ = tmp_path / "c.json"
+    assert cli.main(["complex", "--in", infile, "--which", which, "--out", str(complex_)]) == 0
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--in", str(complex_), "--out", str(out), *extra]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / golden).read_bytes()
 
 
 def test_balance_structurally_invalid(tmp_path, capsys):

@@ -6,7 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
-from tropical_demand.exactmath import lattice_length, rational_direction, scaled_ints
+from tropical_demand.exactmath import (
+    dot,
+    lattice_length,
+    rational_direction,
+    scaled_ints,
+    vsub,
+)
 
 from facet_walk import independent_directions
 
@@ -27,6 +33,23 @@ def test_canonical_form():
 def test_compare_cross_multiplication():
     assert F(16, 2) == F(8)
     assert F(7, 3) < F(12, 5)
+
+
+coordinates = st.integers(-9, 9) | st.fractions(max_denominator=9)
+
+
+@given(st.lists(st.tuples(coordinates, coordinates), max_size=3))
+def test_dot_and_vsub_return_fractions_for_any_mix_of_ints(pairs):
+    # Every coordinate comes back a Fraction, also when both operands are ints.
+    u, v = [a for a, _ in pairs], [b for _, b in pairs]
+    product, difference = dot(u, v), vsub(u, v)
+    assert type(product) is F and product == sum((F(a) * F(b) for a, b in pairs), F(0))
+    assert all(type(d) is F for d in difference)
+    assert difference == tuple(F(a) - F(b) for a, b in pairs)
+    with pytest.raises(DegenerateInput, match="dimension mismatch"):
+        dot(u, v + [1])
+    with pytest.raises(DegenerateInput, match="dimension mismatch"):
+        vsub(u + [1], v)
 
 
 def test_rational_parsing():
