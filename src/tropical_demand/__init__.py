@@ -16,7 +16,6 @@ from .complexes import (
     LabeledSubdivision,
     LabelingViolation,
     VertexBalance,
-    canonical_form,
     check_balancing,
     check_normal_labeling,
     demand_complex,
@@ -31,7 +30,6 @@ from .equilibrium import (
     EquilibriumReport,
     aggregate_indirect,
     duality_test,
-    economy_potential,
     max_aggregate_utility,
     min_aggregate_indirect,
     walrasian_check,
@@ -42,7 +40,6 @@ from .errors import (
     InstanceTooLarge,
     NonConservative,
     ToolkitError,
-    UnknownBundle,
     UnsupportedDimension,
     ValidationError,
 )
@@ -52,7 +49,6 @@ from .exactmath import (
     Vec,
     format_rational,
     is_primitive,
-    lattice_length,
     primitive_direction,
     rational,
     rational_direction,
@@ -78,10 +74,8 @@ from .valuation import (
     DemandSet,
     PolyhedralFunction,
     Valuation,
-    check_monotone,
     demand,
     dualize,
-    hull_support,
     indirect_utility,
 )
 

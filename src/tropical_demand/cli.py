@@ -36,7 +36,7 @@ from .errors import (
 from .exactmath import rational
 from .potential import check_cyclic_monotonicity, integrate_subdivision
 from .svg import render_subdivision
-from .valuation import _dual
+from .valuation import dualize
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -81,7 +81,7 @@ def _emit(text: str, path: str | None) -> None:
 
 def cmd_dualize(args) -> int:
     v = serialize.valuation_from_dict(_read_json(args.infile))
-    dual, below = _dual(v)
+    dual, below = dualize(v)
     _emit(serialize.dumps(serialize.function_to_dict(dual, never_demanded=sorted(below))), args.out)
     return EXIT_OK
 

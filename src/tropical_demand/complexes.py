@@ -104,9 +104,6 @@ class LabeledSubdivision:
     def regions(self) -> list[int]:
         return sorted(i for i, c in self.cells.items() if c.dim == 2)
 
-    def boundary_edges(self) -> list[int]:
-        return [e for e in self.edges() if e not in self.facet_data]
-
 
 @dataclass(frozen=True)
 class VertexBalance:
@@ -140,17 +137,10 @@ def finite_endpoints(edge: Cell | _EdgeDraft) -> tuple[Vec, ...]:
     return edge.points[: 2 - len(edge.rays)]
 
 
-def edge_direction(cell: Cell) -> Vec:
-    """A segment's direction from its first point to its second, else the
-    edge's first ray."""
-    if len(cell.points) == 2:
-        return vsub(cell.points[1], cell.points[0])
-    return ivec_to_vec(cell.rays[0])
-
-
 def _int_direction(cell: Cell) -> IVec:
-    """A positive integer multiple of ``edge_direction``: a segment's
-    b - a times the denominators of the four coordinates, else the ray."""
+    """A positive integer multiple of an edge's direction: a segment's b - a,
+    from its first point to its second, times the denominators of the four
+    coordinates, else the edge's first ray."""
     if len(cell.points) != 2:
         return cell.rays[0]
     (ax, ay), (bx, by) = cell.points
@@ -493,7 +483,7 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
                 )
             )
             continue
-        direction = edge_direction(cell)
+        direction = _int_direction(cell)
         if dot(fd.normal, direction) != 0:
             violations.append(
                 LabelingViolation(edge_id, "normal is not perpendicular to the facet")
@@ -578,7 +568,7 @@ def check_balancing(s: LabeledSubdivision) -> BalanceReport:
 def _boundary_outer_normal(s: LabeledSubdivision, edge_id: int) -> IVec:
     cell = s.cells[edge_id]
     anchor = cell.points[0]
-    direction = edge_direction(cell)
+    direction = _int_direction(cell)
     for h in s.domain.halfspaces:
         if h.tight_at(anchor) and dot(h.normal, direction) == 0:
             prim, _ = rational_direction(h.normal)
@@ -658,47 +648,3 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
     else:
         domain = convex_hull_halfspaces([s.region_labels[r] for r in regions], 2)
     return _assemble(dual_edges, dual_regions, convention, domain)
-
-
-# ---------------------------------------------------------------------------
-# canonical comparison form
-# ---------------------------------------------------------------------------
-
-
-def canonical_form(s: LabeledSubdivision):
-    """Rotation- and id-independent description, for exact cell-for-cell
-    comparison of subdivisions built along different routes."""
-    verts = frozenset(s.cells[v].points[0] for v in s.vertices())
-    edge_sigs = []
-    for e in s.edges():
-        cell = s.cells[e]
-        if e in s.facet_data:
-            fd = s.facet_data[e]
-            la = s.region_labels[fd.from_region]
-            lb = s.region_labels[fd.to_region]
-            normal = fd.normal
-            if (la, lb) > (lb, la):
-                la, lb = lb, la
-                normal = tuple(-c for c in normal)
-            rel = (la, lb, fd.weight, normal)
-        else:
-            rel = None
-        edge_sigs.append(
-            (tuple(sorted(cell.points)), tuple(sorted(cell.rays)), rel)
-        )
-    region_sigs = []
-    for r in s.regions():
-        cell = s.cells[r]
-        region_sigs.append(
-            (
-                s.region_labels[r],
-                frozenset(cell.points),
-                frozenset(cell.rays),
-            )
-        )
-    return (
-        verts,
-        frozenset(edge_sigs),
-        frozenset(region_sigs),
-        s.convention,
-    )

@@ -269,18 +269,6 @@ def walrasian_check(
     return all(r.optimal for r in receipts), tuple(receipts)
 
 
-def economy_potential(
-    e: Economy, p: Sequence[Fraction | int], a: Allocation
-) -> Fraction:
-    """Aggregate utility minus aggregate indirect utility; always <= 0, and
-    zero exactly at Walrasian equilibria (each consumer optimal and no
-    leftover supply at a positive price)."""
-    prices = _check_prices(e, p)
-    _check_allocation(e, a)
-    total_u = sum((v.entries[q] for v, q in zip(e.consumers, a.bundles)), ZERO)
-    return total_u - aggregate_indirect(e, prices)
-
-
 def _market_clears(e: Economy, p: Vec, a: Allocation) -> bool:
     leftover = tuple(
         e.endowment[l] - sum(bundle[l] for bundle in a.bundles) for l in range(e.goods)

@@ -9,10 +9,6 @@ class DegenerateInput(ToolkitError):
     """Input is structurally unusable (zero vector, duplicate bundles, ...)."""
 
 
-class UnknownBundle(ToolkitError):
-    """A bundle was referenced that the valuation does not contain."""
-
-
 class UnsupportedDimension(ToolkitError):
     """The operation is only available in a different ambient dimension."""
 

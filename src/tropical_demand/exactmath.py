@@ -9,6 +9,7 @@ so they are safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
@@ -22,34 +23,33 @@ IVec = tuple[int, ...]
 
 ZERO = Fraction(0)
 
+# The schemas' rational pattern; a denominator of zeros is matched too, so
+# that it is refused by its own message.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0+|[1-9][0-9]*))?")
+
 
 def rational(value: int | str | Fraction) -> Fraction:
-    """Parse a rational from an int, a Fraction, or a ``num/den`` string.
+    """Parse a rational from an int, a Fraction, or a string that is all of
+    the schemas' pattern ``-?[0-9]+(/[1-9][0-9]*)?``: ASCII digits, no sign
+    but a leading minus, no space, no underscore, and a denominator without
+    a leading zero.
 
-    A zero denominator signals :class:`DegenerateInput`.
+    Anything else signals :class:`DegenerateInput`; a denominator of zeros
+    says "zero denominator".
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
-        raise DegenerateInput(f"not a rational: {quoted(value)}")
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        num, slash, den = text.partition("/")
-        try:
-            numerator = int(num)
-        except ValueError:
-            raise DegenerateInput(f"not a rational: {quoted(value)}") from None
-        if not slash:
-            return Fraction(numerator)
-        try:
-            denominator = int(den)
-        except ValueError:
-            raise DegenerateInput(f"not a rational: {quoted(value)}") from None
-        if denominator == 0:
+    match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
+    if match is not None:
+        num, den = match.groups()
+        if den is not None and den[0] == "0":
             raise DegenerateInput(f"zero denominator in {quoted(value)}")
-        return Fraction(numerator, denominator)
+        try:
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        except ValueError:
+            pass  # more digits than the interpreter's int-from-string limit
     raise DegenerateInput(f"not a rational: {quoted(value)}")
 
 
@@ -107,12 +107,13 @@ def primitive_direction(v: IVec) -> tuple[IVec, int]:
     return tuple(c // g for c in v), g
 
 
-def scaled_ints(vectors: Iterable[Sequence[Fraction | int]]) -> tuple[int, list[IVec]]:
+def scaled_ints(vectors: Iterable[Iterable[Fraction | int]]) -> tuple[int, list[IVec]]:
     """The vectors times the least common multiple L of all their
     denominators, as int tuples, with L.  Each coordinate x becomes
     ``x.numerator * (L // x.denominator)``; ints and Fractions both have a
-    numerator and a denominator, so either passes as it is."""
-    vectors = list(vectors)
+    numerator and a denominator, so either passes as it is.  Each vector is
+    read once, into a tuple, so an iterator is scaled like a sequence."""
+    vectors = [tuple(v) for v in vectors]
     scale = lcm(*(x.denominator for v in vectors for x in v))
     return scale, [tuple(x.numerator * (scale // x.denominator) for x in v) for v in vectors]
 
@@ -124,11 +125,6 @@ def rational_direction(v: Sequence[Fraction | int]) -> tuple[IVec, Fraction]:
         raise DegenerateInput("rational_direction of the zero vector")
     n, g = primitive_direction(ints)
     return n, Fraction(g, scale)
-
-
-def lattice_length(v: Sequence[Fraction | int]) -> Fraction:
-    """The w in ``v = w * n`` with n a primitive lattice direction."""
-    return rational_direction(v)[1]
 
 
 def rot90ccw(v: Sequence[Fraction | int]) -> tuple:

@@ -33,10 +33,12 @@ pieces, the vertices of the indirect utility's epigraph, and their zero
 sets the pieces' cells, which ``upper_concave_hull`` returns with them:
 each cell is a region of the demand complex and its piece's slope a
 vertex of the price complex, so both 2-D complexes read these pieces and
-no other module reads the lift.  The rays with s = 0 are the bundle
-hull's facets (``_hull``).  Rational values and points are first scaled
-by the lcm of their denominators (``exactmath.scaled_ints``), so every
-test is the sign of an integer.
+no other module reads the lift.  A bundle in no cell is never demanded;
+``valuation.dualize`` returns those bundles with the dual, off the same
+lift.  The rays with s = 0 are the bundle hull's facets (``_hull``).
+Rational values and points are first scaled by the lcm of their
+denominators (``exactmath.scaled_ints``), so every test is the sign of an
+integer.
 """
 
 from __future__ import annotations
@@ -569,7 +571,8 @@ def upper_concave_hull(
     points in no cell are the bundles never demanded.  The rays with s = 0
     give the domain (``_hull``), the same rows as ``convex_hull_halfspaces``
     of the bundles.  This is the only source of the concave dual's pieces
-    (``valuation.dualize``) and of the 2-D complexes' cells.  At most 64
+    and never-demanded bundles (``valuation.dualize``) and of the 2-D
+    complexes' cells.  At most 64
     points and 3 goods.
     """
     if not points:

@@ -226,10 +226,6 @@ def domain_to_dict(domain: HPolyhedron) -> dict:
     }
 
 
-def domain_from_dict(data) -> HPolyhedron:
-    return _domain(data, {})
-
-
 def _domain(data, memo: dict[str, Fraction]) -> HPolyhedron:
     _expect(isinstance(data, dict), "domain: expected an object")
     _expect(_is_int(data.get("dim")), "domain: 'dim' must be an integer")

@@ -4,16 +4,18 @@ A valuation is a finite map from nonnegative integer bundles to rational
 values.  Its indirect utility is the convex max-of-affine function with one
 piece per bundle; its dual is the lowest concave (min-of-affine) function
 above the lifted points, restricted to the convex hull of the bundles.
+``dualize`` returns the dual together with the bundles strictly below it,
+which no price demands, both off one lift of the upper concave hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DegenerateInput, UnknownBundle, ValidationError, quoted
-from .exactmath import IVec, dot, scaled_ints, vsub
+from .errors import DegenerateInput, ValidationError, quoted
+from .exactmath import IVec, scaled_ints
 from .polyhedra import AffinePiece, HPolyhedron, upper_concave_hull
 
 
@@ -41,12 +43,6 @@ class Valuation:
 
     def bundles(self) -> list[IVec]:
         return sorted(self.entries)
-
-    def value(self, bundle: IVec) -> Fraction:
-        try:
-            return self.entries[bundle]
-        except KeyError:
-            raise UnknownBundle(f"bundle {bundle} not in valuation") from None
 
 
 @dataclass(frozen=True)
@@ -110,50 +106,21 @@ def demand(v: Valuation, p: Sequence[Fraction | int]) -> DemandSet:
     )
 
 
-def dualize(v: Valuation) -> PolyhedralFunction:
-    """The lowest concave function above the lifted bundle values.
+def dualize(v: Valuation) -> tuple[PolyhedralFunction, frozenset[IVec]]:
+    """The lowest concave function above the lifted bundle values, and the
+    bundles strictly below it (never demanded at any price).
 
     Min-of-affine on the convex hull of the bundles; the slopes of the
     pieces are the prices at which demand is maximally multi-valued.  The
     pieces are the vertices (p, f(p)) of the epigraph of the indirect
     utility f, and the domain the facets of the bundle hull: both are rays
     of the one cone that ``upper_concave_hull`` lifts, by exact double
-    description, for 1, 2 and 3 goods alike.  At most MAX_HULL_POINTS
-    bundles.
+    description, for 1, 2 and 3 goods alike.  The never-demanded bundles
+    come off the same lift: a bundle is on the hull iff some piece's cell
+    holds it.  At most MAX_HULL_POINTS bundles.
     """
-    return _dual(v)[0]
-
-
-def _dual(v: Valuation) -> tuple[PolyhedralFunction, frozenset[IVec]]:
-    """The concave dual and the bundles strictly below it (never demanded),
-    all from one lift of the upper concave hull: its pieces, its domain, and
-    its cells (a bundle is on the hull iff some piece's cell holds it)."""
     entries = sorted(v.entries.items())
     pieces, cells, domain = upper_concave_hull(entries)
     hull = frozenset().union(*cells)
     below = frozenset(q for i, (q, _) in enumerate(entries) if i not in hull)
     return PolyhedralFunction("min", tuple(pieces), domain), below
-
-
-def hull_support(v: Valuation) -> tuple[frozenset[IVec], frozenset[IVec]]:
-    """Split bundles into those on the concave hull and those strictly below
-    (never demanded at any price), off the hull that ``dualize`` lifts."""
-    below = _dual(v)[1]
-    return frozenset(v.entries) - below, below
-
-
-def check_monotone(v: Valuation, samples: Iterable[Sequence[Fraction | int]]) -> bool:
-    """Demand selections must move against prices: (q2-q1).(p2-p1) <= 0 for
-    every sample pair and every pair of selections."""
-    prices = [tuple(Fraction(c) for c in p) for p in samples]
-    if not prices:
-        raise DegenerateInput("no price samples")
-    demands = [demand(v, p) for p in prices]
-    for i in range(len(prices)):
-        for j in range(i + 1, len(prices)):
-            dp = vsub(prices[j], prices[i])
-            for qi in demands[i].bundles:
-                for qj in demands[j].bundles:
-                    if dot(vsub(qj, qi), dp) > 0:
-                        return False
-    return True

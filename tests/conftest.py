@@ -32,6 +32,33 @@ def in_region(s: LabeledSubdivision, region: int, p) -> bool:
     return True
 
 
+def canonical_form(s: LabeledSubdivision):
+    """A rotation- and id-independent description, for exact cell-for-cell
+    comparison of subdivisions built along different routes: a complex and
+    its double dual are equal under it but not byte for byte."""
+    verts = frozenset(s.cells[v].points[0] for v in s.vertices())
+    edge_sigs = []
+    for e in s.edges():
+        cell = s.cells[e]
+        if e in s.facet_data:
+            fd = s.facet_data[e]
+            la = s.region_labels[fd.from_region]
+            lb = s.region_labels[fd.to_region]
+            normal = fd.normal
+            if (la, lb) > (lb, la):
+                la, lb = lb, la
+                normal = tuple(-c for c in normal)
+            rel = (la, lb, fd.weight, normal)
+        else:
+            rel = None
+        edge_sigs.append((tuple(sorted(cell.points)), tuple(sorted(cell.rays)), rel))
+    region_sigs = [
+        (s.region_labels[r], frozenset(s.cells[r].points), frozenset(s.cells[r].rays))
+        for r in s.regions()
+    ]
+    return verts, frozenset(edge_sigs), frozenset(region_sigs), s.convention
+
+
 @pytest.fixture
 def five_bundle_valuation() -> Valuation:
     # Two goods, five bundles on the corners and center of [0,2]^2; the

@@ -15,7 +15,7 @@ from tropical_demand import (
     Economy,
     Polyline,
     Valuation,
-    canonical_form,
+    aggregate_indirect,
     check_balancing,
     check_cyclic_monotonicity,
     demand,
@@ -23,19 +23,17 @@ from tropical_demand import (
     dualize,
     dualize_complex,
     duality_test,
-    economy_potential,
-    hull_support,
     indirect_utility,
     integrate_subdivision,
     path_integral,
     price_complex,
     walrasian_check,
 )
-from tropical_demand.complexes import edge_direction
-from tropical_demand.exactmath import dot, lattice_length
+from tropical_demand.exactmath import dot, rational_direction
 
 import fraction_regions
-from conftest import bundle_regions, in_region
+from conftest import bundle_regions, canonical_form, in_region
+from fraction_consumers import edge_direction
 
 F = Fraction
 
@@ -82,7 +80,8 @@ def random_price(rng: random.Random, lo: int = -20, hi: int = 40) -> tuple:
 
 
 def test_c01_fenchel_dual_reproduction():
-    dual = dualize(FIVE_BUNDLE)
+    dual, below = dualize(FIVE_BUNDLE)
+    assert below == frozenset()
     got = {(p.slope, p.intercept) for p in dual.pieces}
     assert got == {
         ((F(1), F(9)), F(14)),
@@ -194,8 +193,8 @@ def test_c08_inverse_correspondence_and_conjugacy():
     for _ in range(40):
         v = random_valuation(rng, max_bundles=6)
         V = indirect_utility(v)
-        U = dualize(v)
-        on_hull, _ = hull_support(v)
+        U, below = dualize(v)
+        on_hull = set(v.entries) - below
         # q's inverse-demand set is its region of the price complex; a
         # bundle with no region is demanded only where demand is
         # multi-valued.  The complex's vertices are prices where regions meet.
@@ -259,7 +258,10 @@ def test_c10_weak_duality_and_certificates():
             assert cert is not None and cert.status == "found"
             ok, _ = walrasian_check(e, cert.prices, cert.allocation)
             assert ok
-            assert economy_potential(e, cert.prices, cert.allocation) == 0
+            # The economy's potential, aggregate utility minus aggregate
+            # indirect utility, is zero at an equilibrium.
+            total_u = sum(v.entries[q] for v, q in zip(e.consumers, cert.allocation.bundles))
+            assert total_u - aggregate_indirect(e, cert.prices) == 0
         # searched selections: optimal + market clearing at the argmin
         # prices implies the gap closes
         for combo in itertools.product(
@@ -296,8 +298,8 @@ def test_c11_duality_of_complexes():
         d_price = edge_direction(cell)
         d_demand = edge_direction(dc.cells[dual_edge])
         assert dot(d_price, d_demand) == 0
-        assert fd.weight == lattice_length(d_demand)
-        assert dc.facet_data[dual_edge].weight == lattice_length(d_price)
+        assert fd.weight == rational_direction(d_demand)[1]
+        assert dc.facet_data[dual_edge].weight == rational_direction(d_price)[1]
         paired += 1
     assert paired == 4
     print("[criterion 11] PASS - complexes are exact duals with orthogonal edges and dual weights")

@@ -6,16 +6,14 @@ def test_public_api_is_pinned():
     assert sorted(tropical_demand.__all__) == [
         "AffinePiece", "Allocation", "BalanceReport", "Cell", "Certificate", "ConsumerReceipt",
         "CorrespondenceSample", "DegenerateInput", "DemandSet", "DomainError", "Economy",
-        "EquilibriumReport", "FacetData", "HPolyhedron", "HalfSpace", "IVec",
-        "InstanceTooLarge", "LPResult", "LabeledSubdivision", "LabelingViolation",
-        "LinearProgram", "NonConservative", "PolyhedralFunction", "Polyline", "Rational",
-        "ToolkitError", "UnknownBundle", "UnsupportedDimension", "ValidationError",
-        "Valuation", "Vec", "VertexBalance", "aggregate_indirect", "canonical_form",
-        "check_balancing", "check_cyclic_monotonicity", "check_monotone",
-        "check_normal_labeling", "convex_hull_halfspaces", "demand", "demand_complex",
-        "duality_test", "dualize", "dualize_complex", "economy_potential", "format_rational",
-        "hull_support", "indirect_utility", "integrate_subdivision", "is_primitive",
-        "lattice_length", "max_aggregate_utility", "min_aggregate_indirect", "path_integral",
-        "price_complex", "primitive_direction", "rational", "rational_direction",
-        "simplex_solve", "upper_concave_hull", "walrasian_check",
+        "EquilibriumReport", "FacetData", "HPolyhedron", "HalfSpace", "IVec", "InstanceTooLarge",
+        "LPResult", "LabeledSubdivision", "LabelingViolation", "LinearProgram", "NonConservative",
+        "PolyhedralFunction", "Polyline", "Rational", "ToolkitError", "UnsupportedDimension",
+        "ValidationError", "Valuation", "Vec", "VertexBalance", "aggregate_indirect",
+        "check_balancing", "check_cyclic_monotonicity", "check_normal_labeling",
+        "convex_hull_halfspaces", "demand", "demand_complex", "duality_test", "dualize",
+        "dualize_complex", "format_rational", "indirect_utility", "integrate_subdivision",
+        "is_primitive", "max_aggregate_utility", "min_aggregate_indirect", "path_integral",
+        "price_complex", "primitive_direction", "rational", "rational_direction", "simplex_solve",
+        "upper_concave_hull", "walrasian_check",
     ]

@@ -90,11 +90,13 @@ def validate(instance, schema_name):
 
 DEMAND_COMPLEX = json.loads((ROOT / "tests" / "golden" / "complex_demand.json").read_text())
 PRICE_COMPLEX = json.loads((ROOT / "tests" / "golden" / "complex_price.json").read_text())
+FULL_DIMENSIONAL = json.loads((ROOT / "tests" / "golden" / "dualize_full_dimensional.json").read_text())
 
 
 def test_bundled_data_files_match_goldens():
     data = json.loads((ROOT / "data" / "five_bundle_valuation.json").read_text())
     assert data == FIVE_BUNDLE == DEMAND_COMPLEX[0]["valuation"] == PRICE_COMPLEX[0]["valuation"]
+    assert data == FULL_DIMENSIONAL[0]["valuation"]
     econ = json.loads((ROOT / "data" / "no_equilibrium_economy.json").read_text())
     assert econ == ECONOMY
 
@@ -213,6 +215,18 @@ def test_dualize_lower_dimensional_golden_bytes(tmp_path, case):
     out = tmp_path / "dual.json"
     assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
     assert out.read_bytes() == case["dualize"].encode()
+
+
+@pytest.mark.parametrize("case", FULL_DIMENSIONAL, ids=lambda case: case["name"])
+def test_dualize_full_dimensional_golden_bytes(tmp_path, case):
+    # The exact bytes of `dualize` on bundle sets that span the goods space:
+    # the bundled valuation, and one set each in 2 and 3 goods with a bundle
+    # that no price demands.
+    infile = write(tmp_path, "v.json", case["valuation"])
+    out = tmp_path / "dual.json"
+    assert cli.main(["dualize", "--in", infile, "--out", str(out)]) == 0
+    assert out.read_bytes() == case["dualize"].encode()
+    assert (json.loads(out.read_text())["never_demanded"] == []) == (case is FULL_DIMENSIONAL[0])
 
 
 def test_dualize_builds_at_most_one_hull_and_reads_never_demanded_off_it(tmp_path, monkeypatch):
@@ -1154,6 +1168,22 @@ CLI_ERRORS = {
         ["dualize"], _with_values("1/0", "1/0"), 3,
         "valuation entry value: zero denominator in '1/0'",
     ),
+    # A value string is read as the schemas' pattern -?[0-9]+(/[1-9][0-9]*)?
+    # and nothing more.
+    **{
+        f"dualize-value-{name}": (
+            ["dualize"], _with_values(text), 3, f"valuation entry value: not a rational: {text!r}"
+        )
+        for name, text in (
+            ("underscore", "1_000"),
+            ("plus-sign", "+5"),
+            ("spaces", " 7 "),
+            ("space-after-slash", "1/ 2"),
+            ("negative-denominator", "1/-2"),
+            ("zero-led-denominator", "1/05"),
+            ("arabic-indic-digit", "\u0663"),
+        )
+    },
 }
 
 

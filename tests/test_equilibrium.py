@@ -17,9 +17,8 @@ from tropical_demand import (
     LinearProgram,
     aggregate_indirect,
     demand,
+    dualize,
     duality_test,
-    economy_potential,
-    hull_support,
     max_aggregate_utility,
     min_aggregate_indirect,
     price_complex,
@@ -38,6 +37,13 @@ F = Fraction
 
 def vec(*cs):
     return tuple(F(c) for c in cs)
+
+
+def economy_potential(e: Economy, p, a: Allocation) -> Fraction:
+    """Aggregate utility minus aggregate indirect utility: at most 0, and 0
+    exactly at a Walrasian equilibrium."""
+    total_u = sum((v.entries[q] for v, q in zip(e.consumers, a.bundles)), F(0))
+    return total_u - aggregate_indirect(e, p)
 
 
 # ---------------------------------------------------------------------------
@@ -618,7 +624,7 @@ def test_concave_valuations_of_one_unimodular_type_have_an_equilibrium(drawn):
     sign, e = drawn
     demand_type = {(1, 0), (0, 1)}
     for v in e.consumers:
-        assert hull_support(v)[1] == frozenset()
+        assert dualize(v)[1] == frozenset()
         demand_type |= _demand_type(v)
     assert demand_type <= {(1, 0), (0, 1), (1, -sign)}
     assert _unimodular(demand_type)

@@ -1,3 +1,6 @@
+import json
+import pathlib
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -8,7 +11,6 @@ from hypothesis import strategies as st
 from tropical_demand import DegenerateInput, format_rational, is_primitive, primitive_direction, rational
 from tropical_demand.exactmath import (
     dot,
-    lattice_length,
     rational_direction,
     scaled_ints,
     vsub,
@@ -68,8 +70,33 @@ def test_format_rational_writes_ints_past_the_digit_limit():
     assert format_rational(F(1, 10**4300)) == "1/1" + "0" * 4300
 
 
+SCHEMAS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
+# Every schema that defines a rational string gives it this one pattern.
+(RATIONAL_PATTERN,) = {
+    schema["definitions"]["rational"]["pattern"]
+    for schema in (json.loads(path.read_text()) for path in sorted(SCHEMAS.glob("*.json")))
+    if "rational" in schema.get("definitions", {})
+}
+
+
+@given(
+    st.from_regex(RATIONAL_PATTERN, fullmatch=True)
+    | st.text(st.sampled_from("0123456789-+/_ \n\u0663"), max_size=8)
+    | st.text(max_size=6)
+)
+def test_rational_strings_are_exactly_the_schema_pattern(text):
+    # Signs, spaces, underscores, a negative or zero-led denominator, a
+    # trailing newline and non-ASCII digits are all refused, as the schemas
+    # refuse them; "1/0" keeps its own message.
+    if re.fullmatch(RATIONAL_PATTERN, text):
+        assert rational(text) == Fraction(text)
+    else:
+        with pytest.raises(DegenerateInput, match="^(not a rational|zero denominator in)"):
+            rational(text)
+
+
 def test_zero_denominator_rejected():
-    with pytest.raises(DegenerateInput):
+    with pytest.raises(DegenerateInput, match="^zero denominator in '1/0'$"):
         rational("1/0")
     with pytest.raises(DegenerateInput):
         rational("abc")
@@ -94,7 +121,7 @@ def test_is_primitive():
 def test_rational_direction():
     n, w = rational_direction((F(3, 2), F(-9, 2)))
     assert n == (1, -3) and w == F(3, 2)
-    assert lattice_length((F(2), F(-2))) == 2
+    assert rational_direction((F(2), F(-2))) == ((1, -1), 2)
 
 
 @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda v: v != (0, 0)))
@@ -177,3 +204,12 @@ def test_scaled_ints_clears_denominators_by_their_least_common_multiple(vectors)
     # No proper divisor scale / p clears every denominator.
     for p in (p for p in range(2, 41) if scale % p == 0 and all(p % q for q in range(2, p))):
         assert any((F(c) * (scale // p)).denominator != 1 for v in vectors for c in v)
+
+
+def test_scaled_ints_reads_each_vector_once():
+    # An iterator is scaled like the tuple it yields, not read once for the
+    # lcm and found empty for the scaling.
+    assert scaled_ints([iter([F(1, 2)]), (1, 2)]) == (2, [(1,), (2, 4)])
+    vectors = [(F(1, 3), 2), (), (F(-5, 6),)]
+    expected = (6, [(2, 12), (), (-5,)])
+    assert scaled_ints(iter(v) for v in vectors) == scaled_ints(vectors) == expected

@@ -141,7 +141,7 @@ def test_constant_potential_loop():
 
 
 def test_path_outside_domain(five_bundle_valuation):
-    dual = dualize(five_bundle_valuation)  # domain is the bundle hull
+    dual, _ = dualize(five_bundle_valuation)  # domain is the bundle hull
     with pytest.raises(DomainError):
         path_integral(dual, Polyline(waypoints=(vec(0, 0), vec(5, 5))))
 

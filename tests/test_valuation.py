@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -8,17 +9,16 @@ from hypothesis import strategies as st
 
 from tropical_demand import (
     AffinePiece,
+    CorrespondenceSample,
     HalfSpace,
     HPolyhedron,
     PolyhedralFunction,
-    UnknownBundle,
     ValidationError,
     Valuation,
-    check_monotone,
+    check_cyclic_monotonicity,
     cli,
     demand,
     dualize,
-    hull_support,
     indirect_utility,
     price_complex,
     serialize,
@@ -70,8 +70,8 @@ def test_demand_golden_prices(five_bundle_valuation):
 
 
 def test_dualize_pieces(five_bundle_valuation):
-    dual = dualize(five_bundle_valuation)
-    assert dual.convention == "min"
+    dual, below = dualize(five_bundle_valuation)
+    assert dual.convention == "min" and below == frozenset()
     got = {(p.slope, p.intercept) for p in dual.pieces}
     assert got == {
         ((F(1), F(9)), F(14)),
@@ -84,8 +84,8 @@ def test_dualize_pieces(five_bundle_valuation):
 
 def test_dualize_single_bundle():
     v = make_valuation({(0, 0): 0})
-    dual = dualize(v)
-    assert len(dual.pieces) == 1
+    dual, below = dualize(v)
+    assert len(dual.pieces) == 1 and below == frozenset()
     assert dual.evaluate((F(0), F(0))) == 0
 
 
@@ -94,9 +94,10 @@ def test_dualize_single_bundle():
 def test_dualize_with_a_zero_third_good_pads_the_two_good_dual(v):
     # Bundles with q3 = 0 span at most a plane in R^3: the dual is the
     # 2-good dual with slopes and rows padded by zeros, plus x3 = 0 as the
-    # pair of rows x3 <= 0 and -x3 <= 0.
+    # pair of rows x3 <= 0 and -x3 <= 0.  The same bundles are never demanded.
     flat = Valuation(3, {(*q, 0): u for q, u in v.entries.items()})
-    two, three = dualize(v), dualize(flat)
+    (two, two_below), (three, three_below) = dualize(v), dualize(flat)
+    assert {(*q, 0) for q in two_below} == three_below
     assert [((*p.slope, 0), p.intercept) for p in two.pieces] == [
         (p.slope, p.intercept) for p in three.pieces
     ]
@@ -127,22 +128,14 @@ def test_inverse_demand_region_zero_bundle(five_bundle_valuation):
 
 def test_inverse_demand_region_dominated_bundle():
     v = make_valuation({(0, 0): 0, (2, 0): 16, (1, 1): 1, (0, 2): 28, (2, 2): 34})
-    on_hull, below = hull_support(v)
-    assert (1, 1) in below
-    assert set(bundle_regions(price_complex(v))) == on_hull
-
-
-def test_value_of_a_missing_bundle(five_bundle_valuation):
-    assert five_bundle_valuation.value((2, 2)) == 34
-    with pytest.raises(UnknownBundle) as info:
-        five_bundle_valuation.value((7, 7))
-    assert str(info.value) == "bundle (7, 7) not in valuation"
+    _, below = dualize(v)
+    assert below == {(1, 1)}
+    assert set(bundle_regions(price_complex(v))) == set(v.entries) - below
 
 
 def test_hull_support(five_bundle_valuation):
-    on_hull, below = hull_support(five_bundle_valuation)
-    assert on_hull == {(0, 0), (2, 0), (1, 1), (0, 2), (2, 2)}
-    assert below == frozenset()
+    # Every bundle of the running example is on the concave hull.
+    assert dualize(five_bundle_valuation)[1] == frozenset()
 
 
 @pytest.mark.parametrize("k", range(5, 25))
@@ -153,24 +146,9 @@ def test_moment_curve_dual_has_the_cyclic_polytope_count(k):
     # t.  So t2 = t1 + 1 and t4 = t3 + 1 (Gale's evenness condition for the
     # cyclic 4-polytope): C(k - 2, 2) pieces, with every point on one.
     v = Valuation(goods=3, entries={(t, t**2, t**3): F(-(t**4)) for t in range(k)})
-    assert len(dualize(v).pieces) == math.comb(k - 2, 2)
-    assert hull_support(v)[1] == frozenset()
-
-
-def test_check_monotone_on_sampled_prices(five_bundle_valuation):
-    samples = [
-        (F(0), F(0)),
-        (F(8), F(16)),
-        (F(9), F(15)),
-        (F(3), F(7)),
-        (F(25), F(3)),
-        (F(1, 2), F(40)),
-    ]
-    assert check_monotone(five_bundle_valuation, samples) is True
-
-
-def test_check_monotone_single_sample_vacuous(five_bundle_valuation):
-    assert check_monotone(five_bundle_valuation, [(F(1), F(1))]) is True
+    dual, below = dualize(v)
+    assert len(dual.pieces) == math.comb(k - 2, 2)
+    assert below == frozenset()
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +164,9 @@ def test_young_fenchel_equality(v, p):
     # is not demanded is strictly below; a below-hull bundle only satisfies
     # the weak inequality (it can sit inside a demanded face).
     V = indirect_utility(v)
-    U = dualize(v)
+    U, below = dualize(v)
     demanded = demand(v, p).bundles
-    on_hull, _ = hull_support(v)
+    on_hull = set(v.entries) - below
     for q in sorted(v.entries):
         lhs = U.evaluate(q)
         rhs = V.evaluate(p) + dot(p, q)
@@ -220,10 +198,11 @@ def test_inverse_correspondence(v, p):
 @settings(max_examples=25, deadline=None)
 @given(valuations())
 def test_biconjugation_on_concavified_data(v):
-    on_hull, _ = hull_support(v)
-    v_hull = Valuation(goods=v.goods, entries={q: v.entries[q] for q in on_hull})
-    assert {(p.slope, p.intercept) for p in dualize(v).pieces} == {
-        (p.slope, p.intercept) for p in dualize(v_hull).pieces
+    dual, below = dualize(v)
+    on_hull = {q: u for q, u in v.entries.items() if q not in below}
+    v_hull = Valuation(goods=v.goods, entries=on_hull)
+    assert {(p.slope, p.intercept) for p in dual.pieces} == {
+        (p.slope, p.intercept) for p in dualize(v_hull)[0].pieces
     }
     # The pieces with a full-dimensional region, by the Fraction walk.
     essential = [
@@ -233,10 +212,27 @@ def test_biconjugation_on_concavified_data(v):
     assert essential[0] == essential[1]
 
 
-@settings(max_examples=25, deadline=None)
-@given(valuations(), st.lists(price_vectors(), min_size=2, max_size=4))
-def test_demand_is_monotone(v, prices):
-    assert check_monotone(v, prices) is True
+@st.composite
+def valuations_with_prices(draw):
+    """A valuation and one to three prices, each a random price or the slope
+    of a piece of the dual, where demand is most multi-valued."""
+    v = draw(st.one_of(valuations(max_bundles=6), valuations(max_bundles=6, max_value=3)))
+    slopes = [piece.slope for piece in dualize(v)[0].pieces]
+    price = st.one_of(price_vectors(), st.sampled_from(slopes))
+    return v, draw(st.lists(price, min_size=1, max_size=3))
+
+
+@settings(max_examples=50, deadline=None)
+@given(valuations_with_prices())
+def test_every_demand_selection_is_cyclically_monotone(drawn):
+    # Demand is the subdifferential of the convex indirect utility, so every
+    # selection of the demand sets at the sampled prices passes the cycle
+    # inequalities, pairs (2-cycles) included.
+    v, prices = drawn
+    demand_sets = [sorted(demand(v, p).bundles) for p in prices]
+    for selection in itertools.product(*demand_sets):
+        pairs = tuple((p, tuple(F(c) for c in q)) for p, q in zip(prices, selection))
+        assert check_cyclic_monotonicity(CorrespondenceSample(pairs=pairs)) == (True, None)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +260,7 @@ def test_dual_from_the_price_complex_matches_the_lifted_hull(v):
         for k, polygon, _, _ in fraction_regions.active_polygons(f)
         for p in polygon.vertices
     }
-    assert list(dualize(v).pieces) == sorted(corners, key=lambda p: (p.slope, p.intercept))
+    assert list(dualize(v)[0].pieces) == sorted(corners, key=lambda p: (p.slope, p.intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +332,7 @@ def test_max_regions_match_the_fraction_route(v):
 @given(any_valuations)
 def test_min_regions_of_the_dual_match_the_fraction_route(v):
     # Rational slopes, and the bundle hull's rows as the domain.
-    _assert_same_regions(dualize(v))
+    _assert_same_regions(dualize(v)[0])
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,10 +390,10 @@ def any_goods(goods: int):
 @given(st.integers(1, 3).flatmap(any_goods))
 def test_never_demanded_matches_fraction_evaluation(tmp_path_factory, v):
     # A bundle is never demanded iff the dual's min lies strictly above its
-    # value; hull_support and the CLI read it off the lifted hull instead.
-    expected = {q for q, u in v.entries.items() if dualize(v).evaluate(q) > u}
-    on_hull, below = hull_support(v)
-    assert below == expected and on_hull == set(v.entries) - expected
+    # value; dualize and the CLI read it off the lifted hull instead.
+    dual, below = dualize(v)
+    expected = {q for q, u in v.entries.items() if dual.evaluate(q) > u}
+    assert below == expected
     d = tmp_path_factory.mktemp("dualize")
     (d / "v.json").write_text(serialize.dumps(serialize.valuation_to_dict(v)))
     assert cli.main(["dualize", "--in", str(d / "v.json"), "--out", str(d / "d.json")]) == 0
