@@ -57,10 +57,7 @@ from .polyhedra import (
     AffinePiece,
     HPolyhedron,
     HalfSpace,
-    LinearProgram,
-    LPResult,
     convex_hull_halfspaces,
-    simplex_solve,
     upper_concave_hull,
 )
 from .potential import (

@@ -3,9 +3,10 @@
 The minimum of aggregate indirect utility over nonnegative prices always
 weakly exceeds the maximum of aggregate utility over feasible allocations;
 a Walrasian equilibrium exists exactly when the two coincide.  Both sides
-are computed exactly: the price side by an epigraph LP, the allocation
-side by a max-plus dynamic program over the leftover endowments, which
-also lists every maximizing allocation.
+are computed exactly: the price side by its dual, the configuration LP,
+which also gives the lexicographically least optimal price, and the
+allocation side by a max-plus dynamic program over the leftover
+endowments, which also lists every maximizing allocation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
 from .exactmath import IVec, Vec, ZERO, dot, scaled_ints
-from .polyhedra import HalfSpace, LinearProgram, _optimum_is_unique, simplex_solve
+from .polyhedra import _bland, _price_out
 from .valuation import DemandSet, Valuation, demand
 
 MAX_ALLOCATIONS = 10**6
@@ -114,40 +115,63 @@ def aggregate_indirect(e: Economy, p: Sequence[Fraction | int]) -> Fraction:
     )
 
 
-def _epigraph_lp(e: Economy) -> LinearProgram:
-    """Variables (t_1..t_n, p): minimize sum_i t_i + p.w subject to
-    t_i + p.q >= u_i(q) for every bundle q of consumer i, and p >= 0."""
-    n = len(e.consumers)
-    L = e.goods
-    constraints = []
-    for i, v in enumerate(e.consumers):
-        for q, u in sorted(v.entries.items()):
-            normal = [ZERO] * (n + L)
-            normal[i] = Fraction(-1)
-            for l in range(L):
-                normal[n + l] = Fraction(-q[l])
-            constraints.append(HalfSpace(normal=tuple(normal), offset=-u))
-    return LinearProgram(
-        objective=tuple([Fraction(1)] * n + [Fraction(c) for c in e.endowment]),
-        sense="min",
-        constraints=tuple(constraints),
-        nonneg=tuple([False] * n + [True] * L),
-    )
-
-
 def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
-    """Epigraph LP: minimize sum_i t_i + p.w with t_i above every surplus piece.
+    """The least aggregate indirect utility over prices p >= 0, the
+    lexicographically least price that attains it, and whether that price
+    is the only one.
 
-    Returns the exact optimum, one optimal price vector, and whether the
-    optimal prices are unique.  The LP is solved once; uniqueness is read off
-    its optimal tableau by bounding each price coordinate over the optimal
-    face, with no further LP.
+    The least of sum_i t_i + p.w subject to t_i + p.q >= u_i(q) for every
+    bundle q of consumer i is, by LP duality, the most of the configuration
+    LP (Bikhchandani and Mamer 1997): maximize sum lambda_iq u_i(q) subject
+    to sum_q lambda_iq = 1 per consumer, sum lambda_iq q <= w and
+    lambda >= 0.  It has one column per bundle of every support, since a
+    bundle beyond w may still carry weight, and the goods rows' duals are
+    the prices.  The basis of the zero bundles' columns and the slacks is
+    the identity and feasible for every w >= 0, so there is no phase 1.
+    The constraint matrix is integer; only the cost row is scaled, by the
+    lcm L of the values' denominators.
+
+    The kernel (``polyhedra._bland``) perturbs w to w + sum_l eps^l e_l, so
+    the final basis's duals, the slack reduced costs over det * L, minimize
+    p_1, then p_2, and so on, over the optimal prices: the lex-min price.
+    Perturbed by -e instead, which the start admits only when every
+    w_l > 0, they give the lex-max price, and the price is unique iff the
+    two agree; a first optimal basis that is feasible for -e as well gives
+    both at once, so the second run is needed only when it is not.  When
+    some w_l = 0, raising p_l keeps a price optimal, so the price is not
+    unique.
     """
-    n = len(e.consumers)
-    res = simplex_solve(_epigraph_lp(e))
-    if res.status != "optimal":
-        raise DegenerateInput(f"epigraph LP is {res.status}; it should be feasible and bounded")
-    return res.value, res.point[n:], _optimum_is_unique(res, range(n, n + e.goods))
+    supports = [sorted(v.entries.items()) for v in e.consumers]
+    bundles = [(i, q) for i, support in enumerate(supports) for q, _ in support]
+    scale, (values,) = scaled_ints([[u for support in supports for _, u in support]])
+    slack = len(bundles)
+    ncols = slack + e.goods
+    rows = [[int(i == k) for k, _ in bundles] + [0] * e.goods + [1] for i in range(len(supports))]
+    rows += [
+        [q[l] for _, q in bundles] + [int(k == l) for k in range(e.goods)] + [w]
+        for l, w in enumerate(e.endowment)
+    ]
+    start = [k for k, (_, q) in enumerate(bundles) if not any(q)] + list(range(slack, ncols))
+    cost = [-u for u in values] + [0] * (e.goods + 1)
+
+    def solve(sign: int) -> tuple[list[list[int]], list[Fraction]]:
+        """The constraint rows at the optimum with w perturbed by sign * e,
+        and the slack reduced costs then the value, over det * L."""
+        tableau, basis = [list(row) for row in rows], list(start)
+        tableau.append(_price_out(cost, tableau, basis, 1))
+        det = _bland(tableau, basis, ncols, 1, [(c, sign) for c in range(slack, ncols)])
+        return tableau, [Fraction(x, det * scale) for x in tableau.pop()[slack:]]
+
+    tableau, (*prices, value) = solve(1)
+    if not all(e.endowment):
+        unique = False
+    elif all((row[ncols], *(-row[c] for c in range(slack, ncols))) >= (0,) * (e.goods + 1)
+             for row in tableau):
+        # The basis is feasible for -e too, so it also gives the lex-max.
+        unique = True
+    else:
+        unique = solve(-1)[1][:-1] == prices
+    return value, tuple(prices), unique
 
 
 def _leftover_keys(w: IVec) -> tuple[list[int], int]:

@@ -1,27 +1,24 @@
 """Exact polyhedral primitives.
 
-Half-space representations, an exact two-phase simplex solver with Bland's
-anti-cycling rule, and upper concave hulls of lifted lattice points.
-Everything is a pure function on immutable inputs.  Inputs and results are
-Fractions.
+Half-space representations, an exact integer simplex kernel, and upper
+concave hulls of lifted lattice points.  Everything is a pure function on
+immutable inputs.  Inputs and results are Fractions.
 
-The simplex runs on a tableau of ints over one positive common denominator.
-The constraint rows are scaled once by the lcm of all their denominators,
-and each pivot keeps the pivot row and divides every other row exactly by
-the old denominator (integer-preserving pivoting, as in Edmonds 1967 and
-Bareiss 1968).  Bland's rule tests only signs and compares ratios by
-cross-multiplication, so it takes the same pivots as on the rational
-tableau; only the final point and the uniqueness probes' optima become
-Fractions.  The market solves its epigraph LP once: ``simplex_solve`` keeps
-the final phase-2 tableau on its result, and ``_optimum_is_unique`` reads
-the optimal face off it with warm-started Bland pivots instead of solving
-new LPs.
+The simplex kernel runs on a tableau of ints over one positive common
+denominator.  Each pivot keeps the pivot row and divides every other row
+exactly by the old denominator (integer-preserving pivoting, as in Edmonds
+1967 and Bareiss 1968).  ``_bland`` enters by Bland's rule and leaves by a
+lexicographic ratio test on a perturbed right-hand side, testing only signs
+and comparing ratios by cross-multiplication, so it takes the same pivots
+as on the rational tableau.  It starts from a feasible basis and has no
+phase 1: it serves the market's configuration LP
+(``equilibrium.min_aggregate_indirect``) alone, whose start is the
+identity.  ``_extreme_rays`` uses ``_pivot`` to invert its first basis.
 
 Int rows (normal, num, den) stand for normal . x <= num/den
 (``_int_row``); ``_tightest`` reduces each normal to primitive form and
 keeps the tightest row per normal, for the hull's facets
-(``_tightest_halfspaces``).  The simplex serves the market's epigraph LP
-alone.
+(``_tightest_halfspaces``).
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
@@ -43,11 +40,11 @@ integer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DegenerateInput, InstanceTooLarge, UnsupportedDimension
 from .exactmath import (
@@ -101,44 +98,8 @@ class AffinePiece:
         return dot(self.slope, x) + self.intercept
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min or max of objective . x subject to half-space rows, equality rows,
-    and per-variable nonnegativity flags."""
-
-    objective: Vec
-    sense: str  # "min" | "max"
-    constraints: tuple[HalfSpace, ...]
-    equalities: tuple[tuple[Vec, Fraction], ...] = ()
-    nonneg: tuple[bool, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.objective)
-        if self.sense not in ("min", "max"):
-            raise DegenerateInput(f"unknown sense {self.sense!r}")
-        for h in self.constraints:
-            if len(h.normal) != n:
-                raise DegenerateInput("constraint row length mismatch")
-        for row, _ in self.equalities:
-            if len(row) != n:
-                raise DegenerateInput("equality row length mismatch")
-        if self.nonneg and len(self.nonneg) != n:
-            raise DegenerateInput("nonneg mask length mismatch")
-
-
-@dataclass(frozen=True)
-class LPResult:
-    status: str  # "optimal" | "infeasible" | "unbounded"
-    value: Fraction | None = None
-    point: Vec | None = None
-    # Optimal solves only: the final phase-2 integer tableau (reduced-cost
-    # row last), its basis, the columns of each variable and the common
-    # denominator det of the tableau, for _optimum_is_unique.
-    _tableau: tuple | None = field(default=None, compare=False, repr=False)
-
-
 # ---------------------------------------------------------------------------
-# simplex
+# the integer simplex kernel
 # ---------------------------------------------------------------------------
 
 
@@ -177,30 +138,52 @@ def _pivot(tableau: list[list[int]], row: int, col: int, det: int) -> int:
     return p
 
 
-def _bland(tableau: list[list[int]], basis: list[int], ncols: int, det: int) -> tuple[str, int]:
-    """Run Bland-rule simplex iterations on a tableau whose last row holds
-    reduced costs (minimization), all over the positive denominator ``det``.
-    Returns "optimal" or "unbounded" and the final denominator.  Only signs
-    are tested, and the ratio test compares rhs / a by cross-multiplication,
-    so no test depends on ``det``."""
+def _bland(
+    tableau: list[list[int]],
+    basis: list[int],
+    ncols: int,
+    det: int,
+    lex: Sequence[tuple[int, int]],
+) -> int:
+    """Run simplex iterations on a feasible tableau whose last row holds
+    reduced costs (minimization), all over the positive denominator ``det``,
+    to optimality; returns the final denominator.
+
+    Bland's rule picks the entering column, the least one with a negative
+    reduced cost.  The leaving row minimizes the vector (rhs, s * column c
+    for each (c, s) in ``lex``) over the pivot entry, lexicographically,
+    with ties broken by the least basic variable: Bland's rule on the LP
+    whose right-hand side b is perturbed to b + sum_k eps^k s_k e_k, when
+    column c_k of the tableau is B^-1 e_k (Dantzig, Orden and Wolfe 1955).
+    The start must be feasible for that perturbation.  Only signs are
+    tested and ratios are compared by cross-multiplication, so no test
+    depends on ``det``.  An unbounded LP raises ``DegenerateInput``.
+    """
     m = len(basis)
     while True:
         cost = tableau[m]
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
         if enter is None:
-            return "optimal", det
+            return det
         leave = None
         for r in range(m):
-            a = tableau[r][enter]
-            if a > 0:
-                b = tableau[r][ncols]
-                # b / a against the least ratio so far, cross-multiplied
-                if leave is None or b * best_a < best_b * a or (
-                    b * best_a == best_b * a and basis[r] < basis[leave]
-                ):
-                    leave, best_a, best_b = r, a, b
+            line = tableau[r]
+            a = line[enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave, best, best_a = r, line, a
+                continue
+            # line / a against best / best_a, cross-multiplied, rhs first
+            d = line[ncols] * best_a - best[ncols] * a
+            for c, s in lex:
+                if d:
+                    break
+                d = s * (line[c] * best_a - best[c] * a)
+            if d < 0 or (d == 0 and basis[r] < basis[leave]):
+                leave, best, best_a = r, line, a
         if leave is None:
-            return "unbounded", det
+            raise DegenerateInput("simplex: the LP is unbounded")
         det = _pivot(tableau, leave, enter, det)
         basis[leave] = enter
 
@@ -216,133 +199,6 @@ def _price_out(cost: list[int], rows: list[list[int]], basis: list[int], det: in
         if f:
             out = [c - f * a for c, a in zip(out, line)]
     return out
-
-
-def simplex_solve(lp: LinearProgram) -> LPResult:
-    """Exact two-phase simplex on an integer tableau.
-
-    Every constraint row is scaled by one lcm L of all the rows'
-    denominators.  A global scale only rescales the slack and artificial
-    variables and the phase-1 objective, so Bland's rule takes the same
-    pivots as on the rational rows; a per-row scale would change the
-    phase-1 reduced costs.  The tableau then holds ints over one common
-    denominator (see ``_pivot``), and only the final point is made of
-    Fractions.  An optimal result also carries its final tableau, from which
-    ``_optimum_is_unique`` decides whether that solution is the only one
-    without solving another LP.
-    """
-    nvars = len(lp.objective)
-    nonneg = lp.nonneg if lp.nonneg else tuple(False for _ in range(nvars))
-
-    # Map original variables onto nonnegative columns (free vars are split).
-    col_of: list[list[tuple[int, int]]] = []
-    ncols = 0
-    for j in range(nvars):
-        if nonneg[j]:
-            col_of.append([(ncols, 1)])
-            ncols += 1
-        else:
-            col_of.append([(ncols, 1), (ncols + 1, -1)])
-            ncols += 2
-    nstruct = ncols
-
-    source = [(*h.normal, h.offset) for h in lp.constraints] + [(*a, b) for a, b in lp.equalities]
-    _, rows = scaled_ints(source)
-    nslack = len(lp.constraints)
-    ncols = nstruct + nslack
-    m = len(rows)
-    total = ncols + m
-
-    # Phase 1: slack and artificial columns are unit columns; minimize the
-    # sum of the artificials.
-    tableau: list[list[int]] = []
-    for i, (*normal, b) in enumerate(rows):
-        row = [0] * (total + 1)
-        for j, coeff in enumerate(normal):
-            for col, sign in col_of[j]:
-                row[col] += sign * coeff
-        if i < nslack:
-            row[nstruct + i] = 1
-        row[total] = b
-        if row[total] < 0:
-            row = [-x for x in row]
-        row[ncols + i] = 1
-        tableau.append(row)
-    basis = [ncols + i for i in range(m)]
-    tableau.append(_price_out([0] * ncols + [1] * m + [0], tableau, basis, 1))
-    _, det = _bland(tableau, basis, total, 1)
-    if tableau[m][total] != 0:
-        return LPResult(status="infeasible")
-
-    # Drive remaining artificials out of the basis; drop redundant rows.
-    keep = []
-    for r in range(m):
-        if basis[r] >= ncols:
-            col = next((j for j in range(ncols) if tableau[r][j] != 0), None)
-            if col is None:
-                continue  # redundant row
-            det = _pivot(tableau, r, col, det)
-            basis[r] = col
-        keep.append(r)
-    rows2 = [tableau[r][:ncols] + [tableau[r][total]] for r in keep]
-    basis2 = [basis[r] for r in keep]
-
-    # Phase 2, on the objective scaled to ints by the lcm of its denominators.
-    sign = 1 if lp.sense == "min" else -1
-    _, (costs,) = scaled_ints([lp.objective])
-    objective = [0] * (ncols + 1)
-    for j, c in enumerate(costs):
-        for col, s in col_of[j]:
-            objective[col] += sign * s * c
-    tableau2 = rows2 + [_price_out(objective, rows2, basis2, det)]
-    status, det = _bland(tableau2, basis2, ncols, det)
-    if status == "unbounded":
-        return LPResult(status="unbounded")
-
-    values = [0] * ncols
-    for r, var in enumerate(basis2):
-        values[var] = tableau2[r][ncols]
-    point = tuple(
-        Fraction(sum(s * values[col] for col, s in col_of[j]), det) for j in range(nvars)
-    )
-    return LPResult(
-        status="optimal",
-        value=dot(lp.objective, point),
-        point=point,
-        _tableau=(tableau2, basis2, col_of, det),
-    )
-
-
-def _optimum_is_unique(res: LPResult, coords: Iterable[int]) -> bool:
-    """Whether ``res.point`` is the only optimum in the coordinates ``coords``.
-
-    At the optimal basis the objective reads z* + sum_k d_k x_k with every
-    reduced cost d_k >= 0, so the optimal face is the feasible tableau with
-    each column of d_k > 0 fixed at zero.  Those columns are dropped, which
-    leaves the basis primal feasible, and each coordinate (x+ - x- for a
-    free variable) is minimized and then maximized over the face by
-    Bland-rule pivots from the current basis.  Unique iff every probe is
-    bounded and attains ``point[j]``.
-    """
-    tableau, basis, col_of, det = res._tableau
-    cost = tableau[len(basis)]
-    keep = [k for k in range(len(cost) - 1) if cost[k] == 0]
-    index = {k: i for i, k in enumerate(keep)}
-    face = [[row[k] for k in keep] + [row[-1]] for row in tableau[: len(basis)]]
-    basis = [index[k] for k in basis]
-    for j in coords:
-        for sign in (1, -1):
-            probe = [0] * (len(keep) + 1)
-            for col, s in col_of[j]:
-                if col in index:
-                    probe[index[col]] = sign * s
-            face.append(_price_out(probe, face, basis, det))
-            status, det = _bland(face, basis, len(keep), det)
-            # the least value of sign * x_j on the face
-            least = Fraction(-face.pop()[-1], det)
-            if status != "optimal" or sign * least != res.point[j]:
-                return False
-    return True
 
 
 def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:

@@ -1,19 +1,65 @@
-"""The Fraction two-phase Bland simplex, kept as the oracle of the integer
-kernel in ``tropical_demand.polyhedra``.
+"""The Fraction two-phase Bland simplex on the epigraph LP, kept as the
+oracle of the market's price side (``equilibrium.min_aggregate_indirect``,
+which solves the configuration LP on the integer kernel instead).
 
 Every tableau entry is a ``Fraction``, and a pivot divides the pivot row by
-its pivot and subtracts multiples of it from the other rows.  The integer
-kernel must take the same pivots in the same order: the differential tests
-record both sequences by wrapping each module's ``_pivot``.
+its pivot and subtracts multiples of it from the other rows.  An optimal
+result carries its final tableau, from which ``_optimum_is_unique`` probes
+the optimal face.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from tropical_demand.exactmath import ZERO, dot
-from tropical_demand.polyhedra import LinearProgram, LPResult
+from tropical_demand.equilibrium import Economy
+from tropical_demand.exactmath import ZERO, Vec, dot
+from tropical_demand.polyhedra import HalfSpace
+
+
+@dataclass(frozen=True)
+class LinearProgram:
+    """min or max of objective . x subject to half-space rows, equality rows,
+    and per-variable nonnegativity flags."""
+
+    objective: Vec
+    sense: str  # "min" | "max"
+    constraints: tuple[HalfSpace, ...]
+    equalities: tuple[tuple[Vec, Fraction], ...] = ()
+    nonneg: tuple[bool, ...] = ()
+
+
+@dataclass(frozen=True)
+class LPResult:
+    status: str  # "optimal" | "infeasible" | "unbounded"
+    value: Fraction | None = None
+    point: Vec | None = None
+    # Optimal solves only: the final phase-2 tableau, its basis and the
+    # columns of each variable, for _optimum_is_unique.
+    _tableau: tuple | None = field(default=None, compare=False, repr=False)
+
+
+def epigraph_lp(e: Economy) -> LinearProgram:
+    """Variables (t_1..t_n, p): minimize sum_i t_i + p.w subject to
+    t_i + p.q >= u_i(q) for every bundle q of consumer i, and p >= 0."""
+    n = len(e.consumers)
+    L = e.goods
+    constraints = []
+    for i, v in enumerate(e.consumers):
+        for q, u in sorted(v.entries.items()):
+            normal = [ZERO] * (n + L)
+            normal[i] = Fraction(-1)
+            for l in range(L):
+                normal[n + l] = Fraction(-q[l])
+            constraints.append(HalfSpace(normal=tuple(normal), offset=-u))
+    return LinearProgram(
+        objective=tuple([Fraction(1)] * n + [Fraction(c) for c in e.endowment]),
+        sense="min",
+        constraints=tuple(constraints),
+        nonneg=tuple([False] * n + [True] * L),
+    )
 
 
 def _pivot(tableau: list[list[Fraction]], row: int, col: int) -> None:

@@ -7,13 +7,13 @@ def test_public_api_is_pinned():
         "AffinePiece", "Allocation", "BalanceReport", "Cell", "Certificate", "ConsumerReceipt",
         "CorrespondenceSample", "DegenerateInput", "DemandSet", "DomainError", "Economy",
         "EquilibriumReport", "FacetData", "HPolyhedron", "HalfSpace", "IVec", "InstanceTooLarge",
-        "LPResult", "LabeledSubdivision", "LabelingViolation", "LinearProgram", "NonConservative",
+        "LabeledSubdivision", "LabelingViolation", "NonConservative",
         "PolyhedralFunction", "Polyline", "Rational", "ToolkitError", "UnsupportedDimension",
         "ValidationError", "Valuation", "Vec", "VertexBalance", "aggregate_indirect",
         "check_balancing", "check_cyclic_monotonicity", "check_normal_labeling",
         "convex_hull_halfspaces", "demand", "demand_complex", "duality_test", "dualize",
         "dualize_complex", "format_rational", "indirect_utility", "integrate_subdivision",
         "is_primitive", "max_aggregate_utility", "min_aggregate_indirect", "path_integral",
-        "price_complex", "primitive_direction", "rational", "rational_direction", "simplex_solve",
+        "price_complex", "primitive_direction", "rational", "rational_direction",
         "upper_concave_hull", "walrasian_check",
     ]

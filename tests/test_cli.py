@@ -6,6 +6,7 @@ import pathlib
 import random
 import re
 import tempfile
+import time
 from fractions import Fraction
 
 import jsonschema
@@ -17,6 +18,7 @@ from tropical_demand import (
     NonConservative,
     cli,
     equilibrium,
+    format_rational,
     integrate_subdivision,
     price_complex,
     serialize,
@@ -760,6 +762,27 @@ def test_equilibrium_writes_rationals_past_the_digit_limit(tmp_path):
     assert f'"min_value": "{twice}"' in text and f'"max_value": "{twice}"' in text
 
 
+def test_equilibrium_with_a_4299_digit_denominator_runs_within_a_second(tmp_path):
+    # The bundled economy with the first consumer's u(1, 0) = 1/d, d of
+    # 4,299 digits, the most the reader accepts.  Only the LP's cost row
+    # carries d, so the call stays within a wall bound of 1 s (a few ms on
+    # a 2-vCPU host); the epigraph LP's integer tableau, where every row
+    # carried d, took about 4.5 s there.
+    d = "7" * 4299
+    economy = json.loads(json.dumps(ECONOMY))
+    economy["consumers"][0]["entries"][1]["value"] = "1/" + d
+    infile, out = write(tmp_path, "e.json", economy), tmp_path / "report.json"
+    start = time.perf_counter()
+    assert cli.main(["equilibrium", "--in", infile, "--out", str(out)]) == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    # The second consumer takes (1, 1) at every p with 1/d <= p_1 <= 40,
+    # 50 <= p_2 <= 60 and 60 <= p_1 + p_2 <= 70; the least is (1/d, 60 - 1/d).
+    doc = json.loads(out.read_text())
+    eps = Fraction(1, int(d))
+    assert doc["argmin_prices"] == [format_rational(eps), format_rational(60 - eps)]
+    assert doc["min_value"] == doc["max_value"] == "70" and doc["price_unique"] is False
+
+
 def test_equilibrium_golden(tmp_path):
     infile = write(tmp_path, "e.json", ECONOMY)
     out = tmp_path / "report.json"
@@ -814,17 +837,29 @@ THREE_CONSUMERS = {
 }
 
 
+# One good, u(1) = 3, endowment 1: every price in [0, 3] is optimal, and
+# the report gives the least, 0.
+NON_UNIQUE = {
+    "goods": 1,
+    "endowment": [1],
+    "consumers": [
+        {"goods": 1, "entries": [{"bundle": [0], "value": "0"}, {"bundle": [1], "value": "3"}]}
+    ],
+}
+
+
 @pytest.mark.parametrize(
     "economy, golden, code",
     [
         (ECONOMY, "equilibrium_no_equilibrium_economy.json", cli.EXIT_FALSE),
         (THREE_CONSUMERS, "equilibrium_three_consumers.json", cli.EXIT_OK),
+        (NON_UNIQUE, "equilibrium_non_unique.json", cli.EXIT_OK),
     ],
-    ids=["no-equilibrium", "three-consumers"],
+    ids=["no-equilibrium", "three-consumers", "non-unique"],
 )
 def test_equilibrium_golden_bytes(tmp_path, economy, golden, code):
     # The exact bytes of `equilibrium` on the bundled economy, which has no
-    # equilibrium, and on THREE_CONSUMERS.
+    # equilibrium, on THREE_CONSUMERS and on NON_UNIQUE.
     infile = write(tmp_path, "e.json", economy)
     out = tmp_path / "report.json"
     assert cli.main(["equilibrium", "--in", infile, "--out", str(out)]) == code

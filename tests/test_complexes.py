@@ -144,7 +144,7 @@ def test_price_complex_lifts_once_and_walks_no_rows(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
     for module, name in [
-        (polyhedra, "simplex_solve"),
+        (polyhedra, "_bland"),
         (valuation, "indirect_utility"),
     ]:
         monkeypatch.setattr(module, name, refuse)
@@ -251,7 +251,7 @@ def test_demand_complex_lifts_once_and_builds_no_price_complex(monkeypatch):
         (complexes, "check_normal_labeling"),
         (complexes, "convex_hull_halfspaces"),
         (polyhedra, "convex_hull_halfspaces"),
-        (polyhedra, "simplex_solve"),
+        (polyhedra, "_bland"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for entries in [

@@ -14,7 +14,6 @@ from tropical_demand import (
     Economy,
     HalfSpace,
     InstanceTooLarge,
-    LinearProgram,
     aggregate_indirect,
     demand,
     dualize,
@@ -24,12 +23,12 @@ from tropical_demand import (
     price_complex,
     walrasian_check,
 )
-from tropical_demand import equilibrium, polyhedra
+from tropical_demand import equilibrium
 from tropical_demand.equilibrium import _build_certificate
 from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import simplex_solve
 
 import fraction_simplex
+from fraction_simplex import LinearProgram
 from conftest import economies, make_valuation, valuations
 
 F = Fraction
@@ -293,49 +292,60 @@ def test_duality_test_assignment_economy_clears():
 
 def test_duality_test_bounded_non_unique_prices():
     # One good, u(1) = 3, endowment 1: f(p) = max(0, 3 - p) + p is 3 on all
-    # of [0, 3].  Recorded with the probe that solved one LP per bound.
+    # of [0, 3], and the reported price is the least of them.
     e = Economy(goods=1, consumers=(make_valuation({(0,): 0, (1,): 3}, goods=1),), endowment=(1,))
     report = duality_test(e)
-    assert report.min_value == 3 and report.argmin_prices == vec(3)
+    assert report.min_value == 3 and report.argmin_prices == vec(0)
     assert report.price_unique is False
 
 
 def test_duality_test_unbounded_non_unique_prices():
     # Nothing to sell: f(p) = max(0, 3 - p_1) is 0 on p_1 >= 3 with p_2 free,
-    # an unbounded optimal face.  Recorded like the bounded case.
+    # an unbounded optimal face whose lex-min point is (3, 0).
     e = Economy(goods=2, consumers=(make_valuation({(0, 0): 0, (1, 0): 3}),), endowment=(0, 0))
     report = duality_test(e)
     assert report.min_value == 0 and report.argmin_prices == vec(3, 0)
     assert report.price_unique is False
 
 
-def test_duality_test_solves_one_lp(no_equilibrium_economy, monkeypatch):
-    calls = []
+@pytest.fixture
+def kernel_runs(monkeypatch):
+    """The perturbation sign of every run of the simplex kernel."""
+    runs = []
+    kernel = equilibrium._bland
 
-    def counting(lp):
-        calls.append(lp)
-        return simplex_solve(lp)
+    def counting(tableau, basis, ncols, det, lex):
+        runs.append({s for _, s in lex})
+        return kernel(tableau, basis, ncols, det, lex)
 
-    monkeypatch.setattr(equilibrium, "simplex_solve", counting)
-    monkeypatch.setattr(polyhedra, "simplex_solve", counting)
-    report = duality_test(no_equilibrium_economy)
-    assert report.price_unique is True
-    assert len(calls) == 1
+    monkeypatch.setattr(equilibrium, "_bland", counting)
+    return runs
 
 
-def test_duality_test_refuses_over_cap_before_the_lp(no_equilibrium_economy, monkeypatch):
-    calls = []
+def test_duality_test_solves_one_lp(no_equilibrium_economy, kernel_runs):
+    # One configuration LP, run for the lex-min price (+e) and, from the
+    # same start, for the lex-max (-e) only when every good has some
+    # endowment and the first optimal basis is not feasible for -e.
+    one_good = make_valuation({(0,): 0, (1,): 3}, goods=1)
+    # Either good alone is worth 1: every mix of the two is optimal, so the
+    # optimal basis is degenerate, yet p = 0 is the only optimal price.
+    either = make_valuation({(0, 0): 0, (1, 0): 1, (0, 1): 1})
+    for e, unique, runs in [
+        (no_equilibrium_economy, True, [{1}]),
+        (Economy(goods=1, consumers=(one_good,), endowment=(1,)), False, [{1}, {-1}]),
+        (Economy(goods=2, consumers=(either,), endowment=(1, 1)), True, [{1}, {-1}]),
+        (Economy(goods=2, consumers=(either,), endowment=(2, 0)), False, [{1}]),
+    ]:
+        kernel_runs.clear()
+        assert duality_test(e).price_unique is unique
+        assert kernel_runs == runs
 
-    def counting(lp):
-        calls.append(lp)
-        return simplex_solve(lp)
 
-    monkeypatch.setattr(equilibrium, "simplex_solve", counting)
-    monkeypatch.setattr(polyhedra, "simplex_solve", counting)
+def test_duality_test_refuses_over_cap_before_the_lp(no_equilibrium_economy, kernel_runs, monkeypatch):
     monkeypatch.setattr(equilibrium, "MAX_ALLOCATIONS", 3)
     with pytest.raises(InstanceTooLarge, match="16 allocations exceed the cap of 3"):
         duality_test(no_equilibrium_economy)
-    assert calls == []
+    assert kernel_runs == []
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +493,64 @@ def test_lp_matches_candidate_enumeration(e):
 
 
 # ---------------------------------------------------------------------------
+# the configuration LP against the Fraction epigraph LP (fraction_simplex)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def price_side_economies(draw):
+    """1-3 goods and 1-4 consumers with up to five bundles each in [0, 2]^L,
+    negative and rational values (the zero bundle's too), sometimes a good
+    that no bundle holds, and endowment coordinates from 0 to 3."""
+    goods = draw(st.integers(1, 3))
+    unheld = draw(st.one_of(st.none(), st.integers(0, goods - 1)))
+    values = st.fractions(min_value=-5, max_value=12, max_denominator=6)
+    consumers = []
+    for _ in range(draw(st.integers(1, 4))):
+        bundles = draw(st.lists(st.tuples(*[st.integers(0, 2)] * goods), max_size=4))
+        entries = {(0,) * goods: draw(values)}
+        for q in bundles:
+            if unheld is not None:
+                q = tuple(0 if l == unheld else c for l, c in enumerate(q))
+            entries.setdefault(q, draw(values))
+        consumers.append(Valuation(goods=goods, entries=entries))
+    endowment = tuple(draw(st.integers(0, 3)) for _ in range(goods))
+    return Economy(goods=goods, consumers=tuple(consumers), endowment=endowment)
+
+
+def _lex_min(lp: LinearProgram, value: Fraction, coords) -> tuple[Fraction, ...]:
+    """Fix and minimize: the least x_j over the optimal face, for each j of
+    ``coords`` in turn, with every earlier coordinate fixed at its least."""
+    fixed = lp.equalities + ((lp.objective, value),)
+    least = []
+    for j in coords:
+        unit = tuple(F(int(k == j)) for k in range(len(lp.objective)))
+        res = fraction_simplex.simplex_solve(
+            LinearProgram(unit, "min", lp.constraints, fixed, lp.nonneg)
+        )
+        assert res.status == "optimal"  # p >= 0 bounds every price below
+        fixed += ((unit, res.value),)
+        least.append(res.value)
+    return tuple(least)
+
+
+@settings(max_examples=200, deadline=None)
+@given(price_side_economies())
+def test_configuration_lp_matches_the_epigraph_lp(e):
+    # The value, the lex-min price and the uniqueness verdict of the
+    # configuration LP against the Fraction epigraph LP, its face probe and
+    # fix-and-minimize over its optimal face.
+    value, prices, unique = min_aggregate_indirect(e)
+    lp = fraction_simplex.epigraph_lp(e)
+    res = fraction_simplex.simplex_solve(lp)
+    assert res.status == "optimal"
+    coords = range(len(e.consumers), len(lp.objective))
+    assert value == res.value
+    assert prices == _lex_min(lp, res.value, coords)
+    assert unique == fraction_simplex._optimum_is_unique(res, coords)
+
+
+# ---------------------------------------------------------------------------
 # the min side against the concave closure of the aggregate valuation
 # ---------------------------------------------------------------------------
 
@@ -546,8 +614,16 @@ def closure_economies(draw):
 def test_min_aggregate_indirect_is_the_concave_closure_of_the_aggregate_valuation(e):
     # Fenchel duality: the least aggregate indirect utility over p >= 0 is
     # the concave closure of U, with free disposal, at the endowment.
-    value, _, _ = min_aggregate_indirect(e)
-    assert value == _concave_closure(_aggregate_valuation(e), e.endowment)
+    value, prices, _ = min_aggregate_indirect(e)
+    U = _aggregate_valuation(e)
+    assert value == _concave_closure(U, e.endowment)
+    # The dual half, with no LP: U(x) <= value + p.(x - w) for every x
+    # says that the aggregate indirect utility at p, the most of
+    # U(x) - p.(x - w), is at most the value, so the reported p >= 0
+    # attains the minimum.
+    assert all(c >= 0 for c in prices)
+    for x, u in U.items():
+        assert u <= value + dot(prices, [a - b for a, b in zip(x, e.endowment)])
 
 
 @settings(max_examples=100, deadline=None)

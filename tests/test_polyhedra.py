@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 from fractions import Fraction
@@ -13,24 +12,16 @@ from tropical_demand import (
     DegenerateInput,
     HPolyhedron,
     HalfSpace,
-    LinearProgram,
     convex_hull_halfspaces,
     price_complex,
-    simplex_solve,
     upper_concave_hull,
 )
 from tropical_demand import polyhedra
-from tropical_demand.equilibrium import _epigraph_lp
 from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import (
-    _int_row,
-    _optimum_is_unique,
-    _pivot,
-    _tightest_halfspaces,
-)
+from tropical_demand.polyhedra import _int_row, _pivot, _tightest_halfspaces
 
 import facet_walk
-import fraction_simplex
+from fraction_simplex import LinearProgram, _optimum_is_unique, epigraph_lp, simplex_solve
 from facet_walk import independent_directions
 from fraction_regions import halfplane_intersection
 from conftest import economies, make_valuation, valuations
@@ -453,7 +444,8 @@ def test_convex_hull_halfspaces_of_lower_dimensional_sets_in_3d(points, rows, in
 
 
 # ---------------------------------------------------------------------------
-# simplex
+# the Fraction simplex, the oracle of the market's price side
+# (fraction_simplex), and the integer pivot
 # ---------------------------------------------------------------------------
 
 
@@ -715,126 +707,10 @@ def test_optimum_is_unique_matches_face_equality_probe(lp):
 @settings(max_examples=40, deadline=None)
 @given(economies())
 def test_epigraph_price_uniqueness_matches_face_equality_probe(e):
-    lp = _epigraph_lp(e)
+    lp = epigraph_lp(e)
     res = simplex_solve(lp)
     prices = range(len(e.consumers), len(lp.objective))
     assert _optimum_is_unique(res, prices) == _face_equality_probe(lp, res.value, res.point, prices)
-
-
-@contextlib.contextmanager
-def recorded_pivots(module):
-    """Record the (row, col) of every pivot the module's simplex makes."""
-    seen = []
-    original = module._pivot
-
-    def recording(tableau, row, col, *det):
-        seen.append((row, col))
-        return original(tableau, row, col, *det)
-
-    module._pivot = recording
-    try:
-        yield seen
-    finally:
-        module._pivot = original
-
-
-def _solve_and_probe(module, lp: LinearProgram):
-    """Status, value, point and uniqueness verdicts (all coordinates, then
-    each alone) of one kernel, with every pivot it took in order."""
-    nvars = len(lp.objective)
-    with recorded_pivots(module) as pivots:
-        res = module.simplex_solve(lp)
-        verdicts = []
-        if res.status == "optimal":
-            for coords in [range(nvars)] + [[j] for j in range(nvars)]:
-                verdicts.append(module._optimum_is_unique(res, coords))
-    return (res.status, res.value, res.point, verdicts), pivots
-
-
-def assert_kernels_agree(lp: LinearProgram) -> list[tuple[int, int]]:
-    got, got_pivots = _solve_and_probe(polyhedra, lp)
-    want, want_pivots = _solve_and_probe(fraction_simplex, lp)
-    assert got_pivots == want_pivots
-    assert got == want
-    return got_pivots
-
-
-@st.composite
-def rational_lps(draw):
-    """LPs in 1-4 free or nonnegative variables with rational coefficients
-    over mixed denominators.  Each row is followed by no copy, a scaled
-    duplicate (a ratio-test tie), a parallel row, or an opposite row that
-    may leave an empty strip; up to two equality rows, some of them copies
-    of an inequality row; a random or tied objective, often unbounded when
-    the rows are few."""
-    n = draw(st.integers(1, 4))
-    coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
-    normals = st.tuples(*[coeff] * n).filter(any)
-    offsets = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-    rows = []
-    for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=6)):
-        rows.append(HalfSpace(a, c))
-        kind = draw(st.sampled_from(("none", "duplicate", "parallel", "opposite")))
-        shift = draw(st.fractions(min_value=-1, max_value=2, max_denominator=3))
-        if kind == "duplicate":
-            k = draw(st.sampled_from((2, 3, F(1, 2))))
-            rows.append(HalfSpace(tuple(k * x for x in a), k * c))
-        elif kind == "parallel":
-            rows.append(HalfSpace(a, c + shift))
-        elif kind == "opposite":
-            rows.append(HalfSpace(tuple(-x for x in a), -c + shift))
-    equalities = [(a, c) for a, c in draw(st.lists(st.tuples(normals, offsets), max_size=2))]
-    if rows and draw(st.booleans()):
-        h = draw(st.sampled_from(rows))
-        equalities.append((h.normal, h.offset))
-    sense = draw(st.sampled_from(("min", "max")))
-    if rows and draw(st.booleans()):
-        weights = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
-        sign = -1 if sense == "min" else 1
-        objective = tuple(
-            sign * sum((w * h.normal[j] for w, h in zip(weights, rows)), F(0)) for j in range(n)
-        )
-    else:
-        objective = draw(st.tuples(*[coeff] * n))
-    return LinearProgram(
-        objective=objective,
-        sense=sense,
-        constraints=tuple(draw(st.permutations(rows))),
-        equalities=tuple(draw(st.permutations(equalities))),
-        nonneg=tuple(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
-    )
-
-
-@settings(max_examples=250, deadline=None)
-@given(st.one_of(rational_lps(), tied_lps()))
-def test_integer_kernel_matches_fraction_kernel(lp):
-    assert_kernels_agree(lp)
-
-
-@settings(max_examples=60, deadline=None)
-@given(economies(max_consumers=4, max_bundles=6))
-def test_integer_kernel_matches_fraction_kernel_on_epigraph_lps(e):
-    assert assert_kernels_agree(_epigraph_lp(e))
-
-
-def test_kernels_agree_on_each_status_and_a_negative_drive_out_pivot():
-    # x + y == 1 with x, y >= 0 and x - y == -1: phase 1 leaves an
-    # artificial basic at zero on the redundant copy, and the drive-out
-    # pivot on the negated row is negative.
-    optimal = LinearProgram(
-        objective=(F(1), F(2)),
-        sense="min",
-        constraints=(),
-        equalities=(((F(1), F(1)), F(1)), ((F(-1), F(-1)), F(-1)), ((F(1), F(-1)), F(-1))),
-        nonneg=(True, True),
-    )
-    unbounded = LinearProgram(objective=(F(1, 2),), sense="max", constraints=(hs((-1,), 0),))
-    infeasible = LinearProgram(
-        objective=(F(1),), sense="min", constraints=(hs((F(1, 3),), 0), hs((F(-1, 2),), -1))
-    )
-    for lp, status in ((optimal, "optimal"), (unbounded, "unbounded"), (infeasible, "infeasible")):
-        assert_kernels_agree(lp)
-        assert simplex_solve(lp).status == status
 
 
 def test_optimum_is_unique_on_unbounded_face():
