@@ -158,8 +158,8 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
         """The constraint rows at the optimum with w perturbed by sign * e,
         and the slack reduced costs then the value, over det * L."""
         tableau, basis = [list(row) for row in rows], list(start)
-        tableau.append(_price_out(cost, tableau, basis, 1))
-        det = _bland(tableau, basis, ncols, 1, [(c, sign) for c in range(slack, ncols)])
+        tableau.append(_price_out(cost, tableau, basis))
+        det = _bland(tableau, basis, ncols, [(c, sign) for c in range(slack, ncols)])
         return tableau, [Fraction(x, det * scale) for x in tableau.pop()[slack:]]
 
     tableau, (*prices, value) = solve(1)

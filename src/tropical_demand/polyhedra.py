@@ -15,11 +15,6 @@ phase 1: it serves the market's configuration LP
 (``equilibrium.min_aggregate_indirect``) alone, whose start is the
 identity.  ``_extreme_rays`` uses ``_pivot`` to invert its first basis.
 
-Int rows (normal, num, den) stand for normal . x <= num/den
-(``_int_row``); ``_tightest`` reduces each normal to primitive form and
-keeps the tightest row per normal, for the hull's facets
-(``_tightest_halfspaces``).
-
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
 come off one lift (``_lift``): one run of ``_extreme_rays``, incremental
@@ -33,9 +28,10 @@ vertex of the price complex, so both 2-D complexes read these pieces and
 no other module reads the lift.  A bundle in no cell is never demanded;
 ``valuation.dualize`` returns those bundles with the dual, off the same
 lift.  The rays with s = 0 are the bundle hull's facets (``_hull``).
-Rational values and points are first scaled by the lcm of their
-denominators (``exactmath.scaled_ints``), so every test is the sign of an
-integer.
+Each lift row carries its own denominator: the row of a point at height
+a/c is c times its rational row, so the heights share no scale and every
+test is the sign of an integer.  Rational points of the bundle hull are
+scaled by the lcm of their denominators (``exactmath.scaled_ints``).
 """
 
 from __future__ import annotations
@@ -52,7 +48,6 @@ from .exactmath import (
     Vec,
     dot,
     first_independent,
-    ivec_to_vec,
     rot90ccw,
     scaled_ints,
 )
@@ -142,12 +137,11 @@ def _bland(
     tableau: list[list[int]],
     basis: list[int],
     ncols: int,
-    det: int,
     lex: Sequence[tuple[int, int]],
 ) -> int:
-    """Run simplex iterations on a feasible tableau whose last row holds
-    reduced costs (minimization), all over the positive denominator ``det``,
-    to optimality; returns the final denominator.
+    """Run simplex iterations on a feasible tableau of ints, over
+    denominator 1, whose last row holds reduced costs (minimization), to
+    optimality; returns the final common denominator.
 
     Bland's rule picks the entering column, the least one with a negative
     reduced cost.  The leaving row minimizes the vector (rhs, s * column c
@@ -157,9 +151,9 @@ def _bland(
     column c_k of the tableau is B^-1 e_k (Dantzig, Orden and Wolfe 1955).
     The start must be feasible for that perturbation.  Only signs are
     tested and ratios are compared by cross-multiplication, so no test
-    depends on ``det``.  An unbounded LP raises ``DegenerateInput``.
+    depends on the denominator.  An unbounded LP raises ``DegenerateInput``.
     """
-    m = len(basis)
+    m, det = len(basis), 1
     while True:
         cost = tableau[m]
         enter = next((j for j in range(ncols) if cost[j] < 0), None)
@@ -188,47 +182,17 @@ def _bland(
         basis[leave] = enter
 
 
-def _price_out(cost: list[int], rows: list[list[int]], basis: list[int], det: int) -> list[int]:
-    """Reduced costs of an integer cost row that ends in 0, over ``det``:
-    det*c - sum_r c[basis[r]] * rows[r].  Each basic column of ``rows`` is
-    det times a unit vector, so this clears the basic columns, and the last
-    entry is minus the basic solution's value times det."""
-    out = [det * c for c in cost]
+def _price_out(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
+    """Reduced costs of an integer cost row that ends in 0:
+    c - sum_r c[basis[r]] * rows[r].  Each basic column of ``rows`` is a
+    unit vector, so this clears the basic columns, and the last entry is
+    minus the basic solution's value."""
+    out = list(cost)
     for line, var in zip(rows, basis):
         f = cost[var]
         if f:
             out = [c - f * a for c, a in zip(out, line)]
     return out
-
-
-def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:
-    """A half-space as the int row (normal, num, den) of normal . x <= num/den:
-    the normal times the lcm L of its denominators, and the offset times L."""
-    scale, (normal,) = scaled_ints([h.normal])
-    return normal, h.offset.numerator * scale, h.offset.denominator
-
-
-def _tightest(rows: Sequence[tuple[IVec, int, int]]) -> dict[IVec, tuple[int, int]]:
-    """Int rows n . x <= num/den (den > 0) on primitive normals, a row with
-    gcd(n) = g > 1 read as (n/g) . x <= num/(den*g): per normal, in order of
-    first appearance, the least offset num/den, compared by
-    cross-multiplication."""
-    best: dict[IVec, tuple[int, int]] = {}
-    for n, num, den in rows:
-        g = gcd(*n)
-        if g != 1:
-            n, den = tuple([c // g for c in n]), den * g
-        old = best.get(n)
-        if old is None or num * old[1] < old[0] * den:
-            best[n] = (num, den)
-    return best
-
-
-def _tightest_halfspaces(rows: Sequence[tuple[IVec, int, int]]) -> tuple[HalfSpace, ...]:
-    """The rows ``_tightest`` keeps, each made a ``HalfSpace`` once."""
-    return tuple(
-        HalfSpace(ivec_to_vec(n), Fraction(num, den)) for n, (num, den) in _tightest(rows).items()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,18 +296,20 @@ def _units(n: int) -> list[IVec]:
 
 
 def _lift(
-    points: Sequence[IVec], heights: Sequence[int]
+    points: Sequence[IVec], heights: Sequence[Fraction | int]
 ) -> tuple[IVec, list[IVec], list[IVec], list[tuple[IVec, int, int, int]]]:
-    """The one lift of distinct integer points q at integer heights h.
+    """The one lift of distinct integer points q at rational heights h.
 
     The points get integer coordinates y on their affine hull: y = q when
     they span R^n, else y_i = e_i . (q - q_0) with e_1..e_d the differences
     q - q_0 that ``first_independent`` keeps.  ``_extreme_rays`` then runs
     once on the cone with rows (0, ..., 0, 1) and (y, 1, -h), one per point
-    (bit k + 1 of a zero set is point k).  A ray (p, t, s) is the affine
-    function m . q + b = p . y + t read back in R^n, at least s*h on every
-    point and equal exactly on its zero set: with s > 0 an upper facet of
-    the lifted points, with s = 0 and m != 0 a facet of their hull.
+    (bit k + 1 of a zero set is point k), each over its own denominator:
+    the row (c*y, c, -a) for h = a/c in lowest terms, the same half-space.
+    A ray (p, t, s) is the affine function m . q + b = p . y + t read back
+    in R^n, at least s*h on every point and equal exactly on its zero
+    set: with s > 0 an upper facet of the lifted points, with s = 0 and
+    m != 0 a facet of their hull.
     Returns the origin (0 or q_0), the directions (unit vectors or e), the
     coordinates y, and every ray as (m, b, s, zero set).
     """
@@ -356,7 +322,9 @@ def _lift(
         origin, directions = points[0], [diffs[i] for i in kept]
         ys = [tuple(sum(map(mul, e, diff)) for e in directions) for diff in diffs]
     d = len(directions)
-    rows = [(0,) * (d + 1) + (1,)] + [(*y, 1, -h) for y, h in zip(ys, heights)]
+    rows = [(0,) * (d + 1) + (1,)] + [
+        (*(h.denominator * c for c in y), h.denominator, -h.numerator) for y, h in zip(ys, heights)
+    ]
     rays = []
     for (*p, t, s), zeros in _extreme_rays(rows, d + 2):
         m = tuple(sum(a * e[i] for a, e in zip(p, directions)) for i in range(n))
@@ -392,9 +360,10 @@ def _hull(lift, scale: int) -> HPolyhedron:
     the smaller point lies off the span of the points before it (else it
     would lie on the other facet too), so their lexicographically first
     affinely independent d-subsets compare the same way.  On a line the
-    upper end comes first.  The int rows are then scale-normalized and
-    deduplicated (``_tightest_halfspaces``), with no ``HalfSpace`` in
-    between.
+    upper end comes first.  Each int row is made primitive, its offset
+    divided by the normal's gcd.  No two rows coincide: distinct extreme
+    rays give distinct facet normals, and every equation's normal is
+    orthogonal to every facet normal.
     """
     origin, directions, ys, rays = lift
     n, d = len(origin), len(directions)
@@ -410,7 +379,11 @@ def _hull(lift, scale: int) -> HPolyhedron:
             facets.append((tight, tuple(-x for x in m), b))
     facets.sort(reverse=d == 1)
     rows += [(normal, c) for _, normal, c in facets]
-    return HPolyhedron(n, _tightest_halfspaces([(a, c, scale) for a, c in rows]))
+    halfspaces = []
+    for a, c in rows:
+        g = gcd(*a)
+        halfspaces.append(HalfSpace(tuple(Fraction(x // g) for x in a), Fraction(c, g * scale)))
+    return HPolyhedron(n, tuple(halfspaces))
 
 
 def upper_concave_hull(
@@ -419,10 +392,10 @@ def upper_concave_hull(
     """Minimal affine pieces whose pointwise min majorizes the lifted points,
     the cell of each piece, and the bundles' convex hull.
 
-    The bundles, sorted, are lifted once (``_lift``) at heights L*u, with L
-    the lcm of the value denominators (``scaled_ints``).  The pieces are the
+    The bundles, sorted, are lifted once (``_lift``) at their values, each
+    lift row over its own value's denominator.  The pieces are the
     vertices of the indirect utility's epigraph, the rays (m, b, s) with
-    s > 0: each is the piece u = (m . q + b) / (L*s), and its cell the
+    s > 0: each is the piece u = (m . q + b) / s, and its cell the
     indices of the points in its zero set, where it equals the value.  The
     points in no cell are the bundles never demanded.  The rays with s = 0
     give the domain (``_hull``), the same rows as ``convex_hull_halfspaces``
@@ -440,13 +413,11 @@ def upper_concave_hull(
     bundles = [points[i][0] for i in order]
     if len(set(bundles)) != len(bundles):
         raise DegenerateInput("duplicate bundle keys")
-    scale, (heights,) = scaled_ints([[points[i][1] for i in order]])
-    lift = _lift(bundles, heights)
+    lift = _lift(bundles, [points[i][1] for i in order])
     tight = []
     for m, b, s, zeros in lift[3]:
         if s > 0:
-            c = s * scale
-            piece = AffinePiece(tuple(Fraction(x, c) for x in m), Fraction(b, c))
+            piece = AffinePiece(tuple(Fraction(x, s) for x in m), Fraction(b, s))
             tight.append((piece, frozenset(i for k, i in enumerate(order) if zeros >> (k + 1) & 1)))
     tight.sort(key=lambda t: (t[0].slope, t[0].intercept))
     return [p for p, _ in tight], [cell for _, cell in tight], _hull(lift, 1)

@@ -32,8 +32,8 @@ from .complexes import (
 )
 from .equilibrium import Economy, EquilibriumReport
 from .errors import DegenerateInput, ValidationError, quoted
-from .exactmath import IVec, Vec, format_rational, rational
-from .polyhedra import AffinePiece, HPolyhedron, HalfSpace, _int_row
+from .exactmath import IVec, Vec, format_rational, rational, scaled_ints
+from .polyhedra import AffinePiece, HPolyhedron, HalfSpace
 from .potential import CorrespondenceSample
 from .valuation import PolyhedralFunction, Valuation
 
@@ -238,6 +238,13 @@ def _domain(data, memo: dict[str, Fraction]) -> HPolyhedron:
         offset = _rational_in(item.get("offset"), "halfspace offset", memo)
         halfspaces.append(HalfSpace(normal=normal, offset=offset))
     return HPolyhedron(dim=data["dim"], halfspaces=tuple(halfspaces))
+
+
+def _int_row(h: HalfSpace) -> tuple[IVec, int, int]:
+    """A half-space as the int row (normal, num, den) of normal . x <= num/den:
+    the normal times the lcm L of its denominators, and the offset times L."""
+    scale, (normal,) = scaled_ints([h.normal])
+    return normal, h.offset.numerator * scale, h.offset.denominator
 
 
 def function_to_dict(f: PolyhedralFunction, never_demanded: list[IVec] | None = None) -> dict:

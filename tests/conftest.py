@@ -92,14 +92,17 @@ def valuations(
     max_value: int = 50,
     rational: bool = False,
     goods: int = 2,
+    values: st.SearchStrategy | None = None,
 ):
     """Random valuations of 2 or 3 goods containing the zero bundle; with
-    ``rational`` the values are fractions as well as integers."""
-    values = (
-        st.fractions(min_value=0, max_value=max_value, max_denominator=6)
-        if rational
-        else st.integers(0, max_value)
-    )
+    ``rational`` the values are fractions as well as integers, and a
+    ``values`` strategy draws the nonzero bundles' values instead."""
+    if values is None:
+        values = (
+            st.fractions(min_value=0, max_value=max_value, max_denominator=6)
+            if rational
+            else st.integers(0, max_value)
+        )
     extra = draw(
         st.lists(
             st.tuples(*[st.integers(0, coord)] * goods),

@@ -5,10 +5,12 @@ Every m-subset of lattice points in R^m spans a candidate hyperplane whose
 normal is the vector of integer cofactors of its difference vectors, kept
 when all points lie on one side.  ``upper_concave_hull`` and ``hull_rows``
 are the walk-built forms of the kernel's two readers, with the same
-scaling and sorting; ``hull_rows`` deduplicates in ``Fraction``s
-(``fraction_regions._tightest_rows``), not through the kernel's integer
-rows.  ``independent_directions`` gives the directions that span a point
-set's affine hull, as Fractions.
+sorting.  The walk scales every value by one lcm of all their
+denominators, where the kernel writes each lift row over its own value's
+denominator.  ``hull_rows`` deduplicates in ``Fraction``s
+(``fraction_regions._tightest_rows``); the kernel makes each row
+primitive and keeps them all.  ``independent_directions`` gives the
+directions that span a point set's affine hull, as Fractions.
 """
 
 from __future__ import annotations

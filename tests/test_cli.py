@@ -953,6 +953,41 @@ def test_dualize_three_goods_at_the_bundle_cap(tmp_path):
         assert (min(p.evaluate(q) for p in pieces) == u) == (q not in never)
 
 
+def test_distinct_1000_digit_denominators_run_within_a_wall_bound(tmp_path):
+    # The whole [0,7]^2 grid, 64 bundles (the cap): a strictly concave
+    # quadratic plus a seeded fraction in [0, 4), each nonzero value over
+    # its own 1,000-digit denominator.  The dual has 86 pieces and 7
+    # bundles are never demanded.  Each lift row carries its own
+    # denominator, so each of the three commands stays within a wall bound
+    # of 5 s: run as a subprocess on a 2-vCPU host, each took 0.56-0.68 s,
+    # and 36 s when one lcm of all 63 denominators scaled every height.
+    rng = random.Random(1000)
+    entries = {(0, 0): F(0)}
+    for q in [(i, j) for i in range(8) for j in range(8)][1:]:
+        d = rng.randrange(10**999, 10**1000)
+        i, j = q
+        entries[q] = 50 * (i + j) - 2 * (i * i + j * j) + F(rng.randrange(4 * d), d)
+    assert len({u.denominator for u in entries.values()}) == 64
+    payload = {
+        "goods": 2,
+        "entries": [{"bundle": list(q), "value": str(u)} for q, u in entries.items()],
+    }
+    infile = write(tmp_path, "v.json", payload)
+    for command in (["dualize"], ["complex", "--which", "price"], ["complex", "--which", "demand"]):
+        out = tmp_path / f"{command[-1]}.json"
+        start = time.perf_counter()
+        assert cli.main([*command, "--in", infile, "--out", str(out)]) == cli.EXIT_OK
+        assert time.perf_counter() - start < 5.0, command
+    # The dual majorizes u, with equality exactly off never_demanded.
+    doc = json.loads((tmp_path / "dualize.json").read_text())
+    pieces = serialize.function_from_dict(doc).pieces
+    never = {tuple(q) for q in doc["never_demanded"]}
+    assert (len(pieces), len(never)) == (86, 7)
+    for q, u in entries.items():
+        envelope = min(p.evaluate(q) for p in pieces)
+        assert envelope >= u and (envelope == u) == (q not in never)
+
+
 def test_complex_price_over_bundle_cap(tmp_path, capsys):
     # 65 of the 81 lattice points of [0,8]^2: one past the 64-bundle cap.
     bundles = [(i, j) for i in range(9) for j in range(9)][:65]

@@ -314,9 +314,9 @@ def kernel_runs(monkeypatch):
     runs = []
     kernel = equilibrium._bland
 
-    def counting(tableau, basis, ncols, det, lex):
+    def counting(tableau, basis, ncols, lex):
         runs.append({s for _, s in lex})
-        return kernel(tableau, basis, ncols, det, lex)
+        return kernel(tableau, basis, ncols, lex)
 
     monkeypatch.setattr(equilibrium, "_bland", counting)
     return runs

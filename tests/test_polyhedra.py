@@ -18,7 +18,7 @@ from tropical_demand import (
 )
 from tropical_demand import polyhedra
 from tropical_demand.exactmath import dot
-from tropical_demand.polyhedra import _int_row, _pivot, _tightest_halfspaces
+from tropical_demand.polyhedra import _pivot
 
 import facet_walk
 from fraction_simplex import LinearProgram, _optimum_is_unique, epigraph_lp, simplex_solve
@@ -159,10 +159,19 @@ def test_hull_pieces_match_subset_interpolation(points):
     assert [(p.slope, p.intercept) for p in pieces] == sorted(expected)
 
 
+@st.composite
+def big_denominator_values(draw):
+    """A value in [0, 50] over its own denominator of 30 to 40 digits, so
+    that the lcm of a valuation's denominators runs to hundreds of digits."""
+    d = draw(st.integers(10**29, 10**40 - 1))
+    return F(draw(st.integers(0, 50 * d)), d)
+
+
 VALUE_KINDS = {
     "ties 0..1": dict(max_value=1),
     "ties 0..3": dict(max_value=3),
     "rational": dict(rational=True),
+    "big denominators": dict(values=big_denominator_values()),
     "wide": dict(),
 }
 
@@ -218,15 +227,29 @@ def test_hull_matches_the_facet_walk(points):
         assert domain.halfspaces == facet_walk.hull_rows(bundles)
 
 
+def _content(v) -> Fraction:
+    """The greatest positive rational w with every coordinate of v an
+    integer multiple of w, by Fraction gcds."""
+    return functools.reduce(
+        lambda w, c: F(gcd(w.numerator * c.denominator, c.numerator * w.denominator),
+                       w.denominator * c.denominator),
+        v,
+        F(0),
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(walk_points(), st.randoms(use_true_random=False))
 def test_hull_domain_is_the_bundle_hull_in_any_input_order(points, rnd):
     # The domain read off the lift is convex_hull_halfspaces of the
-    # bundles, row for row, on lines and planes too; shuffling the points
-    # changes neither it, nor the pieces, nor the bundles on the hull.
+    # bundles, row for row, on lines and planes too, and its normals are
+    # primitive and pairwise distinct; shuffling the points changes neither
+    # it, nor the pieces, nor the bundles on the hull.
     pieces, cells, domain = upper_concave_hull(points)
     bundles = [q for q, _ in points]
     assert domain == convex_hull_halfspaces(bundles, len(bundles[0]))
+    normals = [h.normal for h in domain.halfspaces]
+    assert all(_content(n) == 1 for n in normals) and len(set(normals)) == len(normals)
     shuffled = points[:]
     rnd.shuffle(shuffled)
     again, cells_again, domain_again = upper_concave_hull(shuffled)
@@ -856,51 +879,6 @@ def test_halfplane_intersection_does_not_depend_on_row_scale(rows, data):
         HalfSpace(tuple(k * c for c in h.normal), k * h.offset) for h, k in zip(rows, factors)
     ]
     assert halfplane_intersection(scaled) == halfplane_intersection(rows)
-
-
-def _content(v) -> Fraction:
-    """The greatest positive rational w with every coordinate of v an
-    integer multiple of w, by Fraction gcds."""
-    return functools.reduce(
-        lambda w, c: F(gcd(w.numerator * c.denominator, c.numerator * w.denominator),
-                       w.denominator * c.denominator),
-        v,
-        F(0),
-    )
-
-
-@st.composite
-def halfspace_sets(draw):
-    """Rational half-spaces in 1 to 3 dimensions, each followed by no copy,
-    a positive rational multiple, or a shifted parallel row."""
-    dim = draw(st.integers(1, 3))
-    coords = rationals_over_coprime_denominators(4)
-    rows = []
-    for _ in range(draw(st.integers(0, 6))):
-        normal = draw(st.tuples(*[coords] * dim).filter(any))
-        offset = draw(rationals_over_coprime_denominators(6))
-        rows.append(HalfSpace(normal, offset))
-        kind = draw(st.sampled_from(("none", "multiple", "shift")))
-        if kind == "multiple":
-            k = draw(positive_rationals)
-            rows.append(HalfSpace(tuple(k * c for c in normal), k * offset))
-        elif kind == "shift":
-            rows.append(HalfSpace(normal, offset + draw(rationals_over_coprime_denominators(2))))
-    return draw(st.permutations(rows))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(halfplane_sets(), halfspace_sets()))
-def test_dedupe_halfspaces_matches_a_fraction_reference(rows):
-    # Per primitive normal, in order of first appearance, the least
-    # offset, all in Fractions.
-    best: dict = {}
-    for h in rows:
-        w = _content(h.normal)
-        n = tuple(int(c / w) for c in h.normal)
-        best[n] = min(best.get(n, h.offset / w), h.offset / w)
-    expected = tuple(HalfSpace(tuple(F(c) for c in n), c) for n, c in best.items())
-    assert _tightest_halfspaces([_int_row(h) for h in rows]) == expected
 
 
 def test_halfplane_intersection_without_interior():
