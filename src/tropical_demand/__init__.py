@@ -45,7 +45,6 @@ from .errors import (
 )
 from .exactmath import (
     IVec,
-    Rational,
     Vec,
     format_rational,
     is_primitive,

@@ -88,7 +88,6 @@ class FacetData:
 
 @dataclass(frozen=True)
 class LabeledSubdivision:
-    ambient_dim: int
     convention: str  # potential convention this subdivision integrates to
     domain: HPolyhedron
     cells: dict[int, Cell]
@@ -279,7 +278,6 @@ def _assemble(
         region_labels[region_id] = label
 
     return LabeledSubdivision(
-        ambient_dim=2,
         convention=convention,
         domain=domain,
         cells=cells,

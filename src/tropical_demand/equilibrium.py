@@ -17,8 +17,8 @@ from math import prod
 from typing import Sequence
 
 from .errors import DegenerateInput, DomainError, InstanceTooLarge, ValidationError
-from .exactmath import IVec, Vec, ZERO, dot, scaled_ints
-from .polyhedra import _bland, _price_out
+from .exactmath import IVec, Vec, ZERO, dot, is_int, scaled_ints
+from .polyhedra import _pivot
 from .valuation import DemandSet, Valuation, demand
 
 MAX_ALLOCATIONS = 10**6
@@ -37,13 +37,15 @@ class Economy:
     endowment: IVec
 
     def __post_init__(self):
+        if not is_int(self.goods):
+            raise ValidationError("the number of goods must be an integer")
         if not self.consumers:
             raise ValidationError("economy needs at least one consumer")
         for v in self.consumers:
             if v.goods != self.goods:
                 raise ValidationError("consumer dimension mismatch")
         if len(self.endowment) != self.goods or any(
-            not isinstance(c, int) or c < 0 for c in self.endowment
+            not is_int(c) or c < 0 for c in self.endowment
         ):
             raise ValidationError("endowment must be a nonnegative lattice vector")
 
@@ -71,7 +73,6 @@ class Certificate:
     prices: Vec
     allocation: Allocation
     receipts: tuple[ConsumerReceipt, ...]
-    status: str  # always "found"
 
 
 @dataclass(frozen=True)
@@ -115,6 +116,55 @@ def aggregate_indirect(e: Economy, p: Sequence[Fraction | int]) -> Fraction:
     )
 
 
+def _bland(
+    tableau: list[list[int]],
+    basis: list[int],
+    ncols: int,
+    lex: Sequence[tuple[int, int]],
+) -> int:
+    """Run simplex iterations on a feasible tableau of ints, over
+    denominator 1, whose last row holds reduced costs (minimization), to
+    optimality; returns the final common denominator.
+
+    Bland's rule picks the entering column, the least one with a negative
+    reduced cost.  The leaving row minimizes the vector (rhs, s * column c
+    for each (c, s) in ``lex``) over the pivot entry, lexicographically,
+    with ties broken by the least basic variable: Bland's rule on the LP
+    whose right-hand side b is perturbed to b + sum_k eps^k s_k e_k, when
+    column c_k of the tableau is B^-1 e_k (Dantzig, Orden and Wolfe 1955).
+    The start must be feasible for that perturbation.  Only signs are
+    tested and ratios are compared by cross-multiplication, so no test
+    depends on the denominator.  An unbounded LP raises ``DegenerateInput``.
+    """
+    m, det = len(basis), 1
+    while True:
+        cost = tableau[m]
+        enter = next((j for j in range(ncols) if cost[j] < 0), None)
+        if enter is None:
+            return det
+        leave = None
+        for r in range(m):
+            line = tableau[r]
+            a = line[enter]
+            if a <= 0:
+                continue
+            if leave is None:
+                leave, best, best_a = r, line, a
+                continue
+            # line / a against best / best_a, cross-multiplied, rhs first
+            d = line[ncols] * best_a - best[ncols] * a
+            for c, s in lex:
+                if d:
+                    break
+                d = s * (line[c] * best_a - best[c] * a)
+            if d < 0 or (d == 0 and basis[r] < basis[leave]):
+                leave, best, best_a = r, line, a
+        if leave is None:
+            raise DegenerateInput("simplex: the LP is unbounded")
+        det = _pivot(tableau, leave, enter, det)
+        basis[leave] = enter
+
+
 def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
     """The least aggregate indirect utility over prices p >= 0, the
     lexicographically least price that attains it, and whether that price
@@ -131,15 +181,15 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
     The constraint matrix is integer; only the cost row is scaled, by the
     lcm L of the values' denominators.
 
-    The kernel (``polyhedra._bland``) perturbs w to w + sum_l eps^l e_l, so
-    the final basis's duals, the slack reduced costs over det * L, minimize
-    p_1, then p_2, and so on, over the optimal prices: the lex-min price.
-    Perturbed by -e instead, which the start admits only when every
-    w_l > 0, they give the lex-max price, and the price is unique iff the
-    two agree; a first optimal basis that is feasible for -e as well gives
-    both at once, so the second run is needed only when it is not.  When
-    some w_l = 0, raising p_l keeps a price optimal, so the price is not
-    unique.
+    The kernel, ``_bland`` on ``polyhedra._pivot``, perturbs w to
+    w + sum_l eps^l e_l, so the final basis's duals, the slack reduced
+    costs over det * L, minimize p_1, then p_2, and so on, over the optimal
+    prices: the lex-min price.  Perturbed by -e instead, which the start
+    admits only when every w_l > 0, they give the lex-max price, and the
+    price is unique iff the two agree; a first optimal basis that is
+    feasible for -e as well gives both at once, so the second run is needed
+    only when it is not.  When some w_l = 0, raising p_l keeps a price
+    optimal, so the price is not unique.
     """
     supports = [sorted(v.entries.items()) for v in e.consumers]
     bundles = [(i, q) for i, support in enumerate(supports) for q, _ in support]
@@ -152,13 +202,16 @@ def min_aggregate_indirect(e: Economy) -> tuple[Fraction, Vec, bool]:
         for l, w in enumerate(e.endowment)
     ]
     start = [k for k, (_, q) in enumerate(bundles) if not any(q)] + list(range(slack, ncols))
-    cost = [-u for u in values] + [0] * (e.goods + 1)
+    # The reduced costs of the cost -L u at the start, where consumer i
+    # holds its zero bundle: L u_i(0) - L u_i(q) per bundle q of consumer
+    # i, 0 per slack, and minus the start's cost, sum_i L u_i(0), last.
+    zero = [values[k] for k in start[: len(supports)]]
+    cost = [zero[i] - u for (i, _), u in zip(bundles, values)] + [0] * e.goods + [sum(zero)]
 
     def solve(sign: int) -> tuple[list[list[int]], list[Fraction]]:
         """The constraint rows at the optimum with w perturbed by sign * e,
         and the slack reduced costs then the value, over det * L."""
-        tableau, basis = [list(row) for row in rows], list(start)
-        tableau.append(_price_out(cost, tableau, basis))
+        tableau, basis = [list(row) for row in rows] + [list(cost)], list(start)
         det = _bland(tableau, basis, ncols, [(c, sign) for c in range(slack, ncols)])
         return tableau, [Fraction(x, det * scale) for x in tableau.pop()[slack:]]
 
@@ -337,4 +390,4 @@ def _build_certificate(e: Economy, prices: Vec, allocation: Allocation) -> Certi
     ok, receipts = walrasian_check(e, prices, allocation)
     if not (ok and _market_clears(e, prices, allocation)):
         raise DegenerateInput("zero duality gap, but a maximizing allocation is not Walrasian")
-    return Certificate(prices=prices, allocation=allocation, receipts=receipts, status="found")
+    return Certificate(prices=prices, allocation=allocation, receipts=receipts)

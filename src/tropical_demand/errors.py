@@ -30,7 +30,8 @@ class DomainError(ToolkitError):
 
 
 class InstanceTooLarge(ToolkitError):
-    """An enumeration would exceed the configured size cap."""
+    """An input exceeds one of the package's fixed size caps: a hull's
+    points, an allocation enumeration or a correspondence sample's pairs."""
 
 
 class ValidationError(ToolkitError):

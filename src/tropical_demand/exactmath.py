@@ -17,7 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, quoted
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 IVec = tuple[int, ...]
 
@@ -26,6 +25,12 @@ ZERO = Fraction(0)
 # The schemas' rational pattern; a denominator of zeros is matched too, so
 # that it is refused by its own message.
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/(0+|[1-9][0-9]*))?")
+
+
+def is_int(x) -> bool:
+    """Integers only: ``bool`` is a subclass of ``int`` in Python, and JSON's
+    ``true`` is not a count or a coordinate."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def rational(value: int | str | Fraction) -> Fraction:
@@ -39,7 +44,7 @@ def rational(value: int | str | Fraction) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_int(value):
         return Fraction(value)
     match = _RATIONAL.fullmatch(value) if isinstance(value, str) else None
     if match is not None:

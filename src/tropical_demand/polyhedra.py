@@ -1,19 +1,11 @@
 """Exact polyhedral primitives.
 
-Half-space representations, an exact integer simplex kernel, and upper
-concave hulls of lifted lattice points.  Everything is a pure function on
-immutable inputs.  Inputs and results are Fractions.
-
-The simplex kernel runs on a tableau of ints over one positive common
-denominator.  Each pivot keeps the pivot row and divides every other row
-exactly by the old denominator (integer-preserving pivoting, as in Edmonds
-1967 and Bareiss 1968).  ``_bland`` enters by Bland's rule and leaves by a
-lexicographic ratio test on a perturbed right-hand side, testing only signs
-and comparing ratios by cross-multiplication, so it takes the same pivots
-as on the rational tableau.  It starts from a feasible basis and has no
-phase 1: it serves the market's configuration LP
-(``equilibrium.min_aggregate_indirect``) alone, whose start is the
-identity.  ``_extreme_rays`` uses ``_pivot`` to invert its first basis.
+Half-space representations, upper concave hulls of lifted lattice points,
+and one integer-preserving pivot (``_pivot``), which ``_extreme_rays``
+uses to invert its first basis and the market's configuration LP
+(``equilibrium``) to run its simplex.  The public functions are pure
+functions on immutable inputs, and their inputs and results are
+Fractions; ``_pivot`` alone changes its tableau in place.
 
 The upper concave hull of lifted points (the concave dual of every
 valuation, for 1, 2 and 3 goods alike) and the convex hull of the bundles
@@ -94,7 +86,7 @@ class AffinePiece:
 
 
 # ---------------------------------------------------------------------------
-# the integer simplex kernel
+# the integer-preserving pivot
 # ---------------------------------------------------------------------------
 
 
@@ -131,68 +123,6 @@ def _pivot(tableau: list[list[int]], row: int, col: int, det: int) -> int:
             tableau[i] = [-x for x in line]
         return -p
     return p
-
-
-def _bland(
-    tableau: list[list[int]],
-    basis: list[int],
-    ncols: int,
-    lex: Sequence[tuple[int, int]],
-) -> int:
-    """Run simplex iterations on a feasible tableau of ints, over
-    denominator 1, whose last row holds reduced costs (minimization), to
-    optimality; returns the final common denominator.
-
-    Bland's rule picks the entering column, the least one with a negative
-    reduced cost.  The leaving row minimizes the vector (rhs, s * column c
-    for each (c, s) in ``lex``) over the pivot entry, lexicographically,
-    with ties broken by the least basic variable: Bland's rule on the LP
-    whose right-hand side b is perturbed to b + sum_k eps^k s_k e_k, when
-    column c_k of the tableau is B^-1 e_k (Dantzig, Orden and Wolfe 1955).
-    The start must be feasible for that perturbation.  Only signs are
-    tested and ratios are compared by cross-multiplication, so no test
-    depends on the denominator.  An unbounded LP raises ``DegenerateInput``.
-    """
-    m, det = len(basis), 1
-    while True:
-        cost = tableau[m]
-        enter = next((j for j in range(ncols) if cost[j] < 0), None)
-        if enter is None:
-            return det
-        leave = None
-        for r in range(m):
-            line = tableau[r]
-            a = line[enter]
-            if a <= 0:
-                continue
-            if leave is None:
-                leave, best, best_a = r, line, a
-                continue
-            # line / a against best / best_a, cross-multiplied, rhs first
-            d = line[ncols] * best_a - best[ncols] * a
-            for c, s in lex:
-                if d:
-                    break
-                d = s * (line[c] * best_a - best[c] * a)
-            if d < 0 or (d == 0 and basis[r] < basis[leave]):
-                leave, best, best_a = r, line, a
-        if leave is None:
-            raise DegenerateInput("simplex: the LP is unbounded")
-        det = _pivot(tableau, leave, enter, det)
-        basis[leave] = enter
-
-
-def _price_out(cost: list[int], rows: list[list[int]], basis: list[int]) -> list[int]:
-    """Reduced costs of an integer cost row that ends in 0:
-    c - sum_r c[basis[r]] * rows[r].  Each basic column of ``rows`` is a
-    unit vector, so this clears the basic columns, and the last entry is
-    minus the basic solution's value."""
-    out = list(cost)
-    for line, var in zip(rows, basis):
-        f = cost[var]
-        if f:
-            out = [c - f * a for c, a in zip(out, line)]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ keys sorted, quotes, backslashes and control characters escaped, every
 non-ASCII character as a ``\\u`` escape, and a trailing newline, byte for
 byte what ``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` writes, so
 identical inputs produce byte-identical output.  Valuations, economies,
-functions, domains and subdivisions round-trip through their own parsers;
-correspondence samples are input-only and reports output-only.  The
-schemas shipped in docs/schemas/ describe the same formats.
+functions and subdivisions round-trip through their own parsers (a domain
+through its function's); correspondence samples are input-only and
+reports output-only.  The schemas in docs/schemas/ describe the formats.
 
 Each public reader parses each distinct rational string of its document
 once: the ``str -> Fraction`` memo lives in one top-level ``*_from_dict``
@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .equilibrium import Economy, EquilibriumReport
 from .errors import DegenerateInput, ValidationError, quoted
-from .exactmath import IVec, Vec, format_rational, rational, scaled_ints
+from .exactmath import IVec, Vec, format_rational, is_int, rational, scaled_ints
 from .polyhedra import AffinePiece, HPolyhedron, HalfSpace
 from .potential import CorrespondenceSample
 from .valuation import PolyhedralFunction, Valuation
@@ -140,13 +140,8 @@ def _rational_in(x, context: str, memo: dict[str, Fraction]) -> Fraction:
     return value
 
 
-def _is_int(x) -> bool:
-    """JSON integers only: ``bool`` is a subclass of ``int`` in Python."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _ivec_in(data, context: str, length: int | None = None) -> IVec:
-    if not isinstance(data, list) or not all(_is_int(c) for c in data):
+    if not isinstance(data, list) or not all(is_int(c) for c in data):
         raise ValidationError(f"{context}: expected an integer array")
     if length is not None and len(data) != length:
         raise ValidationError(f"{context}: expected {length} coordinates")
@@ -179,7 +174,7 @@ def valuation_from_dict(data) -> Valuation:
 
 def _valuation(data, memo: dict[str, Fraction]) -> Valuation:
     _expect(isinstance(data, dict), "valuation: expected an object")
-    _expect(_is_int(data.get("goods")), "valuation: 'goods' must be an integer")
+    _expect(is_int(data.get("goods")), "valuation: 'goods' must be an integer")
     entries_raw = data.get("entries")
     _expect(isinstance(entries_raw, list), "valuation: 'entries' must be an array")
     entries: dict[IVec, Fraction] = {}
@@ -202,7 +197,7 @@ def economy_to_dict(e: Economy) -> dict:
 
 def economy_from_dict(data) -> Economy:
     _expect(isinstance(data, dict), "economy: expected an object")
-    _expect(_is_int(data.get("goods")), "economy: 'goods' must be an integer")
+    _expect(is_int(data.get("goods")), "economy: 'goods' must be an integer")
     endowment = _ivec_in(data.get("endowment"), "economy endowment")
     consumers_raw = data.get("consumers")
     _expect(isinstance(consumers_raw, list) and consumers_raw, "economy: 'consumers' must be a nonempty array")
@@ -228,7 +223,7 @@ def domain_to_dict(domain: HPolyhedron) -> dict:
 
 def _domain(data, memo: dict[str, Fraction]) -> HPolyhedron:
     _expect(isinstance(data, dict), "domain: expected an object")
-    _expect(_is_int(data.get("dim")), "domain: 'dim' must be an integer")
+    _expect(is_int(data.get("dim")), "domain: 'dim' must be an integer")
     raw = data.get("halfspaces")
     _expect(isinstance(raw, list), "domain: 'halfspaces' must be an array")
     halfspaces = []
@@ -304,7 +299,7 @@ def subdivision_to_dict(s: LabeledSubdivision) -> dict:
             entry["to_region"] = fd.to_region
         cells.append(entry)
     return {
-        "ambient_dim": s.ambient_dim,
+        "ambient_dim": 2,
         "convention": s.convention,
         "domain": domain_to_dict(s.domain),
         "cells": cells,
@@ -320,7 +315,7 @@ _CELL_SHAPES = {0: {(1, 0)}, 1: {(2, 0), (1, 1), (1, 2)}}
 def subdivision_from_dict(data) -> LabeledSubdivision:
     _expect(isinstance(data, dict), "subdivision: expected an object")
     ambient_dim = data.get("ambient_dim")
-    _expect(_is_int(ambient_dim) and ambient_dim == 2, "subdivision: ambient_dim must be 2")
+    _expect(is_int(ambient_dim) and ambient_dim == 2, "subdivision: ambient_dim must be 2")
     convention = data.get("convention")
     _expect(convention in ("max", "min"), "subdivision: convention must be 'max' or 'min'")
     memo: dict[str, Fraction] = {}
@@ -335,11 +330,11 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
     for item in raw:
         _expect(isinstance(item, dict), "cell: expected an object")
         cell_id = item.get("id")
-        _expect(_is_int(cell_id), "cell: 'id' must be an integer")
+        _expect(is_int(cell_id), "cell: 'id' must be an integer")
         name = quoted(cell_id)
         _expect(cell_id not in cells, f"cell: duplicate id {name}")
         dim = item.get("dim")
-        _expect(_is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
+        _expect(is_int(dim) and dim in (0, 1, 2), "cell: 'dim' must be 0, 1, or 2")
         for key in ("points", "rays"):
             _expect(isinstance(item.get(key, []), list), f"cell: '{key}' must be an array")
         points = tuple(_vec_in(p, "cell point", memo, 2) for p in item.get("points", []))
@@ -368,7 +363,7 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
             _expect(weight > 0, f"cell {name}: facet weight must be positive")
             _expect(any(normal), f"cell {name}: facet normal must not be zero")
             _expect(
-                _is_int(item.get("from_region")) and _is_int(item.get("to_region")),
+                is_int(item.get("from_region")) and is_int(item.get("to_region")),
                 f"cell {name}: facet data needs from_region and to_region",
             )
             facet_data[cell_id] = FacetData(
@@ -396,7 +391,6 @@ def subdivision_from_dict(data) -> LabeledSubdivision:
         if fd.from_region not in region_labels or fd.to_region not in region_labels:
             raise ValidationError(f"edge {quoted(edge_id)}: facet regions do not exist")
     return LabeledSubdivision(
-        ambient_dim=2,
         convention=convention,
         domain=domain,
         cells=cells,
@@ -467,7 +461,7 @@ def equilibrium_report_to_dict(report: EquilibriumReport) -> dict:
                 }
                 for r in c.receipts
             ],
-            "status": c.status,
+            "status": "found",
         }
     return {
         "min_value": format_rational(report.min_value),

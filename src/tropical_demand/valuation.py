@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateInput, ValidationError, quoted
-from .exactmath import IVec, scaled_ints
+from .exactmath import IVec, is_int, scaled_ints
 from .polyhedra import AffinePiece, HPolyhedron, upper_concave_hull
 
 
@@ -28,6 +28,8 @@ class Valuation:
     entries: dict[IVec, Fraction]
 
     def __post_init__(self):
+        if not is_int(self.goods):
+            raise ValidationError("the number of goods must be an integer")
         if self.goods < 1:
             raise ValidationError("need at least one good")
         if not self.entries:
@@ -35,7 +37,7 @@ class Valuation:
         for bundle in self.entries:
             if len(bundle) != self.goods:
                 raise ValidationError(f"bundle {quoted(bundle)} has wrong length")
-            if any(not isinstance(c, int) or c < 0 for c in bundle):
+            if any(not is_int(c) or c < 0 for c in bundle):
                 raise ValidationError(f"bundle {quoted(bundle)} is not a nonnegative lattice point")
         zero = tuple(0 for _ in range(self.goods))
         if zero not in self.entries:

@@ -8,7 +8,7 @@ def test_public_api_is_pinned():
         "CorrespondenceSample", "DegenerateInput", "DemandSet", "DomainError", "Economy",
         "EquilibriumReport", "FacetData", "HPolyhedron", "HalfSpace", "IVec", "InstanceTooLarge",
         "LabeledSubdivision", "LabelingViolation", "NonConservative",
-        "PolyhedralFunction", "Polyline", "Rational", "ToolkitError", "UnsupportedDimension",
+        "PolyhedralFunction", "Polyline", "ToolkitError", "UnsupportedDimension",
         "ValidationError", "Valuation", "Vec", "VertexBalance", "aggregate_indirect",
         "check_balancing", "check_cyclic_monotonicity", "check_normal_labeling",
         "convex_hull_halfspaces", "demand", "demand_complex", "duality_test", "dualize",

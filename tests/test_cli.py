@@ -961,6 +961,9 @@ def test_distinct_1000_digit_denominators_run_within_a_wall_bound(tmp_path):
     # denominator, so each of the three commands stays within a wall bound
     # of 5 s: run as a subprocess on a 2-vCPU host, each took 0.56-0.68 s,
     # and 36 s when one lcm of all 63 denominators scaled every height.
+    # Both complexes then read back: `balance` finds them balanced and
+    # `integrate` recovers the price complex's potential, although their
+    # longest integers run to 4,000 digits.
     rng = random.Random(1000)
     entries = {(0, 0): F(0)}
     for q in [(i, j) for i in range(8) for j in range(8)][1:]:
@@ -986,6 +989,22 @@ def test_distinct_1000_digit_denominators_run_within_a_wall_bound(tmp_path):
     for q, u in entries.items():
         envelope = min(p.evaluate(q) for p in pieces)
         assert envelope >= u and (envelope == u) == (q not in never)
+    for which in ("price", "demand"):
+        complex_file = str(tmp_path / f"{which}.json")
+        out = tmp_path / f"balance_{which}.json"
+        assert cli.main(["balance", "--in", complex_file, "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["balanced"] is True
+        out = tmp_path / f"integrate_{which}.json"
+        assert cli.main(["integrate", "--in", complex_file, "--out", str(out)]) == cli.EXIT_OK
+    # The price complex's default anchor is the region of (0,0), at
+    # value 0 = u(0,0), so its potential is the indirect utility: the piece
+    # -q.p + u(q) of each demanded bundle q.
+    doc = json.loads((tmp_path / "integrate_price.json").read_text())
+    potential = {
+        (tuple(-c for c in p.slope), p.intercept)
+        for p in serialize.function_from_dict(doc).pieces
+    }
+    assert potential == {(q, u) for q, u in entries.items() if q not in never}
 
 
 def test_complex_price_over_bundle_cap(tmp_path, capsys):

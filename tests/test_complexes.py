@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropical_demand import complexes, polyhedra, serialize, valuation
+from tropical_demand import complexes, equilibrium, polyhedra, serialize, valuation
 from tropical_demand import (
     DegenerateInput,
     HalfSpace,
@@ -144,7 +144,7 @@ def test_price_complex_lifts_once_and_walks_no_rows(monkeypatch):
 
     monkeypatch.setattr(polyhedra, "_extreme_rays", counting_kernel)
     for module, name in [
-        (polyhedra, "_bland"),
+        (equilibrium, "_bland"),
         (valuation, "indirect_utility"),
     ]:
         monkeypatch.setattr(module, name, refuse)
@@ -251,7 +251,7 @@ def test_demand_complex_lifts_once_and_builds_no_price_complex(monkeypatch):
         (complexes, "check_normal_labeling"),
         (complexes, "convex_hull_halfspaces"),
         (polyhedra, "convex_hull_halfspaces"),
-        (polyhedra, "_bland"),
+        (equilibrium, "_bland"),
     ]:
         monkeypatch.setattr(module, name, refuse)
     for entries in [
@@ -542,7 +542,6 @@ def test_dualize_complex_rejects_a_boundary_line():
     line = Cell(dim=1, points=((F(1), F(0)),), rays=((0, -1), (0, 1)), incident=())
     region = Cell(dim=2, points=(), rays=((0, -1), (0, 1)), incident=(0,))
     s = LabeledSubdivision(
-        ambient_dim=2,
         convention="max",
         domain=HPolyhedron(2, (HalfSpace((F(1), F(0)), F(1)),)),
         cells={0: line, 1: region},

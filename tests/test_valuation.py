@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tropical_demand import (
     AffinePiece,
     CorrespondenceSample,
+    Economy,
     HalfSpace,
     HPolyhedron,
     PolyhedralFunction,
@@ -40,6 +41,26 @@ def test_valuation_requires_zero_bundle():
 def test_valuation_rejects_negative_coordinates():
     with pytest.raises(ValidationError):
         Valuation(goods=2, entries={(0, 0): F(0), (-1, 0): F(1)})
+
+
+ONE_GOOD = Valuation(goods=1, entries={(0,): F(0), (1,): F(3)})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Valuation(goods=True, entries={(0,): F(0)}),
+        lambda: Valuation(goods=1, entries={(0,): F(0), (True,): F(3)}),
+        lambda: Economy(goods=True, consumers=(ONE_GOOD,), endowment=(1,)),
+        lambda: Economy(goods=1, consumers=(ONE_GOOD,), endowment=(True,)),
+    ],
+    ids=["valuation goods", "bundle coordinate", "economy goods", "endowment entry"],
+)
+def test_a_bool_is_not_a_count_or_a_coordinate(build):
+    # bool is a subclass of int, and JSON would write it as true, which
+    # the readers refuse as "expected an integer array".
+    with pytest.raises(ValidationError):
+        build()
 
 
 def test_indirect_utility_pieces(five_bundle_valuation):
