@@ -468,7 +468,7 @@ def check_normal_labeling(s: LabeledSubdivision) -> tuple[bool, list[LabelingVio
             continue
         if fd.weight <= 0:
             violations.append(LabelingViolation(edge_id, f"weight {fd.weight} is not positive"))
-        if all(c == 0 for c in fd.normal) or not is_primitive(fd.normal):
+        if not is_primitive(fd.normal):
             violations.append(LabelingViolation(edge_id, f"normal {fd.normal} is not primitive"))
             continue
         diff = vsub(s.region_labels[fd.from_region], s.region_labels[fd.to_region])
@@ -602,7 +602,7 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
         if len(s.cells) > 1:
             raise DegenerateInput("a region with no edges must be the only cell")
         label = s.region_labels[regions[0]]
-        return _assemble([], [], convention, convex_hull_halfspaces([label], 2), [label])
+        return _assemble([], [], convention, convex_hull_halfspaces([label]), [label])
 
     # A boundary edge belongs to the lowest-numbered region that lists it.
     owner = {e: r for r in reversed(regions) for e in s.cells[r].incident}
@@ -644,5 +644,5 @@ def dualize_complex(s: LabeledSubdivision) -> LabeledSubdivision:
     if s.domain.halfspaces:
         domain = HPolyhedron(2, ())
     else:
-        domain = convex_hull_halfspaces([s.region_labels[r] for r in regions], 2)
+        domain = convex_hull_halfspaces([s.region_labels[r] for r in regions])
     return _assemble(dual_edges, dual_regions, convention, domain)

@@ -241,9 +241,15 @@ def _lift(
     set: with s > 0 an upper facet of the lifted points, with s = 0 and
     m != 0 a facet of their hull.
     Returns the origin (0 or q_0), the directions (unit vectors or e), the
-    coordinates y, and every ray as (m, b, s, zero set).
+    coordinates y, and every ray as (m, b, s, zero set).  The points fix
+    the dimension n: all of one length, from 1 to 3.
     """
     n = len(points[0])
+    for q in points:
+        if len(q) != n:
+            raise DegenerateInput(f"dimension mismatch: {len(q)} vs {n}")
+    if not 1 <= n <= 3:
+        raise UnsupportedDimension("hull enumeration supports up to 3 goods")
     diffs = [tuple(map(sub, q, points[0])) for q in points]
     kept = first_independent(diffs, n)
     if len(kept) == n:
@@ -337,8 +343,6 @@ def upper_concave_hull(
     if not points:
         raise DegenerateInput("hull of no points")
     check_hull_cap("upper concave hull", len(points))
-    if len(points[0][0]) > 3:
-        raise UnsupportedDimension("hull enumeration supports up to 3 goods")
     order = sorted(range(len(points)), key=lambda i: points[i][0])
     bundles = [points[i][0] for i in order]
     if len(set(bundles)) != len(bundles):
@@ -353,18 +357,17 @@ def upper_concave_hull(
     return [p for p, _ in tight], [cell for _, cell in tight], _hull(lift, 1)
 
 
-def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]], dim: int) -> HPolyhedron:
+def convex_hull_halfspaces(points: Sequence[Sequence[Fraction | int]]) -> HPolyhedron:
     """H-representation of the convex hull of finitely many rational points.
 
-    Supports dim <= 3.  The distinct points, sorted, are scaled by the lcm
-    of their denominators to integer points, lifted at height 0
-    (``_lift``) and read by ``_hull``: a full-dimensional set gets its
+    The points, all of one length from 1 to 3, fix the dimension.  The
+    distinct points, sorted, are scaled by the lcm of their denominators
+    to integer points, lifted at height 0 (``_lift``) and read by
+    ``_hull``: a full-dimensional set gets its
     facets, a lower-dimensional one (a point, a line, or a plane in R^3)
     the equations of its affine hull and then its facets within it.
     """
     if not points:
         raise DegenerateInput("hull of no points")
-    if dim not in (1, 2, 3):
-        raise UnsupportedDimension("convex hulls supported up to dimension 3")
     scale, ints = scaled_ints(sorted(set(tuple(Fraction(c) for c in p) for p in points)))
     return _hull(_lift(ints, [0] * len(ints)), scale)

@@ -3,13 +3,13 @@
 A normally labeled subdivision integrates up to a piecewise-affine
 potential: constants propagate over a spanning tree of the region-adjacency
 graph, and every non-tree adjacency is re-checked, which is exactly the
-requirement that all closed-path integrals vanish.  Path integrals of the
-induced correspondence are computed in closed form by splitting segments at
-the facet crossings where the active piece changes; the tangential
-component is single-valued on facets, so the selection does not matter.
+requirement that all closed-path integrals vanish.  Up to sign, the
+induced correspondence is the potential's subdifferential, so its integral
+along a path is the change of the potential between the path's ends
+(Rockafellar, Convex Analysis, section 24): no segment is split.
 
 ``_label_slope`` alone turns a region's label into its piece's slope and
-back, for the constants, the pieces and the path selection.
+back, for the constants and the pieces, and sets the path integral's sign.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     clipped,
     quoted,
 )
-from .exactmath import IVec, Vec, ZERO, dot, format_rational, scaled_ints, vsub
+from .exactmath import IVec, Vec, format_rational, scaled_ints
 from .polyhedra import AffinePiece
 from .valuation import PolyhedralFunction
 
@@ -67,7 +67,9 @@ class CorrespondenceSample:
 def _label_slope(convention: str, v: Vec) -> Vec:
     """A region's label as its piece's slope, or a slope as the label: minus
     it under the decreasing-demand ``max`` convention, itself under ``min``.
-    Its own inverse, and linear, so it maps label differences too."""
+    Its own inverse, and linear, so it maps label differences too, and on
+    the one-coordinate change of a potential it gives the path integral's
+    sign."""
     return tuple(-c for c in v) if convention == "max" else v
 
 
@@ -206,43 +208,21 @@ def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
 
     For a convex max-of-affine potential the correspondence is the demand
     selection (minus the active slope); for a concave min-of-affine
-    potential it is the active slope itself.  Each segment is split at the
-    parameters where the active piece changes.
+    potential it is the active slope itself.  Up to that sign, either is
+    the subdifferential of f, so the integral is the change of f from the
+    first waypoint to the last, signed by ``_label_slope``: zero on a
+    closed path.  Every waypoint is checked for length and domain.
     """
-    points = list(path.waypoints)
-    if path.closed:
-        points.append(points[0])
+    points = path.waypoints
+    n = len(f.pieces[0].slope)
     for p in points:
+        if len(p) != n:
+            raise DegenerateInput(f"dimension mismatch: {len(p)} vs {n}")
         if not f.domain.contains(p):
             raise DomainError(f"waypoint {p} is outside the potential's domain")
-
-    total = ZERO
-    for a, b in zip(points, points[1:]):
-        if a == b:
-            continue
-        step = vsub(b, a)
-        cuts = {ZERO, Fraction(1)}
-        n_pieces = len(f.pieces)
-        for i in range(n_pieces):
-            for j in range(i + 1, n_pieces):
-                si, sj = f.pieces[i], f.pieces[j]
-                rate = dot(vsub(si.slope, sj.slope), step)
-                if rate == 0:
-                    continue
-                gap = (sj.intercept + dot(sj.slope, a)) - (
-                    si.intercept + dot(si.slope, a)
-                )
-                t = gap / rate
-                if 0 < t < 1:
-                    cuts.add(t)
-        ordered = sorted(cuts)
-        for t0, t1 in zip(ordered, ordered[1:]):
-            mid = (t0 + t1) / 2
-            x = tuple(pa + mid * d for pa, d in zip(a, step))
-            selection = _label_slope(f.convention, f.active_pieces(x)[0].slope)
-            delta = tuple((t1 - t0) * d for d in step)
-            total += dot(selection, delta)
-    return total
+    last = points[0] if path.closed else points[-1]
+    (change,) = _label_slope(f.convention, (f.evaluate(last) - f.evaluate(points[0]),))
+    return change
 
 
 # ---------------------------------------------------------------------------

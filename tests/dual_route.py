@@ -31,4 +31,4 @@ def demand_complex(v: Valuation) -> LabeledSubdivision:
         raise DegenerateInput("bundles are affinely collinear; the dual complex is 1-D")
     check_hull_cap("demand complex", len(v.entries))
     dual = dualize_complex(price_complex(v))
-    return replace(dual, domain=convex_hull_halfspaces(v.bundles(), 2))
+    return replace(dual, domain=convex_hull_halfspaces(v.bundles()))

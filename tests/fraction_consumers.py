@@ -1,12 +1,16 @@
 """The Fraction routes of the three 2-D subdivision consumers, kept as the
 oracles of the integer ones in ``tropical_demand``: the SVG renderer, the
-balancing check and the integration up to a potential.
+balancing check and the integration up to a potential.  Also the crossing
+walk of a potential's path integral, kept as the oracle of the closed form
+in ``tropical_demand.potential``.
 
 Every coordinate, direction, clip parameter and constant here is a
 ``Fraction`` and every operand of a dot product or a difference is wrapped
 in one.  The integer routes must give the same SVG text, the same
 ``BalanceReport`` and the same ``PolyhedralFunction``, or raise the same
-exception with the same message.
+exception with the same message.  The walk splits each segment at every
+parameter where two pieces cross and sums the active slope over the parts:
+the closed form must give the same value, or raise the same exception type.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from tropical_demand.complexes import (
     VertexBalance,
     finite_endpoints,
 )
-from tropical_demand.errors import DegenerateInput, NonConservative, clipped, quoted
+from tropical_demand.errors import DegenerateInput, DomainError, NonConservative, clipped, quoted
 from tropical_demand.exactmath import IVec, Vec, ZERO, ccw_compare, format_rational, rot90ccw
 from tropical_demand.polyhedra import AffinePiece
-from tropical_demand.potential import _tree_cycle
+from tropical_demand.potential import Polyline, _tree_cycle
 from tropical_demand.svg import BADGE_RADIUS, SCALE, VERTEX_RADIUS, _fmt
 from tropical_demand.valuation import PolyhedralFunction
 
@@ -251,3 +255,47 @@ def integrate_subdivision(
     pieces = {AffinePiece(slope=slopes[r], intercept=constants[r]) for r in regions}
     ordered = tuple(sorted(pieces, key=lambda p: (p.slope, p.intercept)))
     return PolyhedralFunction(s.convention, ordered, s.domain)
+
+
+def path_integral(f: PolyhedralFunction, path: Polyline) -> Fraction:
+    """Exact integral of the induced correspondence along a polyline.
+
+    For a convex max-of-affine potential the correspondence is the demand
+    selection (minus the active slope); for a concave min-of-affine
+    potential it is the active slope itself.  Each segment is split at the
+    parameters where the active piece changes.
+    """
+    points = list(path.waypoints)
+    if path.closed:
+        points.append(points[0])
+    for p in points:
+        if not f.domain.contains(p):
+            raise DomainError(f"waypoint {p} is outside the potential's domain")
+
+    total = ZERO
+    for a, b in zip(points, points[1:]):
+        if a == b:
+            continue
+        step = vsub(b, a)
+        cuts = {ZERO, Fraction(1)}
+        n_pieces = len(f.pieces)
+        for i in range(n_pieces):
+            for j in range(i + 1, n_pieces):
+                si, sj = f.pieces[i], f.pieces[j]
+                rate = dot(vsub(si.slope, sj.slope), step)
+                if rate == 0:
+                    continue
+                gap = (sj.intercept + dot(sj.slope, a)) - (
+                    si.intercept + dot(si.slope, a)
+                )
+                t = gap / rate
+                if 0 < t < 1:
+                    cuts.add(t)
+        ordered = sorted(cuts)
+        for t0, t1 in zip(ordered, ordered[1:]):
+            mid = (t0 + t1) / 2
+            x = tuple(pa + mid * d for pa, d in zip(a, step))
+            selection = _label_slope(f.convention, f.active_pieces(x)[0].slope)
+            delta = tuple((t1 - t0) * d for d in step)
+            total += dot(selection, delta)
+    return total

@@ -33,7 +33,7 @@ from tropical_demand.exactmath import dot, rational_direction
 
 import fraction_regions
 from conftest import bundle_regions, canonical_form, in_region
-from fraction_consumers import edge_direction
+from fraction_consumers import edge_direction, path_integral as crossing_walk
 
 F = Fraction
 
@@ -176,15 +176,22 @@ def test_c07_conservativeness():
     for _ in range(100):
         k = rng.randint(2, 8)
         loops.append(tuple(random_price(rng) for _ in range(k)))
+    # path_integral takes the potential's change between the ends; the
+    # crossing walk sums the active pieces' slopes segment by segment.
     for waypoints in loops:
         target = potentials[rng.randrange(len(potentials))]
-        assert path_integral(target, Polyline(waypoints=waypoints, closed=True)) == 0
+        loop = Polyline(waypoints=waypoints, closed=True)
+        assert path_integral(target, loop) == 0
+        assert crossing_walk(target, loop) == 0
         open_path = Polyline(waypoints=waypoints, closed=False)
         expected = target.evaluate(waypoints[0]) - target.evaluate(waypoints[-1])
         assert path_integral(target, open_path) == expected
+        assert crossing_walk(target, open_path) == expected
     # every potential sees at least one loop
+    loop = Polyline(waypoints=loops[0], closed=True)
     for target in potentials:
-        assert path_integral(target, Polyline(waypoints=loops[0], closed=True)) == 0
+        assert path_integral(target, loop) == 0
+        assert crossing_walk(target, loop) == 0
     print("[criterion 07] PASS - closed-path integrals vanish; open paths match potential differences")
 
 

@@ -223,7 +223,7 @@ def test_demand_complex_domain_is_the_bundle_hull():
     v = make_valuation({(0, 0): 0, (1, 1): 0, (2, 0): 0, (2, 2): 0})
     bundles = [ivec_to_vec(q) for q in v.bundles()]
     dc = demand_complex(v)
-    assert dc.domain == convex_hull_halfspaces(bundles, 2)
+    assert dc.domain == convex_hull_halfspaces(bundles)
     assert dc.domain != dualize_complex(price_complex(v)).domain
 
 
@@ -665,7 +665,7 @@ def test_random_price_and_demand_complexes_are_dual(v):
     assert sorted(dc.region_labels.values()) == [piece.slope for piece in dualize(v)[0].pieces]
     for region, price in dc.region_labels.items():
         demanded = [ivec_to_vec(q) for q in demand(v, price).bundles]
-        rows = convex_hull_halfspaces(demanded, 2).halfspaces
+        rows = convex_hull_halfspaces(demanded).halfspaces
         corners = {
             q
             for q in demanded
@@ -678,5 +678,5 @@ def test_random_price_and_demand_complexes_are_dual(v):
         assert all(
             (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0]) > 0 for a, b, c in turns
         )
-    assert dc.domain == convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()], 2)
+    assert dc.domain == convex_hull_halfspaces([ivec_to_vec(q) for q in v.bundles()])
     assert canonical_form(dualize_complex(dc)) == canonical_form(price_complex(v))

@@ -12,6 +12,7 @@ from tropical_demand import (
     DegenerateInput,
     HPolyhedron,
     HalfSpace,
+    UnsupportedDimension,
     convex_hull_halfspaces,
     price_complex,
     upper_concave_hull,
@@ -247,7 +248,7 @@ def test_hull_domain_is_the_bundle_hull_in_any_input_order(points, rnd):
     # it, nor the pieces, nor the bundles on the hull.
     pieces, cells, domain = upper_concave_hull(points)
     bundles = [q for q, _ in points]
-    assert domain == convex_hull_halfspaces(bundles, len(bundles[0]))
+    assert domain == convex_hull_halfspaces(bundles)
     normals = [h.normal for h in domain.halfspaces]
     assert all(_content(n) == 1 for n in normals) and len(set(normals)) == len(normals)
     shuffled = points[:]
@@ -287,7 +288,7 @@ def test_convex_hull_halfspaces_matches_the_facet_walk(case):
     # The rows, in order, are the walk's: facets by first appearance over
     # the sorted points, then deduplicated.
     dim, points = case
-    assert convex_hull_halfspaces(points, dim).halfspaces == facet_walk.hull_rows(points)
+    assert convex_hull_halfspaces(points).halfspaces == facet_walk.hull_rows(points)
 
 
 @settings(max_examples=100, deadline=None)
@@ -367,46 +368,46 @@ def test_convex_hull_halfspaces_row_order():
     # Recorded from the pair/triple loops that the facet walk replaced: rows
     # in order of first appearance over the sorted points.
     square_ish = [(4, 0), (0, 0), (2, 0), (1, 1), (0, 3), (3, 3)]
-    assert _rows(convex_hull_halfspaces(square_ish, 2)) == [
+    assert _rows(convex_hull_halfspaces(square_ish)) == [
         (("-1", "0"), "0"),
         (("0", "-1"), "0"),
         (("0", "1"), "3"),
         (("3", "1"), "12"),
     ]
     rational = [(F(1, 2), 0), (0, F(1, 3)), (F(3, 2), F(2, 3)), (1, F(5, 4))]
-    assert _rows(convex_hull_halfspaces(rational, 2)) == [
+    assert _rows(convex_hull_halfspaces(rational)) == [
         (("-2", "-3"), "-1"),
         (("-11", "12"), "4"),
         (("2", "-3"), "1"),
         (("7", "6"), "29/2"),
     ]
     pyramid = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 0), (1, 1, 2)]
-    assert _rows(convex_hull_halfspaces(pyramid, 3)) == [
+    assert _rows(convex_hull_halfspaces(pyramid)) == [
         (("0", "0", "-1"), "0"),
         (("-2", "0", "1"), "0"),
         (("0", "-2", "1"), "0"),
         (("0", "2", "1"), "4"),
         (("2", "0", "1"), "4"),
     ]
-    assert _rows(convex_hull_halfspaces([(3,), (F(1, 2),), (2,)], 1)) == [
+    assert _rows(convex_hull_halfspaces([(3,), (F(1, 2),), (2,)])) == [
         (("1",), "3"),
         (("-1",), "-1/2"),
     ]
     # A point and two segments in the plane: the equations of the affine
     # hull, each as a pair of opposite rows, then the two ends.
-    assert _rows(convex_hull_halfspaces([(F(3, 2), 2)], 2)) == [
+    assert _rows(convex_hull_halfspaces([(F(3, 2), 2)])) == [
         (("1", "0"), "3/2"),
         (("-1", "0"), "-3/2"),
         (("0", "1"), "2"),
         (("0", "-1"), "-2"),
     ]
-    assert _rows(convex_hull_halfspaces([(4, 2), (0, 0), (2, 1), (6, 3)], 2)) == [
+    assert _rows(convex_hull_halfspaces([(4, 2), (0, 0), (2, 1), (6, 3)])) == [
         (("-1", "2"), "0"),
         (("1", "-2"), "0"),
         (("2", "1"), "15"),
         (("-2", "-1"), "0"),
     ]
-    assert _rows(convex_hull_halfspaces([(0, 3), (0, F(1, 2)), (0, 1)], 2)) == [
+    assert _rows(convex_hull_halfspaces([(0, 3), (0, F(1, 2)), (0, 1)])) == [
         (("-1", "0"), "0"),
         (("1", "0"), "0"),
         (("0", "1"), "3"),
@@ -459,11 +460,40 @@ def test_convex_hull_halfspaces_row_order():
 def test_convex_hull_halfspaces_of_lower_dimensional_sets_in_3d(points, rows, inside):
     # The equations of the affine hull come first, as pairs of opposite
     # rows, then the hull within it; together they cut out exactly the hull.
-    hull = convex_hull_halfspaces(points, 3)
+    hull = convex_hull_halfspaces(points)
     assert _rows(hull) == rows
     grid = [tuple(F(c, 2) for c in x) for x in itertools.product(range(-2, 5), repeat=3)]
     for x in grid:
         assert hull.contains(x) == inside(x), x
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([(1, 2, 3, 4)], UnsupportedDimension, "up to 3 goods"),
+        ([(0, 0, 0, 0), (1, 1, 1, 1)], UnsupportedDimension, "up to 3 goods"),
+        ([()], UnsupportedDimension, "up to 3 goods"),
+        ([(0, 0), (1, 0, 5), (0, 1)], DegenerateInput, "dimension mismatch: 3 vs 2"),
+    ],
+    ids=["4-d point", "4-d segment", "0-d point", "mixed lengths"],
+)
+def test_convex_hull_halfspaces_takes_its_dimension_from_the_points(points, error, message):
+    with pytest.raises(error, match=message):
+        convex_hull_halfspaces(points)
+
+
+@pytest.mark.parametrize(
+    "points, error, message",
+    [
+        ([((0, 0), F(0)), ((1, 0, 5), F(1)), ((0, 1), F(2))], DegenerateInput, "3 vs 2"),
+        ([((0, 0), F(0)), ((1,), F(1))], DegenerateInput, "1 vs 2"),
+        ([((0, 0, 0, 0), F(0)), ((1, 0, 0, 0), F(1))], UnsupportedDimension, "up to 3 goods"),
+    ],
+    ids=["a 3-d bundle among 2-d ones", "a 1-d bundle after a 2-d one", "4 goods"],
+)
+def test_upper_concave_hull_takes_its_dimension_from_the_bundles(points, error, message):
+    with pytest.raises(error, match=message):
+        upper_concave_hull(points)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from tropical_demand import (
     InstanceTooLarge,
     NonConservative,
     Polyline,
+    ToolkitError,
     check_cyclic_monotonicity,
     demand,
     demand_complex,
@@ -27,6 +30,7 @@ from tropical_demand.potential import MAX_SAMPLE_PAIRS
 
 import fraction_regions
 from conftest import make_valuation, price_vectors, valuations
+from fraction_consumers import path_integral as crossing_walk
 
 F = Fraction
 
@@ -124,6 +128,7 @@ def test_closed_loop_through_all_vertices_vanishes(five_bundle_valuation):
         waypoints=(vec(1, 9), vec(3, 7), vec(10, 14), vec(8, 16)), closed=True
     )
     assert path_integral(f, loop) == 0
+    assert crossing_walk(f, loop) == 0
 
 
 def test_open_path_equals_potential_difference(five_bundle_valuation):
@@ -132,6 +137,7 @@ def test_open_path_equals_potential_difference(five_bundle_valuation):
     path = Polyline(waypoints=(vec(0, 0), vec(8, 16)))
     assert path_integral(f, path) == f.evaluate(vec(0, 0)) - f.evaluate(vec(8, 16))
     assert path_integral(f, path) == 34
+    assert crossing_walk(f, path) == 34
 
 
 def test_constant_potential_loop():
@@ -153,6 +159,7 @@ def test_path_along_a_facet_uses_the_single_valued_tangent(five_bundle_valuation
     f = indirect_utility(five_bundle_valuation)
     path = Polyline(waypoints=(vec(8, 16), vec(10, 14)))
     assert path_integral(f, path) == f.evaluate(vec(8, 16)) - f.evaluate(vec(10, 14))
+    assert crossing_walk(f, path) == f.evaluate(vec(8, 16)) - f.evaluate(vec(10, 14))
 
 
 @settings(max_examples=30, deadline=None)
@@ -164,6 +171,7 @@ def test_closed_polyline_integrals_vanish(v, waypoints):
     f = indirect_utility(v)
     loop = Polyline(waypoints=tuple(waypoints), closed=True)
     assert path_integral(f, loop) == 0
+    assert crossing_walk(f, loop) == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,6 +186,155 @@ def test_open_polyline_integrals_are_path_independent(v, waypoints):
     expected = f.evaluate(waypoints[0]) - f.evaluate(waypoints[-1])
     assert path_integral(f, path) == expected
     assert path_integral(f, direct) == expected
+    assert crossing_walk(f, path) == expected
+    assert crossing_walk(f, direct) == expected
+
+
+# ---------------------------------------------------------------------------
+# path_integral against the crossing walk (fraction_consumers)
+# ---------------------------------------------------------------------------
+
+
+def assert_same_as_the_walk(f, path):
+    # The same value, or an exception of the same type.
+    try:
+        want = crossing_walk(f, path)
+    except ToolkitError as error:
+        with pytest.raises(ToolkitError) as got:
+            path_integral(f, path)
+        assert type(got.value) is type(error)
+    else:
+        assert path_integral(f, path) == want
+
+
+@st.composite
+def polylines(draw, points, outside=None):
+    """Open or closed polylines through 1-5 draws of ``points``, one of
+    them repeated in place when there is only one or with chance, and with
+    chance ``outside`` put in somewhere."""
+    waypoints = draw(st.lists(points, min_size=1, max_size=5))
+    if len(waypoints) == 1 or draw(st.booleans()):
+        k = draw(st.integers(0, len(waypoints) - 1))
+        waypoints.insert(k, waypoints[k])
+    if outside is not None and draw(st.booleans()):
+        waypoints.insert(draw(st.integers(0, len(waypoints))), outside)
+    return Polyline(waypoints=tuple(waypoints), closed=draw(st.booleans()))
+
+
+def convex_combinations(bundles):
+    """Points of the bundles' hull: the bundles at nonnegative int weights,
+    not all zero, over their sum."""
+    n = len(bundles)
+    weights = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    return weights.map(
+        lambda w: tuple(sum(a * F(c) for a, c in zip(w, column)) / sum(w) for column in zip(*bundles))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda goods: st.tuples(
+    valuations(max_bundles=6, goods=goods, rational=True), polylines(price_vectors(goods))
+)))
+def test_path_integral_matches_the_walk_on_indirect_utilities(case):
+    v, path = case
+    assert_same_as_the_walk(indirect_utility(v), path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda goods: valuations(max_bundles=6, goods=goods, rational=True)), st.data())
+def test_path_integral_matches_the_walk_on_duals(v, data):
+    # Convex combinations of the bundles lie in the dual's domain, a point
+    # with a negative coordinate does not.
+    dual, _ = dualize(v)
+    outside = (F(-1),) * v.goods
+    assert_same_as_the_walk(dual, data.draw(polylines(convex_combinations(v.bundles()), outside)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(valuations(max_bundles=6, rational=True), st.data())
+def test_path_integral_matches_the_walk_on_integrated_potentials(v, data):
+    s = price_complex(v)
+    f = integrate_subdivision(s, (s.regions()[0], F(0)))
+    assert_same_as_the_walk(f, data.draw(polylines(price_vectors())))
+    try:
+        dc = demand_complex(v)
+    except DegenerateInput:  # collinear bundles: no 2-D demand complex
+        return
+    if not dc.regions():  # one bundle: the demand complex is a lone vertex
+        return
+    g = integrate_subdivision(dc, (dc.regions()[0], F(0)))
+    outside = (F(-1), F(-1))
+    assert_same_as_the_walk(g, data.draw(polylines(convex_combinations(v.bundles()), outside)))
+
+
+# The five-bundle price complex has the vertices (1,9), (3,7), (10,14) and
+# (8,16); its demand complex is [0,2]^2 cut at the center (1,1) into four
+# triangles.  Each side gets closed and open paths, a repeated waypoint, a
+# segment along a facet and a segment through a vertex.
+PRICE_PATHS = [
+    ((vec(1, 9), vec(3, 7), vec(10, 14), vec(8, 16)), True),
+    ((vec(0, 0), vec(8, 16)), False),
+    ((vec(1, 9), vec(1, 9), vec(3, 7)), False),
+    ((vec(8, 16), vec(10, 14)), False),
+    ((vec(0, 0), vec(2, 18), vec(20, 0)), True),
+]
+BUNDLE_PATHS = [
+    ((vec(0, 0), vec(2, 0), vec(2, 2), vec(0, 2)), True),
+    ((vec(0, 0), vec(1, 1)), False),
+    ((vec(0, 0), vec(2, 2), vec(2, 2), vec(F(1, 2), F(3, 2))), False),
+    ((vec(0, 2), vec(2, 0), vec(F(1, 3), 0)), True),
+    ((vec(0, 0), vec(3, 3)), False),
+]
+
+
+@pytest.mark.parametrize("waypoints, closed", PRICE_PATHS + BUNDLE_PATHS)
+def test_path_integral_matches_the_walk_on_the_five_bundle_complexes(
+    five_bundle_valuation, waypoints, closed
+):
+    v = five_bundle_valuation
+    price, demand_side = price_complex(v), demand_complex(v)
+    potentials = [
+        indirect_utility(v),
+        dualize(v)[0],
+        integrate_subdivision(price, (region_by_label(price, (0, 0)), F(0))),
+        integrate_subdivision(demand_side, (demand_side.regions()[0], F(0))),
+    ]
+    for f in potentials:
+        assert_same_as_the_walk(f, Polyline(waypoints=waypoints, closed=closed))
+
+
+def test_a_waypoint_of_the_wrong_length_is_refused(five_bundle_valuation):
+    f = indirect_utility(five_bundle_valuation)
+    path = Polyline(waypoints=(vec(0, 0), vec(1, 2, 3), vec(5, 5)))
+    for route in (path_integral, crossing_walk):
+        with pytest.raises(DegenerateInput, match="dimension mismatch"):
+            route(f, path)
+    # The walk evaluates no zero-length segment, so it returns 0 here.
+    still = Polyline(waypoints=(vec(1, 2, 3), vec(1, 2, 3)))
+    assert crossing_walk(f, still) == 0
+    with pytest.raises(DegenerateInput, match="dimension mismatch: 3 vs 2"):
+        path_integral(f, still)
+
+
+def test_path_integrals_on_the_whole_grid_run_within_a_wall_bound():
+    # The [0,7]^2 grid at the strictly concave 50(i + j) - 2(i^2 + j^2):
+    # 64 pieces in the indirect utility and 49 in its dual.  A closed path
+    # of 20 waypoints on the one and an open path of 20 on the other each
+    # stay within 1 s, at about 2 ms each on a 2-vCPU host; there the
+    # crossing walk, which splits every segment at every crossing of two
+    # pieces, took 19.4 s and 5.5 s.
+    v = make_valuation({(i, j): 50 * (i + j) - 2 * (i * i + j * j) for i in range(8) for j in range(8)})
+    f, (dual, _) = indirect_utility(v), dualize(v)
+    rng = random.Random(36)
+    loop = tuple((F(rng.randint(-40, 240), 4), F(rng.randint(-40, 240), 4)) for _ in range(20))
+    path = tuple((F(rng.randint(0, 56), 8), F(rng.randint(0, 56), 8)) for _ in range(20))
+    for g, polyline, want in [
+        (f, Polyline(waypoints=loop, closed=True), 0),
+        (dual, Polyline(waypoints=path), dual.evaluate(path[-1]) - dual.evaluate(path[0])),
+    ]:
+        start = time.perf_counter()
+        assert path_integral(g, polyline) == want
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------------
