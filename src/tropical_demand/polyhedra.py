@@ -93,9 +93,9 @@ class AffinePiece:
 def _pivot(tableau: list[list[int]], row: int, col: int, det: int) -> int:
     """Integer-preserving pivot in place; returns the new common denominator.
 
-    The tableau stands for ``tableau / det``.  The pivot row is kept, and
-    every other row x becomes (p*x - f*y) / det, with p the pivot, f the
-    row's entry in the pivot column and y the pivot row.  Every such
+    The tableau stands for ``tableau / det``.  The pivot row is kept; every
+    other row x becomes (p*x - f*y) / det, in place if p = det, with p the
+    pivot, f the row's entry in the pivot column and y the pivot row.  Each
     division is exact: each entry is a minor of the starting integer matrix
     (Edmonds 1967, Bareiss 1968).  The new denominator is |p|; a negative
     pivot negates every row.  No row object may appear twice in the tableau.
@@ -107,13 +107,7 @@ def _pivot(tableau: list[list[int]], row: int, col: int, det: int) -> int:
         if line is piv:
             continue
         f = line[col]
-        if p == det:
-            # x - f*y/det: only the pivot row's nonzero columns move.
-            if f:
-                for j in support:
-                    line[j] -= f * piv[j] // det
-            continue
-        new = [p * x // det if x else 0 for x in line]
+        new = line if p == det else [p * x // det if x else 0 for x in line]
         if f:
             for j in support:
                 new[j] = (p * line[j] - f * piv[j]) // det
@@ -202,9 +196,6 @@ def _extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IVec, i
                 minus.append((ray, zeros, side))
             else:
                 kept.append((ray, zeros | bit))
-        if not minus:
-            rays = kept
-            continue
         zero_sets = [zeros for _, zeros in rays]
         for rp, zp, sp in plus:
             for rm, zm, sm in minus:

@@ -251,8 +251,9 @@ def check_cyclic_monotonicity(
     W[i][j] = a_i . b_j - a_i . b_i.  Scaling multiplies every weight by the
     same positive constant, so every comparison, the relaxation order, the
     verdict and the witness are those of the rational weights.  Samples of
-    more than MAX_SAMPLE_PAIRS pairs raise :class:`InstanceTooLarge` before
-    the matrix is built.
+    more than MAX_SAMPLE_PAIRS pairs raise :class:`InstanceTooLarge`, and
+    prices and bundles of different lengths, even in one pair, raise
+    :class:`DegenerateInput`, before the matrix is built.
     """
     if direction not in ("demand", "inverse"):
         raise DegenerateInput(f"unknown direction {direction!r}")
@@ -262,8 +263,6 @@ def check_cyclic_monotonicity(
         raise InstanceTooLarge(
             f"cyclic monotonicity: {k} pairs exceed the cap of {MAX_SAMPLE_PAIRS}"
         )
-    if k == 1:
-        return True, None
 
     prices = [p for p, _ in pairs]
     bundles = [q for _, q in pairs]

@@ -1217,6 +1217,16 @@ CLI_ERRORS = {
         3,
         "inconsistent sample dimensions",
     ),
+    # Prices and bundles of different lengths are refused, one pair included.
+    **{
+        f"cyclemono-one-pair-length-mismatch-{direction}": (
+            ["cyclemono", "--direction", direction],
+            {"pairs": [{"p": ["1", "2"], "q": ["1", "0", "0"]}]},
+            3,
+            f"dimension mismatch: {line}",
+        )
+        for direction, line in (("demand", "3 vs 2"), ("inverse", "2 vs 3"))
+    },
     "dualize-no-goods": (
         ["dualize"], {"goods": 0, "entries": [{"bundle": [], "value": "0"}]}, 3, "need at least one good"
     ),

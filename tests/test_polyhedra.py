@@ -730,6 +730,9 @@ def sparse_tableaux(draw):
 @settings(max_examples=300, deadline=None)
 @given(sparse_tableaux())
 @example(([[-2, 1, 3], [4, 1, 0], [1, -1, 2]], [(0, 0), (1, 1), (2, 2)]))  # negative pivots
+# The second pivot equals the running denominator, 3, with the other rows
+# nonzero in its column: the rows are updated in place.
+@example(([[-3, 1, -3], [3, 0, -1], [1, -2, -2]], [(0, 0), (1, 1)]))
 def test_integer_pivot_matches_dense_pivot(case):
     # The integer tableau over its denominator is the Fraction tableau after
     # every pivot, whatever the pivot's sign; an inexact floor division

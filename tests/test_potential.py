@@ -389,20 +389,30 @@ def test_unknown_direction_rejected():
         check_cyclic_monotonicity(sample, "sideways")
 
 
-@settings(max_examples=25, deadline=None)
-@given(valuations(max_bundles=6), st.lists(price_vectors(), min_size=2, max_size=8), st.randoms())
-def test_cyclic_monotonicity_is_selection_invariant(v, prices, rng):
+def _demand_selection(v, prices, rng):
+    """One bundle of the exact demand set at each price, drawn by ``rng``."""
     pairs = []
     for p in prices:
         options = sorted(demand(v, p).bundles)
         q = options[rng.randrange(len(options))]
         pairs.append((p, tuple(F(c) for c in q)))
-    ok, _ = check_cyclic_monotonicity(CorrespondenceSample(pairs=tuple(pairs)))
+    return CorrespondenceSample(pairs=tuple(pairs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(valuations(max_bundles=6), st.lists(price_vectors(), min_size=2, max_size=8), st.randoms())
+def test_cyclic_monotonicity_is_selection_invariant(v, prices, rng):
+    ok, _ = check_cyclic_monotonicity(_demand_selection(v, prices, rng))
     assert ok
 
 
-def test_dimension_mismatch_rejected_in_both_directions():
-    sample = CorrespondenceSample(pairs=((vec(0, 1), vec(2)), (vec(1, 0), vec(3))))
+@pytest.mark.parametrize(
+    "pairs",
+    [((vec(0, 1), vec(2)),), ((vec(0, 1), vec(2)), (vec(1, 0), vec(3)))],
+    ids=["one-pair", "two-pairs"],
+)
+def test_dimension_mismatch_rejected_in_both_directions(pairs):
+    sample = CorrespondenceSample(pairs=pairs)
     with pytest.raises(DegenerateInput, match="dimension mismatch: 1 vs 2"):
         check_cyclic_monotonicity(sample, "demand")
     with pytest.raises(DegenerateInput, match="dimension mismatch: 2 vs 1"):
@@ -431,12 +441,11 @@ def _arc_weight(pairs, direction, i, j):
     return dot(pi, vsub(qj, qi))
 
 
-def _fraction_bellman_ford(pairs, direction):
-    """Bellman-Ford over rational weights built per relaxation: the same
-    relaxation order and witness walk as the integer-matrix version."""
+def _fraction_distances(pairs, direction):
+    """Bellman-Ford's relaxation over rational weights built per arc, in the
+    integer-matrix version's order: the distances, the predecessors, and the
+    last node that round k - 1 relaxed (None if a round relaxed nothing)."""
     k = len(pairs)
-    if k == 1:
-        return True, None
     dist = [ZERO for _ in range(k)]
     pred = [None for _ in range(k)]
     witness_node = None
@@ -454,10 +463,17 @@ def _fraction_bellman_ford(pairs, direction):
                     if round_ == k - 1:
                         witness_node = j
         if not changed:
-            return True, None
-    if witness_node is None:
+            return dist, pred, None
+    return dist, pred, witness_node
+
+
+def _fraction_bellman_ford(pairs, direction):
+    """Bellman-Ford over rational weights built per relaxation: the same
+    relaxation order and witness walk as the integer-matrix version."""
+    _, pred, node = _fraction_distances(pairs, direction)
+    if node is None:
         return True, None
-    node = witness_node
+    k = len(pairs)
     for _ in range(k):
         node = pred[node]
     cycle = [node]
@@ -468,6 +484,30 @@ def _fraction_bellman_ford(pairs, direction):
     cycle.reverse()
     start = cycle.index(min(cycle))
     return False, tuple(cycle[start:] + cycle[:start])
+
+
+@settings(max_examples=25, deadline=None)
+@given(valuations(max_bundles=6), st.lists(price_vectors(), min_size=1, max_size=8), st.randoms())
+def test_bellman_ford_distances_are_an_afriat_potential(v, prices, rng):
+    # Afriat (1967): with no negative cycle the distances phi satisfy
+    # phi_j <= phi_i + w(i -> j) on all k^2 arcs, w(i -> j) = a_i . (b_j - b_i),
+    # so piece i of V(x) = max_j(-phi_j - a_j . (x - b_j)) is active at b_i
+    # and -a_i is a subgradient of V there (a = q, b = p in the demand
+    # direction, the reverse in the inverse one).
+    sample = _demand_selection(v, prices, rng)
+    pairs = sample.pairs
+    k = len(pairs)
+    for direction in ("demand", "inverse"):
+        if not check_cyclic_monotonicity(sample, direction)[0]:
+            continue
+        phi, _, _ = _fraction_distances(pairs, direction)
+        for i in range(k):
+            for j in range(k):
+                assert phi[j] <= phi[i] + _arc_weight(pairs, direction, i, j)
+        a, b = zip(*((q, p) if direction == "demand" else (p, q) for p, q in pairs))
+        for i in range(k):
+            pieces = [-phi[j] - dot(a[j], vsub(b[i], b[j])) for j in range(k)]
+            assert max(pieces) == pieces[i]
 
 
 def _min_assignment_cost(cost):
